@@ -1,19 +1,18 @@
-"""Reference basis data and initial vector search.
+"""Reference basis data and the initial vector.
 
 For each signature with a published table there is a ReferenceConfig
 recording the involution system, the words whose action on a suitable
 unit vector v produces the orthogonal module basis, any extra relations
 the source states, and pairings required to vanish when picking v.
 
-The initial vector must satisfy <v, v> = 1 and make the frame
-{M(W_a) v} orthogonal with the expected norm signs.  Candidates are
-integer combinations of a basis of the subspace fixed by the involution
-system, enumerated with coefficients in {0, 1, -1} by growing support.
+The initial vector v must be fixed by the involution system with its
+eigensigns, satisfy <v, v> = 1 and make the frame {M(W_a) v} orthogonal
+with the expected norm signs.  In the coset module the system words act
+by their eigensigns on the empty-set coset, so v is the first basis
+vector e_1, and the frame vectors are signed basis vectors.
 """
 
 from dataclasses import dataclass
-
-from itertools import combinations, product
 
 from . import exactlin
 from .clifford_rep import ConstructionError
@@ -226,13 +225,14 @@ _CONFIGS = {
     ),
 }
 
-# Signatures whose module data coincides with an already listed one.
-_SHARED = {(0, 1): (1, 0), (0, 2): (2, 0), (0, 8): (8, 0)}
+# Signatures whose module data and reference table coincide with an
+# already listed one.
+ALIASES = {(0, 1): (1, 0), (0, 2): (2, 0), (0, 8): (8, 0)}
 
 
 def reference_config(sig):
     key = (sig.r, sig.s)
-    key = _SHARED.get(key, key)
+    key = ALIASES.get(key, key)
     try:
         return _CONFIGS[key]
     except KeyError:
@@ -241,136 +241,43 @@ def reference_config(sig):
 
 def has_reference_config(sig):
     key = (sig.r, sig.s)
-    return key in _CONFIGS or key in _SHARED
+    return key in _CONFIGS or key in ALIASES
 
 
 def configured_signatures(include_shared=False):
     keys = set(_CONFIGS)
     if include_shared:
-        keys |= set(_SHARED)
+        keys |= set(ALIASES)
     return sorted(keys)
 
 
-def fixed_subspace(gens, involutions):
-    """Integer basis of the joint eigenspace of the involution words.
+def find_initial_vector(gens, config):
+    """The initial vector e_1 as the signed point (0, 1), once checked.
 
-    For each involution P with eigensign sigma the operator Id + sigma M(P)
-    projects (up to a factor 2) onto the right eigenspace, and the
-    operators commute, so the column space of their product is the joint
-    eigenspace.
+    Raises ConstructionError when the involution system does not fix
+    e_1 with its eigensigns, or when the frame e_1 generates is not
+    orthogonal with the expected norms or breaks a zero pairing.  For
+    signed basis vectors, orthogonality means distinct points.
     """
-    m = exactlin.identity(gens.dim)
-    for p in involutions:
-        step = exactlin.mat_add(
-            exactlin.identity(gens.dim),
-            exactlin.mat_scale(p.eigensign, gens.apply_word(p.word)))
-        m = exactlin.mat_mul(m, step)
-    return exactlin.column_space_basis(m)
-
-
-def _frame_perms(gens, config):
-    out = []
-    for w in config.basis_words:
-        out.append(exactlin.signed_perm_parts(gens.apply_word(w)))
-    return out
-
-
-def _apply_perm(perm_signs, v):
-    perm, signs = perm_signs
-    out = [0] * len(v)
-    for j, x in enumerate(v):
-        if x:
-            out[perm[j]] = signs[j] * x
-    return out
-
-
-def _coeff_patterns(d):
-    # Growing support keeps the short vectors first; within one support
-    # the sign tuples follow itertools order with +1 before -1.
-    for size in range(1, d + 1):
-        for pos in combinations(range(d), size):
-            for signs in product((1, -1), repeat=size):
-                yield pos, signs
-
-
-def is_valid_initial_vector(gens, config, v):
-    """True when v generates an orthogonal frame with the right norms."""
-    sig = gens.sig
-    form = gens.form_v
-    frame = [_apply_perm(p, v) for p in _frame_perms(gens, config)]
-    for a, u in enumerate(frame):
-        want = norm_sign(sig, config.basis_words[a])
-        if exactlin.dot_form(u, u, form) != want:
-            return False
-    for a in range(len(frame)):
-        for b in range(a + 1, len(frame)):
-            if exactlin.dot_form(frame[a], frame[b], form) != 0:
-                return False
-    for w in config.zero_pairings:
-        pw = exactlin.signed_perm_parts(gens.apply_word(w))
-        if exactlin.dot_form(_apply_perm(pw, v), v, form) != 0:
-            return False
-    return True
-
-
-def initial_vector_candidates(gens, config, max_candidates=200000):
-    """Yield valid initial vectors in a fixed deterministic order."""
-    basis = fixed_subspace(gens, config.involutions)
-    if not basis:
-        return
-    frames = _frame_perms(gens, config)
-    pairings = [exactlin.signed_perm_parts(gens.apply_word(w))
-                for w in config.zero_pairings]
-    form = gens.form_v
-    norms = [norm_sign(gens.sig, w) for w in config.basis_words]
-    tried = 0
-    for pos, signs in _coeff_patterns(len(basis)):
-        if tried >= max_candidates:
-            return
-        tried += 1
-        v = [0] * gens.dim
-        for p, s in zip(pos, signs):
-            col = basis[p]
-            for i, x in enumerate(col):
-                v[i] += s * x
-        ok = True
-        frame = []
-        for a, fp in enumerate(frames):
-            u = _apply_perm(fp, v)
-            if exactlin.dot_form(u, u, form) != norms[a]:
-                ok = False
-                break
-            frame.append(u)
-        if ok:
-            for a in range(len(frame)):
-                for b in range(a + 1, len(frame)):
-                    if exactlin.dot_form(frame[a], frame[b], form) != 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            for pw in pairings:
-                if exactlin.dot_form(_apply_perm(pw, v), v, form) != 0:
-                    ok = False
-                    break
-        if ok:
-            yield v
-
-
-def find_initial_vector(gens, config, max_candidates=200000):
-    basis = fixed_subspace(gens, config.involutions)
-    if not basis:
-        raise ConstructionError(
-            "the involution system fixes no vector; the twin module with "
-            "negated generators may carry this basis instead")
-    for v in initial_vector_candidates(gens, config, max_candidates):
-        return v
-    raise ConstructionError("no valid initial vector found")
+    v = (0, 1)
+    for p in config.involutions:
+        if exactlin.act(gens.apply_word(p.word), v) != (0, p.eigensign):
+            raise ConstructionError(
+                "the involution system does not fix e_1; the twin module "
+                "with negated generators may carry this basis instead")
+    frame = build_basis(gens, config, v)
+    norms_ok = all(gens.form_v[point] == norm_sign(gens.sig, w)
+                   for (point, _s), w in zip(frame, config.basis_words))
+    points = {point for point, _s in frame}
+    pairs_ok = all(exactlin.act(gens.apply_word(w), v)[0] != 0
+                   for w in config.zero_pairings)
+    if not (norms_ok and len(points) == len(frame) and pairs_ok):
+        raise ConstructionError("e_1 is not a valid initial vector")
+    return v
 
 
 def build_basis(gens, config, v=None):
-    """The frame M(W_a) v as exact column vectors, in word order."""
+    """The frame M(W_a) v as signed points, in word order."""
     if v is None:
         v = find_initial_vector(gens, config)
-    return [_apply_perm(p, v) for p in _frame_perms(gens, config)]
+    return [exactlin.act(gens.apply_word(w), v) for w in config.basis_words]

@@ -23,7 +23,7 @@ from .basis_builder import (configured_signatures, find_initial_vector,
                             has_reference_config, reference_config)
 from .clifford_rep import (GRID_NOTES, build_generators, clifford_type,
                            minimal_admissible_dimension)
-from .exactlin import mat_apply
+from .exactlin import act
 from .golden import build_n07, match_generated, split_blocks, verify_all_golden
 from .lie_algebra import derive_table, generate_table, verify_htype
 from .words import Signature, format_word, reduce_mod_system
@@ -93,18 +93,18 @@ def _latex_text(table):
 _RENDERERS = {"json": _json_text, "csv": _csv_text, "latex": _latex_text}
 
 
-def _emit(text, out):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as handle:
-            handle.write(text)
-
-
 def _cmd_gen(parser, args):
     sig = _signature(parser, args.r, args.s)
-    table = _build_table(sig)
-    _emit(_RENDERERS[args.format](table), args.out)
+    text = _RENDERERS[args.format](_build_table(sig))
+    if args.out is None:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print("cannot write %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+        return 2
     return 0
 
 
@@ -250,9 +250,7 @@ def _cmd_relations(parser, args):
     bad = False
     print("n%s involution system, acting on the initial vector:" % sig)
     for inv in config.involutions:
-        acted = mat_apply(gens.apply_word(inv.word), v)
-        wanted = v if inv.eigensign == 1 else [-x for x in v]
-        ok = acted == wanted
+        ok = act(gens.apply_word(inv.word), v) == (v[0], inv.eigensign * v[1])
         bad = bad or not ok
         print("  %s  eigensign %+d  matrix action %s"
               % (format_word(inv.word), inv.eigensign,
@@ -263,7 +261,7 @@ def _cmd_relations(parser, args):
     print("stored relations, each expected to fix the initial vector:")
     for rel in config.relations:
         scalar = reduce_mod_system(sig, config.involutions, rel)
-        fixes = mat_apply(gens.apply_word(rel), v) == v
+        fixes = act(gens.apply_word(rel), v) == v
         ok = scalar == 1 and fixes
         bad = bad or not ok
         print("  %s v = v  word reduction %+d  matrix action %s"

@@ -1,4 +1,4 @@
-"""Clifford module generators as exact signed permutation matrices.
+"""Clifford module generators as exact signed permutations.
 
 The entry point is build_generators, which realises the Clifford
 relations J_i J_j + J_j J_i = -2 <z_i, z_j> Id on a module of the
@@ -165,30 +165,31 @@ def find_involution_system(sig, k=None):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Generators J_1 ... J_n on a module with a diagonal +-1 form."""
+    """Generators J_1 ... J_n on a module with a diagonal +-1 form.
+
+    ops[i - 1] is J_i as a signed permutation (see exactlin).
+    """
 
     sig: Signature
     dim: int
-    mats: tuple
+    ops: tuple
     form_v: tuple
     coset_words: tuple
 
     def apply_word(self, w):
-        """Matrix of the word w in these generators."""
-        m = exactlin.identity(self.dim)
+        """The word w in these generators, as a signed permutation."""
+        op = exactlin.identity(self.dim)
         for i in w.letters:
-            m = exactlin.mat_mul(m, self.mats[i - 1])
+            op = exactlin.compose(op, self.ops[i - 1])
         if w.sign == -1:
-            m = exactlin.mat_neg(m)
-        return m
+            op = exactlin.negate(op)
+        return op
 
 
-def build_generators(sig, system=None, negate=False):
-    """Minimal admissible Clifford module for sig, as exact matrices.
+def build_generators(sig, system=None):
+    """Minimal admissible Clifford module for sig, as signed permutations.
 
-    With negate=True every J_i is replaced by -J_i, which lands in the
-    inequivalent twin module when there is one.  The result is checked
-    against all invariants before being returned.
+    The result is checked against all invariants before being returned.
     """
     if system is None:
         system = find_involution_system(sig)
@@ -220,20 +221,20 @@ def build_generators(sig, system=None, negate=False):
             "coset count %d does not match minimal dimension %d" % (dim, expected))
 
     rep_words = [Word(1, t) for t in reps]
-    mats = []
+    ops = []
     for i in range(1, sig.n + 1):
         gen = Word(1, (i,))
-        m = exactlin.zeros(dim)
-        for a, wa in enumerate(rep_words):
+        perm, signs = [], []
+        for wa in rep_words:
             u = word_mul(sig, gen, wa)
             b = coset_index[frozenset(u.letters)]
             residual = word_mul(sig, word_inverse(sig, rep_words[b]), u)
-            tau = reduce_mod_system(sig, system, residual, table)
-            m[b][a] = -tau if negate else tau
-        mats.append(m)
+            perm.append(b)
+            signs.append(reduce_mod_system(sig, system, residual, table))
+        ops.append((perm, signs))
 
     form_v = tuple(norm_sign(sig, w) for w in rep_words)
-    gens = GeneratorSet(sig, dim, tuple(mats), form_v, tuple(rep_words))
+    gens = GeneratorSet(sig, dim, tuple(ops), form_v, tuple(rep_words))
     problems = verify_generators(gens)
     if problems:
         raise ConstructionError("; ".join(problems))
@@ -242,35 +243,24 @@ def build_generators(sig, system=None, negate=False):
 
 def negate_generators(gens):
     """The same module with every generator replaced by its negative."""
-    mats = tuple(exactlin.mat_neg(m) for m in gens.mats)
-    return GeneratorSet(gens.sig, gens.dim, mats, gens.form_v, gens.coset_words)
+    ops = tuple(exactlin.negate(op) for op in gens.ops)
+    return GeneratorSet(gens.sig, gens.dim, ops, gens.form_v, gens.coset_words)
 
 
 def verify_generators(gens):
     """Check all invariants of a generator set; returns a list of problems."""
     sig = gens.sig
     out = []
-    n = sig.n
-    dim = gens.dim
-    ident = exactlin.identity(dim)
-    for i, m in enumerate(gens.mats, start=1):
-        if not exactlin.is_signed_permutation(m):
+    for i, op in enumerate(gens.ops, start=1):
+        if not exactlin.is_permutation(op):
             out.append("J_%d is not a signed permutation" % i)
-        adj = exactlin.metric_adjoint(m, gens.form_v)
-        if adj != exactlin.mat_neg(m):
+        if not exactlin.is_skew(op, gens.form_v):
             out.append("J_%d is not skew for the form" % i)
-    for i in range(n):
-        for j in range(i, n):
-            anti = exactlin.mat_add(
-                exactlin.mat_mul(gens.mats[i], gens.mats[j]),
-                exactlin.mat_mul(gens.mats[j], gens.mats[i]))
-            want = exactlin.zeros(dim)
-            if i == j:
-                want = exactlin.mat_scale(-2 * sig.eps(i + 1), ident)
-            if anti != want:
-                out.append("Clifford relation fails for J_%d, J_%d" % (i + 1, j + 1))
+    squares = [-sig.eps(i) for i in range(1, sig.n + 1)]
+    for i, j, _points in exactlin.relation_failures(gens.ops, squares):
+        out.append("Clifford relation fails for J_%d, J_%d" % (i + 1, j + 1))
     pos = sum(1 for e in gens.form_v if e == 1)
-    neg = dim - pos
+    neg = gens.dim - pos
     if sig.s == 0:
         if neg:
             out.append("form should be positive definite, got (%d,%d)" % (pos, neg))

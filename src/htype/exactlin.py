@@ -1,157 +1,83 @@
-"""Exact integer matrix helpers.
+"""Signed permutations, the one operator representation of the package.
 
-Matrices are plain lists of lists of Python ints, indexed [row][col].
-Everything stays in integer arithmetic; the column reduction uses
-fraction-free elimination with a gcd cleanup, so no floats ever appear.
+In the bases used here every generator J_k maps each basis vector to
+plus or minus another basis vector.  Such an operator is stored as a
+pair of lists (perm, signs): basis vector e_j goes to signs[j] times
+e_perm[j].  A partial operator, as rebuilt from a table with an empty
+cell, holds None in perm where it does not act.  A signed point (p, s)
+stands for the vector s e_p, so every frame vector is one signed point.
 """
-
-import math
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return list(range(n)), [1] * n
 
 
-def zeros(n, m=None):
-    if m is None:
-        m = n
-    return [[0] * m for _ in range(n)]
+def compose(a, b):
+    """The operator a b, which applies b first; both must act everywhere."""
+    perm_a, signs_a = a
+    perm_b, signs_b = b
+    return ([perm_a[j] for j in perm_b],
+            [signs_a[j] * s for j, s in zip(perm_b, signs_b)])
 
 
-def diagonal(entries):
-    n = len(entries)
-    out = zeros(n)
-    for i, e in enumerate(entries):
-        out[i][i] = e
-    return out
+def negate(op):
+    perm, signs = op
+    return list(perm), [-s for s in signs]
 
 
-def mat_mul(a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            f = ai[t]
-            if f:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += f * bt[j]
-    return out
+def act(op, v):
+    """Image of the signed point v, or None where op does not act."""
+    p, s = v
+    q = op[0][p]
+    return None if q is None else (q, s * op[1][p])
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def is_permutation(op):
+    """True when op acts on every point and no two points share an image."""
+    perm = op[0]
+    return set(perm) == set(range(len(perm)))
 
 
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
+def is_skew(op, form):
+    """True when <op x, y> = -<x, op y> for the diagonal form diag(form).
 
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_eq(a, b):
-    return a == b
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def mat_apply(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def metric_adjoint(m, form):
-    """Adjoint of m with respect to the diagonal form diag(form).
-
-    For a diagonal form f with entries +-1 the adjoint is f^-1 m^T f,
-    entrywise result[i][j] = form[i] * m[j][i] * form[j].
+    For a signed permutation this says op swaps points in pairs, and
+    the two signs of a pair differ by the form's signs of its points.
     """
-    n = len(m)
-    return [[form[i] * m[j][i] * form[j] for j in range(n)] for i in range(n)]
+    perm, signs = op
+    return all(perm[perm[j]] == j
+               and signs[perm[j]] == -form[j] * form[perm[j]] * signs[j]
+               for j in range(len(perm)))
 
 
-def dot_form(x, y, form):
-    return sum(a * f * b for a, f, b in zip(x, form, y))
+def _twice(a, b, p):
+    v = act(b, (p, 1))
+    return None if v is None else act(a, v)
 
 
-def gram(vectors, form):
-    return [[dot_form(x, y, form) for y in vectors] for x in vectors]
+def _cancel(x, y):
+    """True when the signed points (or Nones) x and y sum to zero."""
+    if x is None or y is None:
+        return x is y
+    return x == (y[0], -y[1])
 
 
-def is_signed_permutation(m):
-    """True when every row and column has exactly one entry, equal to +-1."""
-    n = len(m)
-    seen_rows = [0] * n
-    for j in range(n):
-        hits = 0
-        for i in range(n):
-            x = m[i][j]
-            if x == 0:
-                continue
-            if x not in (1, -1):
-                return False
-            hits += 1
-            seen_rows[i] += 1
-        if hits != 1:
-            return False
-    return all(c == 1 for c in seen_rows)
+def relation_failures(ops, squares):
+    """Where partial signed permutations break the Clifford relations.
 
-
-def signed_perm_parts(m):
-    """Split a signed permutation matrix into (perm, signs).
-
-    perm[j] = i and signs[j] = s mean column j carries s at row i,
-    i.e. m maps basis vector j to s times basis vector i.
+    The relations are A_i A_j + A_j A_i = 0 for i != j and
+    A_i^2 = squares[i] Id.  Yields (i, j, points) for each pair i <= j
+    that fails, with the points whose images break it, in order.
     """
-    n = len(m)
-    perm = [-1] * n
-    signs = [0] * n
-    for j in range(n):
-        for i in range(n):
-            x = m[i][j]
-            if x:
-                if perm[j] != -1 or x not in (1, -1):
-                    raise ValueError("not a signed permutation matrix")
-                perm[j] = i
-                signs[j] = x
-        if perm[j] == -1:
-            raise ValueError("not a signed permutation matrix")
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a signed permutation matrix")
-    return perm, signs
-
-
-def column_space_basis(mat):
-    """Primitive integer vectors spanning the column space of mat.
-
-    Columns are processed left to right with fraction-free elimination,
-    so the result is deterministic: each basis vector is divided by the
-    gcd of its entries and normalised to a positive leading entry.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    basis = []
-    for j in range(cols):
-        vec = [mat[i][j] for i in range(rows)]
-        for p, b in basis:
-            f = vec[p]
-            if f:
-                vec = [x * b[p] - f * y for x, y in zip(vec, b)]
-        if not any(vec):
-            continue
-        g = 0
-        for x in vec:
-            g = math.gcd(g, x)
-        vec = [x // g for x in vec]
-        p = next(i for i, x in enumerate(vec) if x)
-        if vec[p] < 0:
-            vec = [-x for x in vec]
-        basis.append((p, vec))
-    return [b for _, b in basis]
+    for i, a in enumerate(ops):
+        points = range(len(a[0]))
+        for j in range(i, len(ops)):
+            b = ops[j]
+            if i == j:
+                bad = [p for p in points if _twice(a, a, p) != (p, squares[i])]
+            else:
+                bad = [p for p in points
+                       if not _cancel(_twice(a, b, p), _twice(b, a, p))]
+            if bad:
+                yield i, j, bad

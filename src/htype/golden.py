@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .basis_builder import build_basis, find_initial_vector, reference_config
+from .basis_builder import (ALIASES, build_basis, find_initial_vector,
+                            reference_config)
 from .clifford_rep import build_generators, negate_generators
 from .lie_algebra import (
     EQUAL,
@@ -27,8 +28,6 @@ from .lie_algebra import (
     verify_htype,
 )
 from .words import Involution, Signature
-
-_ALIASES = {(0, 1): (1, 0), (0, 2): (2, 0), (0, 8): (8, 0)}
 
 ISOMORPHIC_PAIRS = (
     ((1, 0), (0, 1)),
@@ -96,7 +95,7 @@ def table_from_data(data):
 
 def golden_table(r, s):
     """The embedded reference table for the signature, aliases resolved."""
-    key = _ALIASES.get((r, s), (r, s))
+    key = ALIASES.get((r, s), (r, s))
     path = _data_dir() / ("n%d%d.json" % key)
     try:
         raw = path.read_text()

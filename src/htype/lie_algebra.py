@@ -5,20 +5,18 @@ with centre z_1 ... z_n and module basis v_1 ... v_N.  Every bracket
 [v_a, v_b] is either zero or a single signed central element, so a cell
 is stored as (k, sign) under the key (a, b), with zero cells omitted.
 
-verify_htype rebuilds the generator matrices from nothing but the table
-and checks the Clifford relations, skewness for a diagonal form whose
-signs are solved by propagation, and the expected form signature.  It
-reports every defect it can pin to specific cells.
+verify_htype rebuilds the generators as signed permutations from
+nothing but the table and checks the Clifford relations, skewness for a
+diagonal form whose signs are solved by propagation, and the expected
+form signature.  It reports every defect it can pin to specific cells.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
 from . import exactlin
-from .basis_builder import (ReferenceConfig, build_basis, find_initial_vector,
-                            reference_config)
-from .clifford_rep import (ConstructionError, build_generators,
-                           find_involution_system)
+from .basis_builder import ReferenceConfig, build_basis, reference_config
+from .clifford_rep import build_generators, find_involution_system
 from .words import Signature
 
 EQUAL = "equal"
@@ -61,75 +59,84 @@ class VerifyReport:
         return not self.errata
 
 
-def compute_table(gens, vectors, label=""):
-    """Expand J_k v_a over the frame and collect the bracket table.
+def compute_table(gens, frame, label=""):
+    """Read the bracket table off where each J_k sends each frame point.
 
-    The frame must consist of exact unit vectors for the module form and
-    every J_k v_a must hit exactly one frame vector, otherwise the frame
-    does not present the algebra and a ValueError is raised.
+    The frame is a list of signed points (see exactlin), one per module
+    basis vector.  Every J_k v_a must hit exactly one frame vector,
+    otherwise the frame does not present the algebra and a ValueError
+    is raised.
     """
     sig = gens.sig
-    n_vec = len(vectors)
+    n_vec = len(frame)
     if n_vec != gens.dim:
         raise ValueError("expected %d basis vectors, got %d" % (gens.dim, n_vec))
-    form = gens.form_v
-    etas = []
-    for v in vectors:
-        e = exactlin.dot_form(v, v, form)
-        if e not in (1, -1):
-            raise ValueError("basis vector with square norm %d" % e)
-        etas.append(e)
+    where = {}
+    for b, (point, _s) in enumerate(frame):
+        where.setdefault(point, []).append(b)
     cells = {}
     for k in range(1, sig.n + 1):
-        jk = gens.mats[k - 1]
-        for a in range(n_vec):
-            u = exactlin.mat_apply(jk, vectors[a])
-            hits = [(b, exactlin.dot_form(u, vectors[b], form))
-                    for b in range(n_vec)]
-            hits = [(b, p) for b, p in hits if p]
-            if len(hits) != 1 or hits[0][1] not in (1, -1):
+        for a, v in enumerate(frame):
+            point, sign = exactlin.act(gens.ops[k - 1], v)
+            hits = where.get(point, [])
+            if len(hits) != 1:
                 raise ValueError(
                     "J_%d v_%d does not map to a single frame vector" % (k, a + 1))
-            b, p = hits[0]
-            if u != [p * etas[b] * x for x in vectors[b]]:
-                raise ValueError("frame does not carry the module action")
+            b = hits[0]
+            # <J_k v_a, v_b> for v_b = s e_point is sign * s * form[point].
+            pairing = sign * frame[b][1] * gens.form_v[point]
             key = (a + 1, b + 1)
             if key in cells:
                 raise ValueError("two central directions on pair (%d, %d)" % key)
-            cells[key] = (k, sig.eps(k) * p)
+            cells[key] = (k, sig.eps(k) * pairing)
     for (a, b), (k, s) in cells.items():
         if cells.get((b, a)) != (k, -s):
             raise ValueError("computed table is not antisymmetric at (%d, %d)" % (a, b))
     return StructureTable(sig, n_vec, cells, frozenset(), label)
 
 
-def generate_table(sig, config=None, negate=False, label=""):
+def generate_table(sig, config=None, label=""):
     """Full pipeline from a signature to its structure table."""
     if config is None:
         config = reference_config(sig)
-    gens = build_generators(sig, system=config.involutions, negate=negate)
-    v = find_initial_vector(gens, config)
-    vectors = build_basis(gens, config, v)
-    return compute_table(gens, vectors, label=label)
+    gens = build_generators(sig, system=config.involutions)
+    return compute_table(gens, build_basis(gens, config), label=label)
 
 
 def derive_table(sig, label="derived"):
     """Structure table for a signature without stored basis data.
 
-    Searches an involution system, takes the coset words it cuts as the
-    module basis, and switches to the negated generators when the system
-    fixes no vector in the first module.
+    Searches an involution system and takes the coset words it cuts as
+    the module basis.
     """
     system = find_involution_system(sig)
     gens = build_generators(sig, system=system)
     config = ReferenceConfig(involutions=system, basis_words=gens.coset_words)
-    try:
-        v = find_initial_vector(gens, config)
-    except ConstructionError:
-        gens = build_generators(sig, system=system, negate=True)
-        v = find_initial_vector(gens, config)
-    vectors = build_basis(gens, config, v)
-    return compute_table(gens, vectors, label=label)
+    return compute_table(gens, build_basis(gens, config), label=label)
+
+
+def _propagate_signs(values, adj):
+    """Fill values[1:] with +-1 along the edges of adj, breadth first.
+
+    adj[a] lists (b, rel, cell) for edges demanding values[b] =
+    rel * values[a].  Each component starts at +1 from its smallest
+    vertex.  Yields the cell of every edge that contradicts the values
+    already set, so a caller can collect them all or stop at the first.
+    """
+    for start in range(1, len(values)):
+        if values[start] is not None:
+            continue
+        values[start] = 1
+        queue = deque([start])
+        while queue:
+            a = queue.popleft()
+            for b, rel, cell in adj[a]:
+                want = rel * values[a]
+                if values[b] is None:
+                    values[b] = want
+                    queue.append(b)
+                elif values[b] != want:
+                    yield cell
 
 
 def _solve_eta(table):
@@ -140,40 +147,32 @@ def _solve_eta(table):
     start at +1 as well.
     """
     sig = table.sig
-    n_vec = table.dim
-    adj = {a: [] for a in range(1, n_vec + 1)}
+    adj = {a: [] for a in range(1, table.dim + 1)}
     for (a, b), (k, _s) in table.cells.items():
         adj[a].append((b, sig.eps(k), (a, b)))
-    eta = [None] * (n_vec + 1)
-    errata = []
-    for start in range(1, n_vec + 1):
-        if eta[start] is not None:
-            continue
-        eta[start] = 1
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b, e, cell in adj[a]:
-                want = e * eta[a]
-                if eta[b] is None:
-                    eta[b] = want
-                    queue.append(b)
-                elif eta[b] != want:
-                    errata.append("norm signs conflict at cell (v%d, v%d)" % cell)
+    eta = [None] * (table.dim + 1)
+    errata = ["norm signs conflict at cell (v%d, v%d)" % cell
+              for cell in _propagate_signs(eta, adj)]
     return tuple(eta[1:]), errata
 
 
 def reconstruct_J(table, eta=None):
-    """Generator matrices implied by the table, (J_k)[b][a] = eps_k c eta_b."""
+    """Generators implied by the table: J_k v_a = eps_k c eta_b v_b.
+
+    They are partial signed permutations, with None where an empty cell
+    leaves J_k undefined.
+    """
     if eta is None:
         eta, conflicts = _solve_eta(table)
         if conflicts:
             raise ValueError("; ".join(conflicts))
     n_vec = table.dim
-    mats = [exactlin.zeros(n_vec) for _ in range(table.sig.n)]
+    ops = [([None] * n_vec, [0] * n_vec) for _ in range(table.sig.n)]
     for (a, b), (k, s) in table.cells.items():
-        mats[k - 1][b - 1][a - 1] = table.sig.eps(k) * s * eta[b - 1]
-    return mats
+        perm, signs = ops[k - 1]
+        perm[a - 1] = b - 1
+        signs[a - 1] = table.sig.eps(k) * s * eta[b - 1]
+    return ops
 
 
 def _structural_errata(table):
@@ -264,39 +263,23 @@ def verify_htype(table):
         errata.append(
             "solved norms have signature (%d, %d), expected (%d, %d)"
             % (pos, neg, want[0], want[1]))
-    mats = reconstruct_J(table, eta)
-    perms = []
-    for k in range(1, n + 1):
-        jk = mats[k - 1]
-        if not exactlin.is_signed_permutation(jk):
+    ops = reconstruct_J(table, eta)
+    total = [exactlin.is_permutation(op) for op in ops]
+    for k, op in enumerate(ops, start=1):
+        if not total[k - 1]:
             errata.append("z%d does not act by a signed permutation" % k)
-            perms.append(None)
-            continue
-        perm, _signs = exactlin.signed_perm_parts(jk)
-        perms.append(perm)
-        if exactlin.metric_adjoint(jk, eta) != exactlin.mat_neg(jk):
+        elif not exactlin.is_skew(op, eta):
             errata.append("z%d is not skew for the solved norms" % k)
-    ident = exactlin.identity(n_vec)
-    for i in range(n):
-        for j in range(i, n):
-            anti = exactlin.mat_add(
-                exactlin.mat_mul(mats[i], mats[j]),
-                exactlin.mat_mul(mats[j], mats[i]))
-            want_m = exactlin.zeros(n_vec)
-            if i == j:
-                want_m = exactlin.mat_scale(-2 * sig.eps(i + 1), ident)
-            if anti == want_m:
-                continue
-            if i == j and perms[i] is not None:
-                pi = perms[i]
-                bad = [a for a in range(n_vec)
-                       if [row[a] for row in anti] != [row[a] for row in want_m]]
-                for a in bad:
-                    errata.append(
-                        "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
-                        % (i + 1, a + 1, pi[a] + 1, pi[a] + 1, pi[pi[a]] + 1))
-            else:
-                errata.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
+    squares = [-sig.eps(k) for k in range(1, n + 1)]
+    for i, j, points in exactlin.relation_failures(ops, squares):
+        if i == j and total[i]:
+            pi = ops[i][0]
+            for a in points:
+                errata.append(
+                    "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
+                    % (i + 1, a + 1, pi[a] + 1, pi[a] + 1, pi[pi[a]] + 1))
+        else:
+            errata.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
     return VerifyReport(sig, table.label, errata, eta, missing)
 
 
@@ -338,27 +321,13 @@ def compare_tables(left, right):
             continue
         return TableComparison(
             DIFFERENT, reason="cell (v%d, v%d) is zero on one side" % key)
-    n_vec = left.dim
-    adj = {a: [] for a in range(1, n_vec + 1)}
+    adj = {a: [] for a in range(1, left.dim + 1)}
     for (a, b), s1, s2 in shared:
-        adj[a].append((b, s1 * s2))
-        adj[b].append((a, s1 * s2))
-    sigma = [None] * (n_vec + 1)
-    for start in range(1, n_vec + 1):
-        if sigma[start] is not None:
-            continue
-        sigma[start] = 1
-        queue = deque([start])
-        while queue:
-            a = queue.popleft()
-            for b, rel in adj[a]:
-                want = rel * sigma[a]
-                if sigma[b] is None:
-                    sigma[b] = want
-                    queue.append(b)
-                elif sigma[b] != want:
-                    return TableComparison(
-                        DIFFERENT, reason="no diagonal sign change matches")
+        adj[a].append((b, s1 * s2, (a, b)))
+        adj[b].append((a, s1 * s2, (b, a)))
+    sigma = [None] * (left.dim + 1)
+    if next(_propagate_signs(sigma, adj), None) is not None:
+        return TableComparison(DIFFERENT, reason="no diagonal sign change matches")
     result = tuple(sigma[1:])
     if all(x == 1 for x in result):
         return TableComparison(EQUAL, result)

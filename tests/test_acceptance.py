@@ -17,15 +17,15 @@ from conftest import (
     resign,
     slow_word_mul,
 )
+from dense_oracle import initial_vector_candidates, metric_adjoint, signed_point
 from htype.basis_builder import (
     build_basis,
     configured_signatures,
     find_initial_vector,
-    initial_vector_candidates,
     reference_config,
 )
 from htype.clifford_rep import build_generators, minimal_admissible_dimension
-from htype.exactlin import dot_form, mat_apply, metric_adjoint
+from htype.exactlin import act
 from htype.golden import (
     ISOMORPHIC_PAIRS,
     NON_ISOMORPHIC_PAIR,
@@ -166,14 +166,13 @@ def test_7_stored_relations_hold():
         for inv in config.involutions:
             assert reduce_mod_system(
                 sig, config.involutions, inv.word) == inv.eigensign
-            acted = mat_apply(gens.apply_word(inv.word), v)
-            wanted = v if inv.eigensign == 1 else [-x for x in v]
-            assert acted == wanted, (key, inv)
+            acted = act(gens.apply_word(inv.word), v)
+            assert acted == (v[0], inv.eigensign * v[1]), (key, inv)
             involutions += 1
         for rel in config.relations:
             assert reduce_mod_system(sig, config.involutions, rel) == 1, \
                 (key, rel)
-            assert mat_apply(gens.apply_word(rel), v) == v, (key, rel)
+            assert act(gens.apply_word(rel), v) == v, (key, rel)
             relations += 1
     assert relations == 50
     print("PASS stored relations: %d involution actions and %d word "
@@ -211,8 +210,8 @@ def test_8_property_suites():
     norm_cases = 0
     for key in configured_signatures(include_shared=True):
         sig, config, gens, _, vectors, _ = build_pipeline(key)
-        for w, u in zip(config.basis_words, vectors):
-            assert dot_form(u, u, gens.form_v) == norm_sign(sig, w)
+        for w, (point, _sign) in zip(config.basis_words, vectors):
+            assert gens.form_v[point] == norm_sign(sig, w)
             norm_cases += 1
     for _ in range(700):
         sig = random_signature(rng)
@@ -223,21 +222,24 @@ def test_8_property_suites():
         norm_cases += 1
     assert norm_cases >= 1000
 
+    # Initial vectors from the dense oracle's search; each is a signed
+    # unit vector, so the fast path takes it as a signed point.
     pools = {}
     for key in configured_signatures(include_shared=True):
         sig, config, gens, _, _, _ = build_pipeline(key)
-        candidates = list(itertools.islice(
-            initial_vector_candidates(gens, config), 4))
+        candidates = [signed_point(v) for v in itertools.islice(
+            initial_vector_candidates(gens, config), 4)]
+        assert None not in candidates, key
         pools[key] = (config, gens, candidates)
     keys = sorted(pools)
+    assert sum(len(pool[2]) for pool in pools.values()) == 112
     invariance = 0
     for _ in range(1000):
         key = rng.choice(keys)
         config, gens, candidates = pools[key]
-        v = rng.choice(candidates)
-        plus = compute_table(gens, build_basis(gens, config, v))
-        minus = compute_table(gens, build_basis(gens, config,
-                                                [-x for x in v]))
+        point, sign = rng.choice(candidates)
+        plus = compute_table(gens, build_basis(gens, config, (point, sign)))
+        minus = compute_table(gens, build_basis(gens, config, (point, -sign)))
         assert plus.cells == minus.cells
         assert plus.missing == minus.missing
         invariance += 1

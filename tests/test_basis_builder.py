@@ -2,23 +2,28 @@ import itertools
 
 import pytest
 
+from dense_oracle import (
+    diagonal,
+    fixed_subspace,
+    gram,
+    initial_vector_candidates,
+    is_valid_initial_vector,
+    vector,
+)
 from htype.basis_builder import (
     ReferenceConfig,
     build_basis,
     configured_signatures,
     find_initial_vector,
-    fixed_subspace,
     has_reference_config,
-    initial_vector_candidates,
-    is_valid_initial_vector,
     reference_config,
 )
 from htype.clifford_rep import (
     ConstructionError,
     build_generators,
     minimal_admissible_dimension,
+    negate_generators,
 )
-from htype.exactlin import diagonal, gram
 from htype.words import (
     ONE,
     Signature,
@@ -69,11 +74,11 @@ def test_every_config_is_well_formed():
 def test_initial_vector_is_first_coordinate():
     for sig, config in every_config():
         gens = build_generators(sig, system=config.involutions)
-        v = find_initial_vector(gens, config)
-        assert v == [1] + [0] * (gens.dim - 1)
-        assert is_valid_initial_vector(gens, config, v)
-        neg = [-x for x in v]
-        assert is_valid_initial_vector(gens, config, neg)
+        assert find_initial_vector(gens, config) == (0, 1)
+        e1 = [1] + [0] * (gens.dim - 1)
+        assert next(initial_vector_candidates(gens, config)) == e1
+        assert is_valid_initial_vector(gens, config, e1)
+        assert is_valid_initial_vector(gens, config, [-x for x in e1])
 
 
 def test_scaled_vector_is_invalid():
@@ -114,7 +119,7 @@ def test_build_basis_gram_matrix():
         sig = Signature(*key)
         config = reference_config(sig)
         gens = build_generators(sig, system=config.involutions)
-        vectors = build_basis(gens, config)
+        vectors = [vector(v, gens.dim) for v in build_basis(gens, config)]
         norms = [norm_sign(sig, w) for w in config.basis_words]
         assert gram(vectors, gens.form_v) == diagonal(norms)
 
@@ -130,7 +135,7 @@ def test_build_basis_accepts_explicit_vector():
 def test_negated_module_hint():
     sig = Signature(7, 0)
     config = reference_config(sig)
-    gens = build_generators(sig, system=config.involutions, negate=True)
+    gens = negate_generators(build_generators(sig, system=config.involutions))
     with pytest.raises(ConstructionError, match="negated"):
         find_initial_vector(gens, config)
 
@@ -143,6 +148,11 @@ def test_unsatisfiable_config_raises():
         basis_words=config.basis_words,
         zero_pairings=(ONE,),
     )
+    repeated = ReferenceConfig(
+        involutions=config.involutions,
+        basis_words=(ONE,) + config.basis_words[:-1],
+    )
     gens = build_generators(sig, system=config.involutions)
-    with pytest.raises(ConstructionError):
-        find_initial_vector(gens, bad, max_candidates=500)
+    for broken in (bad, repeated):
+        with pytest.raises(ConstructionError, match="not a valid initial"):
+            find_initial_vector(gens, broken)

@@ -54,6 +54,41 @@ def test_gen_out_file(tmp_path, capsys):
     assert target.read_text() == direct
 
 
+def test_gen_out_to_a_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "gen", "1", "0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write %s: " % target)
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+ERROR_PATHS = [
+    ["gen", "9", "0"],
+    ["gen", "1", "0", "--format", "pdf"],
+    ["verify", "--golden", "--generated"],
+    ["verify", "extra"],
+    ["match", "6", "1"],
+    ["match", "0", "9"],
+    ["dims", "extra"],
+    ["relations", "6", "1"],
+    ["relations", "x", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", ERROR_PATHS, ids=" ".join)
+def test_error_paths_exit_cleanly(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (2, 3)
+    assert "Traceback" not in err
+    assert err.strip()
+
+
 def test_gen_doubled_signature(capsys):
     code, out, _ = run(capsys, "gen", "0", "7")
     data = json.loads(out)

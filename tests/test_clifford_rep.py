@@ -3,6 +3,9 @@ import random
 import pytest
 
 from conftest import random_canonical_word
+from dense_oracle import (clifford_failures, matrix, mat_mul, mat_neg,
+                          metric_adjoint, word_matrix)
+from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
     build_generators,
@@ -14,7 +17,6 @@ from htype.clifford_rep import (
     verify_generators,
 )
 from htype.basis_builder import configured_signatures, reference_config
-from htype.exactlin import mat_eq, mat_mul, mat_neg, metric_adjoint
 from htype.golden import golden_signatures, golden_table
 from htype.words import Signature, check_involution_system, word_adjoint, word_mul
 
@@ -67,7 +69,7 @@ def test_build_generators_every_signature():
     for sig in all_signatures():
         gens = build_generators(sig)
         assert gens.dim == minimal_admissible_dimension(sig.r, sig.s)
-        assert len(gens.mats) == sig.n
+        assert len(gens.ops) == sig.n
         assert len(gens.coset_words) == gens.dim
         assert gens.coset_words[0].letters == ()
         assert verify_generators(gens) == []
@@ -77,11 +79,13 @@ def test_negate_generators_still_valid():
     sig = Signature(3, 2)
     gens = build_generators(sig)
     neg = negate_generators(gens)
-    for m, nm in zip(gens.mats, neg.mats):
-        assert mat_eq(nm, mat_neg(m))
+    for op, nop in zip(gens.ops, neg.ops):
+        assert matrix(nop) == mat_neg(matrix(op))
     assert neg.form_v == gens.form_v
     assert neg.coset_words == gens.coset_words
     assert verify_generators(neg) == []
+    for g in (gens, neg):
+        assert clifford_failures([matrix(op) for op in g.ops], sig) == []
 
 
 def test_apply_word_is_a_homomorphism():
@@ -92,9 +96,12 @@ def test_apply_word_is_a_homomorphism():
         for _ in range(60):
             u = random_canonical_word(rng, sig.n)
             v = random_canonical_word(rng, sig.n)
-            lhs = mat_mul(gens.apply_word(u), gens.apply_word(v))
+            lhs = exactlin.compose(gens.apply_word(u), gens.apply_word(v))
             rhs = gens.apply_word(word_mul(sig, u, v))
-            assert mat_eq(lhs, rhs)
+            assert lhs == rhs
+            assert matrix(rhs) == word_matrix(gens, word_mul(sig, u, v))
+            assert matrix(lhs) == mat_mul(word_matrix(gens, u),
+                                          word_matrix(gens, v))
 
 
 def test_apply_word_respects_signs():
@@ -104,7 +111,7 @@ def test_apply_word_respects_signs():
     for _ in range(40):
         w = random_canonical_word(rng, sig.n)
         flipped = w._replace(sign=-w.sign)
-        assert mat_eq(gens.apply_word(flipped), mat_neg(gens.apply_word(w)))
+        assert gens.apply_word(flipped) == exactlin.negate(gens.apply_word(w))
 
 
 def test_matrix_adjoint_agrees_with_word_adjoint():
@@ -114,9 +121,9 @@ def test_matrix_adjoint_agrees_with_word_adjoint():
         rng = random.Random(71)
         for _ in range(50):
             w = random_canonical_word(rng, sig.n)
-            lhs = metric_adjoint(gens.apply_word(w), gens.form_v)
-            rhs = gens.apply_word(word_adjoint(sig, w))
-            assert mat_eq(lhs, rhs)
+            lhs = metric_adjoint(matrix(gens.apply_word(w)), gens.form_v)
+            rhs = matrix(gens.apply_word(word_adjoint(sig, w)))
+            assert lhs == rhs
 
 
 def test_form_signature_split():

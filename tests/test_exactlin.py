@@ -1,7 +1,10 @@
+"""The signed-permutation core, held against the dense matrix oracle,
+and the oracle's own matrix arithmetic."""
+
 import math
 import random
 
-from htype.exactlin import (
+from dense_oracle import (
     column_space_basis,
     diagonal,
     dot_form,
@@ -10,15 +13,18 @@ from htype.exactlin import (
     is_signed_permutation,
     mat_add,
     mat_apply,
-    mat_eq,
     mat_mul,
     mat_neg,
     mat_scale,
+    matrix,
     metric_adjoint,
-    signed_perm_parts,
     transpose,
+    vector,
     zeros,
 )
+from htype import exactlin
+from htype.clifford_rep import build_generators
+from htype.words import Signature
 
 
 def rand_matrix(rng, n, m=None, lo=-4, hi=4):
@@ -27,7 +33,27 @@ def rand_matrix(rng, n, m=None, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
+def rand_op(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm, [rng.choice((1, -1)) for _ in range(n)]
+
+
+def rand_skew_op(rng, form):
+    """A signed permutation swapping points in pairs, skew for form."""
+    points = list(range(len(form)))
+    rng.shuffle(points)
+    perm, signs = [None] * len(form), [0] * len(form)
+    for a, b in zip(points[::2], points[1::2]):
+        s = rng.choice((1, -1))
+        perm[a], signs[a] = b, s
+        perm[b], signs[b] = a, -form[a] * form[b] * s
+    return perm, signs
+
+
 def test_identity_and_zeros_shapes():
+    assert exactlin.identity(3) == ([0, 1, 2], [1, 1, 1])
+    assert matrix(exactlin.identity(3)) == identity(3)
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert zeros(2) == [[0, 0], [0, 0]]
     assert zeros(2, 3) == [[0, 0, 0], [0, 0, 0]]
@@ -44,27 +70,44 @@ def test_mat_mul_hand_case():
 def test_mul_identity_and_associativity():
     rng = random.Random(11)
     for _ in range(50):
-        n = rng.randint(1, 5)
-        a = rand_matrix(rng, n)
-        b = rand_matrix(rng, n)
-        c = rand_matrix(rng, n)
-        assert mat_mul(a, identity(n)) == a
-        assert mat_mul(identity(n), a) == a
-        assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+        n = rng.randint(1, 6)
+        a, b, c = rand_op(rng, n), rand_op(rng, n), rand_op(rng, n)
+        one = exactlin.identity(n)
+        assert exactlin.compose(a, one) == a
+        assert exactlin.compose(one, a) == a
+        assert (exactlin.compose(exactlin.compose(a, b), c)
+                == exactlin.compose(a, exactlin.compose(b, c)))
+        assert matrix(exactlin.compose(a, b)) == mat_mul(matrix(a), matrix(b))
+        m = rand_matrix(rng, n)
+        assert mat_mul(m, identity(n)) == m
+        assert mat_mul(mat_mul(m, matrix(a)), matrix(b)) == \
+            mat_mul(m, mat_mul(matrix(a), matrix(b)))
 
 
 def test_add_neg_scale_eq():
     a = [[1, -2], [0, 5]]
     assert mat_add(a, mat_neg(a)) == zeros(2)
     assert mat_scale(3, a) == [[3, -6], [0, 15]]
-    assert mat_eq(a, [[1, -2], [0, 5]])
-    assert not mat_eq(a, identity(2))
+    rng = random.Random(19)
+    for _ in range(30):
+        op = rand_op(rng, rng.randint(1, 6))
+        assert matrix(exactlin.negate(op)) == mat_neg(matrix(op))
+        assert exactlin.negate(exactlin.negate(op)) == op
 
 
 def test_transpose_and_apply():
     a = [[1, 2, 3], [4, 5, 6]]
     assert transpose(a) == [[1, 4], [2, 5], [3, 6]]
     assert mat_apply([[2, 0], [1, -1]], [3, 4]) == [6, -1]
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        op = rand_op(rng, n)
+        v = (rng.randrange(n), rng.choice((1, -1)))
+        assert vector(exactlin.act(op, v), n) == mat_apply(matrix(op), vector(v, n))
+    partial = ([None, 0], [0, -1])
+    assert exactlin.act(partial, (0, 1)) is None
+    assert exactlin.act(partial, (1, -1)) == (0, 1)
 
 
 def test_metric_adjoint_euclidean_is_transpose():
@@ -101,6 +144,17 @@ def test_adjoint_moves_across_dot_form():
         assert lhs == rhs
 
 
+def test_is_skew_agrees_with_the_metric_adjoint():
+    rng = random.Random(29)
+    for _ in range(200):
+        n = 2 * rng.randint(1, 4)
+        form = [rng.choice((1, -1)) for _ in range(n)]
+        op = rand_skew_op(rng, form) if rng.random() < 0.5 else rand_op(rng, n)
+        dense = matrix(op)
+        assert exactlin.is_skew(op, form) == \
+            (metric_adjoint(dense, form) == mat_neg(dense))
+
+
 def test_dot_form_and_gram():
     form = [1, -1]
     assert dot_form([1, 1], [1, 1], form) == 0
@@ -109,27 +163,62 @@ def test_dot_form_and_gram():
 
 
 def test_is_signed_permutation():
+    assert exactlin.is_permutation(([1, 0], [1, -1]))
+    assert exactlin.is_permutation(exactlin.identity(4))
+    assert not exactlin.is_permutation(([1, 1], [1, 1]))
+    assert not exactlin.is_permutation(([None, 1], [0, 1]))
     assert is_signed_permutation([[0, 1], [-1, 0]])
-    assert is_signed_permutation(identity(4))
     assert not is_signed_permutation([[1, 1], [0, 1]])
     assert not is_signed_permutation([[2, 0], [0, 1]])
     assert not is_signed_permutation([[0, 0], [0, 1]])
+    rng = random.Random(31)
+    for _ in range(50):
+        op = rand_op(rng, rng.randint(1, 6))
+        assert is_signed_permutation(matrix(op))
 
 
 def test_signed_perm_parts_round_trip():
     rng = random.Random(3)
     for _ in range(100):
         n = rng.randint(1, 6)
-        perm = list(range(n))
-        rng.shuffle(perm)
-        signs = [rng.choice((1, -1)) for _ in range(n)]
-        m = zeros(n)
-        for j in range(n):
-            m[perm[j]][j] = signs[j]
-        assert is_signed_permutation(m)
-        got_perm, got_signs = signed_perm_parts(m)
-        assert got_perm == perm
-        assert got_signs == signs
+        op = rand_op(rng, n)
+        dense = matrix(op)
+        columns = [next((i, dense[i][j]) for i in range(n) if dense[i][j])
+                   for j in range(n)]
+        assert columns == [exactlin.act(op, (j, 1)) for j in range(n)]
+
+
+def test_relation_failures_agree_with_dense_products():
+    rng = random.Random(37)
+    cases = []
+    for _ in range(100):
+        n = 2 * rng.randint(1, 3)
+        form = [rng.choice((1, -1)) for _ in range(n)]
+        ops = [rand_skew_op(rng, form) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            perm, signs = ops[0]
+            ops[0] = ([None] + perm[1:], [0] + signs[1:])
+        cases.append((ops, [rng.choice((1, -1)) for _ in ops]))
+    for key in ((2, 1), (1, 3)):
+        sig = Signature(*key)
+        cases.append((build_generators(sig).ops,
+                      [-sig.eps(i) for i in range(1, sig.n + 1)]))
+    for ops, squares in cases:
+        n = len(ops[0][0])
+        dense = {}
+        for i in range(len(ops)):
+            for j in range(i, len(ops)):
+                a, b = matrix(ops[i]), matrix(ops[j])
+                anti = mat_add(mat_mul(a, b), mat_mul(b, a))
+                want = mat_scale(2 * squares[i], identity(n)) if i == j else zeros(n)
+                bad = [p for p in range(n)
+                       if [row[p] for row in anti] != [row[p] for row in want]]
+                if bad:
+                    dense[(i, j)] = bad
+        fast = {(i, j): points
+                for i, j, points in exactlin.relation_failures(ops, squares)}
+        assert fast == dense
+    assert dense == {}
 
 
 def test_column_space_basis_simple():

@@ -2,19 +2,18 @@ from dataclasses import replace
 
 import pytest
 
-from htype.basis_builder import reference_config
-from htype.clifford_rep import build_generators, minimal_admissible_dimension
-from htype.exactlin import (
-    identity,
+from dense_oracle import (
+    clifford_failures,
+    dense_pipeline,
     is_signed_permutation,
-    mat_add,
-    mat_eq,
-    mat_mul,
+    matrix,
     mat_neg,
-    mat_scale,
     metric_adjoint,
-    zeros,
 )
+from htype.basis_builder import (ReferenceConfig, has_reference_config,
+                                 reference_config)
+from htype.clifford_rep import (build_generators, find_involution_system,
+                                minimal_admissible_dimension)
 from htype.lie_algebra import (
     DIFFERENT,
     EQUAL,
@@ -35,7 +34,8 @@ def test_generate_n10_hand_table():
     assert t.sig == Signature(1, 0)
     assert t.dim == 2
     assert t.cells == {(1, 2): (1, 1), (2, 1): (1, -1)}
-    assert reconstruct_J(t) == [[[0, -1], [1, 0]]]
+    assert reconstruct_J(t) == [([1, 0], [1, -1])]
+    assert matrix(reconstruct_J(t)[0]) == [[0, -1], [1, 0]]
     assert verify_htype(t).ok
 
 
@@ -150,21 +150,15 @@ def test_missing_pair_has_no_determined_value():
 def test_reconstructed_generators_satisfy_the_axioms():
     sig = Signature(4, 2)
     t = generate_table(sig)
-    mats = reconstruct_J(t)
+    mats = [matrix(op) for op in reconstruct_J(t)]
     assert len(mats) == sig.n
     report = verify_htype(t)
     assert report.ok
     form = list(report.eta)
-    ident = identity(t.dim)
-    for i, m in enumerate(mats, start=1):
+    for m in mats:
         assert is_signed_permutation(m)
-        assert mat_eq(metric_adjoint(m, form), mat_neg(m))
-        square = mat_mul(m, m)
-        assert mat_eq(square, mat_scale(-sig.eps(i), ident))
-        for j, other in enumerate(mats, start=1):
-            if i < j:
-                anti = mat_add(mat_mul(m, other), mat_mul(other, m))
-                assert mat_eq(anti, zeros(t.dim))
+        assert metric_adjoint(m, form) == mat_neg(m)
+    assert clifford_failures(mats, sig) == []
 
 
 def test_compare_tables_equal_and_flipped():
@@ -208,3 +202,25 @@ def test_derive_table_for_signatures_without_stored_data():
         assert t.label == "derived"
         assert verify_htype(t).ok
         assert t.dim == minimal_admissible_dimension(*key)
+
+
+def test_fast_tables_match_the_dense_oracle():
+    """Every r + s <= 8 table equals the one the dense pipeline reads off
+    the same generators, and the dense search starts at e_1 each time."""
+    keys = [(r, n - r) for n in range(1, 9) for r in range(n + 1)]
+    assert len(keys) == 44 and (5, 3) in keys
+    for key in keys:
+        sig = Signature(*key)
+        if has_reference_config(sig):
+            config = reference_config(sig)
+            fast = generate_table(sig)
+        else:
+            system = find_involution_system(sig)
+            coset_words = build_generators(sig, system=system).coset_words
+            config = ReferenceConfig(involutions=system, basis_words=coset_words)
+            fast = derive_table(sig)
+        gens = build_generators(sig, system=config.involutions)
+        v, _vectors, dense = dense_pipeline(gens, config)
+        e1 = [1] + [0] * (gens.dim - 1)
+        assert v == e1, key
+        assert dense.cells == fast.cells, key
