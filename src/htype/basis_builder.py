@@ -14,7 +14,6 @@ vector e_1, and the frame vectors are signed basis vectors.
 
 from dataclasses import dataclass
 
-from . import exactlin
 from .clifford_rep import ConstructionError
 from .words import Involution, Word, norm_sign
 
@@ -254,30 +253,36 @@ def configured_signatures(include_shared=False):
 def find_initial_vector(gens, config):
     """The initial vector e_1 as the signed point (0, 1), once checked.
 
-    Raises ConstructionError when the involution system does not fix
-    e_1 with its eigensigns, or when the frame e_1 generates is not
-    orthogonal with the expected norms or breaks a zero pairing.  For
-    signed basis vectors, orthogonality means distinct points.
+    The check is the one build_basis makes without an explicit vector;
+    callers that need the frame too should call that alone.
     """
-    v = (0, 1)
-    for p in config.involutions:
-        if exactlin.act(gens.apply_word(p.word), v) != (0, p.eigensign):
-            raise ConstructionError(
-                "the involution system does not fix e_1; the twin module "
-                "with negated generators may carry this basis instead")
-    frame = build_basis(gens, config, v)
-    norms_ok = all(gens.form_v[point] == norm_sign(gens.sig, w)
-                   for (point, _s), w in zip(frame, config.basis_words))
-    points = {point for point, _s in frame}
-    pairs_ok = all(exactlin.act(gens.apply_word(w), v)[0] != 0
-                   for w in config.zero_pairings)
-    if not (norms_ok and len(points) == len(frame) and pairs_ok):
-        raise ConstructionError("e_1 is not a valid initial vector")
-    return v
+    build_basis(gens, config)
+    return (0, 1)
 
 
 def build_basis(gens, config, v=None):
-    """The frame M(W_a) v as signed points, in word order."""
-    if v is None:
-        v = find_initial_vector(gens, config)
-    return [exactlin.act(gens.apply_word(w), v) for w in config.basis_words]
+    """The frame M(W_a) v as signed points, in word order.
+
+    Each word acts on the signed point letter by letter.  Without v the
+    frame is that of e_1, checked on the way: ConstructionError is
+    raised when the involution system does not fix e_1 with its
+    eigensigns, or when the frame is not orthogonal with the expected
+    norms or breaks a zero pairing.  For signed basis vectors,
+    orthogonality means distinct points.
+    """
+    if v is not None:
+        return [gens.act_word(w, v) for w in config.basis_words]
+    v = (0, 1)
+    for p in config.involutions:
+        if gens.act_word(p.word, v) != (0, p.eigensign):
+            raise ConstructionError(
+                "the involution system does not fix e_1; the twin module "
+                "with negated generators may carry this basis instead")
+    frame = [gens.act_word(w, v) for w in config.basis_words]
+    norms_ok = all(gens.form_v[point] == norm_sign(gens.sig, w)
+                   for (point, _s), w in zip(frame, config.basis_words))
+    points = {point for point, _s in frame}
+    pairs_ok = all(gens.act_word(w, v)[0] != 0 for w in config.zero_pairings)
+    if not (norms_ok and len(points) == len(frame) and pairs_ok):
+        raise ConstructionError("e_1 is not a valid initial vector")
+    return frame

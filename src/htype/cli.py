@@ -23,7 +23,6 @@ from .basis_builder import (configured_signatures, find_initial_vector,
                             has_reference_config, reference_config)
 from .clifford_rep import (GRID_NOTES, build_generators, clifford_type,
                            minimal_admissible_dimension)
-from .exactlin import act
 from .golden import build_n07, match_generated, split_blocks, verify_all_golden
 from .lie_algebra import derive_table, generate_table, verify_htype
 from .words import Signature, format_word, reduce_mod_system
@@ -250,7 +249,7 @@ def _cmd_relations(parser, args):
     bad = False
     print("n%s involution system, acting on the initial vector:" % sig)
     for inv in config.involutions:
-        ok = act(gens.apply_word(inv.word), v) == (v[0], inv.eigensign * v[1])
+        ok = gens.act_word(inv.word, v) == (v[0], inv.eigensign * v[1])
         bad = bad or not ok
         print("  %s  eigensign %+d  matrix action %s"
               % (format_word(inv.word), inv.eigensign,
@@ -261,7 +260,7 @@ def _cmd_relations(parser, args):
     print("stored relations, each expected to fix the initial vector:")
     for rel in config.relations:
         scalar = reduce_mod_system(sig, config.involutions, rel)
-        fixes = act(gens.apply_word(rel), v) == v
+        fixes = gens.act_word(rel, v) == v
         ok = scalar == 1 and fixes
         bad = bad or not ok
         print("  %s v = v  word reduction %+d  matrix action %s"

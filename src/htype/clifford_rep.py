@@ -29,7 +29,6 @@ from .words import (
     span_products,
     word_inverse,
     word_mul,
-    words_commute,
 )
 
 
@@ -126,6 +125,29 @@ def _candidate_sets(sig):
     return cands
 
 
+def _commuting_sets(cands):
+    """commuting(idx): bitset of the candidates whose words commute with
+    that of cands[idx], built on first use (see find_involution_system)."""
+    containing = {}
+    odd = 0
+    for idx, c in enumerate(cands):
+        for x in c:
+            containing[x] = containing.get(x, 0) | 1 << idx
+        if len(c) % 2:
+            odd |= 1 << idx
+    memo = {}
+
+    def commuting(idx):
+        if idx not in memo:
+            anti = odd if len(cands[idx]) % 2 else 0
+            for x in cands[idx]:
+                anti ^= containing[x]
+            memo[idx] = ~anti
+        return memo[idx]
+
+    return commuting
+
+
 def find_involution_system(sig, k=None):
     """Deterministic search for k commuting independent involution words.
 
@@ -133,34 +155,58 @@ def find_involution_system(sig, k=None):
     +1 (so the word squares to +1), scanned in tuple order with
     backtracking.  All eigensigns are +1.  The first system found is
     returned, so the result is stable.
+
+    The search runs on bitsets over the candidate list.  Words on the
+    letter sets A and B commute exactly when
+    omega(A, B) = |A||B| + |A & B| is even, and omega is bilinear over
+    GF(2) in the indicator vectors of A and B.  So the candidates that
+    anticommute with A form one bitset: the XOR over the letters x of A
+    of the candidates containing x, XOR the odd-size candidates when |A|
+    is odd.  It is built only for candidates that get chosen.  Each node
+    carries a pool: the later candidates that commute with every chosen
+    word and lie outside the GF(2) span of their letter sets.  The pool
+    holds exactly the candidates the plain scan would accept at that
+    node, and its bits are visited in candidate order, so the search
+    meets the same systems in the same order.  A node whose pool holds
+    fewer candidates than words still missing has no completion, since
+    the pool only shrinks down the tree; cutting it off changes nothing
+    the scan would return.
     """
     if k is None:
         k = involution_count(sig)
     if k == 0:
         return []
     cands = _candidate_sets(sig)
+    masks = [sum(1 << x for x in c) for c in cands]
+    index = {m: idx for idx, m in enumerate(masks)}
+    commuting = _commuting_sets(cands)
     chosen = []
 
-    def extend(start, span):
+    def extend(pool, span):
         if len(chosen) == k:
             return True
-        for idx in range(start, len(cands)):
-            c = cands[idx]
-            cset = frozenset(c)
-            if cset in span:
-                continue
-            w = Word(1, c)
-            if not all(words_commute(w, p.word) for p in chosen):
-                continue
-            chosen.append(Involution(w, 1))
-            if extend(idx + 1, span | {s ^ cset for s in span}):
+        if pool.bit_count() < k - len(chosen):
+            return False
+        rest = pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            idx = low.bit_length() - 1
+            coset = [s ^ masks[idx] for s in span]
+            drop = 0
+            for m in coset:
+                j = index.get(m)
+                if j is not None:
+                    drop |= 1 << j
+            chosen.append(idx)
+            if extend(rest & commuting(idx) & ~drop, span + coset):
                 return True
             chosen.pop()
         return False
 
-    if not extend(0, {frozenset()}):
+    if not extend((1 << len(cands)) - 1, [0]):
         raise ConstructionError("no involution system of size %d for %s" % (k, sig))
-    return chosen
+    return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
 
 
 @dataclass(frozen=True)
@@ -184,6 +230,12 @@ class GeneratorSet:
         if w.sign == -1:
             op = exactlin.negate(op)
         return op
+
+    def act_word(self, w, v):
+        """Image of the signed point v under the word w, letter by letter."""
+        for i in reversed(w.letters):
+            v = exactlin.act(self.ops[i - 1], v)
+        return v if w.sign == 1 else (v[0], -v[1])
 
 
 def build_generators(sig, system=None):
@@ -221,6 +273,7 @@ def build_generators(sig, system=None):
             "coset count %d does not match minimal dimension %d" % (dim, expected))
 
     rep_words = [Word(1, t) for t in reps]
+    rep_inverses = [word_inverse(sig, w) for w in rep_words]
     ops = []
     for i in range(1, sig.n + 1):
         gen = Word(1, (i,))
@@ -228,7 +281,7 @@ def build_generators(sig, system=None):
         for wa in rep_words:
             u = word_mul(sig, gen, wa)
             b = coset_index[frozenset(u.letters)]
-            residual = word_mul(sig, word_inverse(sig, rep_words[b]), u)
+            residual = word_mul(sig, rep_inverses[b], u)
             perm.append(b)
             signs.append(reduce_mod_system(sig, system, residual, table))
         ops.append((perm, signs))

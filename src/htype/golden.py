@@ -15,8 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .basis_builder import (ALIASES, build_basis, find_initial_vector,
-                            reference_config)
+from .basis_builder import ALIASES, build_basis, reference_config
 from .clifford_rep import build_generators, negate_generators
 from .lie_algebra import (
     EQUAL,
@@ -160,16 +159,14 @@ def build_n07():
     sig = Signature(7, 0)
     config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
-    v = find_initial_vector(gens, config)
-    plus = compute_table(gens, build_basis(gens, config, v), label="first block")
+    plus = compute_table(gens, build_basis(gens, config), label="first block")
 
     gens_neg = negate_generators(gens)
     flipped = tuple(
         Involution(p.word, -p.eigensign if len(p.word.letters) % 2 else p.eigensign)
         for p in config.involutions)
     config_neg = replace(config, involutions=flipped)
-    w = find_initial_vector(gens_neg, config_neg)
-    minus = compute_table(gens_neg, build_basis(gens_neg, config_neg, w),
+    minus = compute_table(gens_neg, build_basis(gens_neg, config_neg),
                           label="second block")
 
     half = plus.dim

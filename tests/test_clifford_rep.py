@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+import search_oracle
 from conftest import random_canonical_word
 from dense_oracle import (clifford_failures, matrix, mat_mul, mat_neg,
                           metric_adjoint, word_matrix)
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
+    _candidate_sets,
+    _commuting_sets,
     build_generators,
     clifford_type,
     find_involution_system,
@@ -18,7 +21,30 @@ from htype.clifford_rep import (
 )
 from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import golden_signatures, golden_table
-from htype.words import Signature, check_involution_system, word_adjoint, word_mul
+from htype.words import (
+    Involution,
+    Signature,
+    Word,
+    check_involution_system,
+    word_adjoint,
+    word_mul,
+    words_commute,
+)
+
+# Grid cells where the oracle's plain scan takes seconds to minutes.
+SLOW_SEARCHES = {(6, 7), (7, 7), (8, 7), (6, 8), (7, 8), (8, 8)}
+
+# The first systems the oracle returns on four of them, as letter sets.
+PINNED_SYSTEMS = {
+    (6, 7): ((1, 2, 3), (1, 2, 4, 5), (1, 3, 4, 6),
+             (7, 8, 9, 10), (7, 8, 11, 12), (7, 9, 11, 13)),
+    (7, 7): ((1, 2, 3), (1, 2, 4, 5), (1, 2, 6, 7), (1, 3, 4, 6),
+             (8, 9, 10, 11), (8, 9, 12, 13), (8, 10, 12, 14)),
+    (8, 7): ((1, 2, 3), (1, 2, 4, 5), (1, 2, 6, 7), (1, 3, 4, 6),
+             (9, 10, 11, 12), (9, 10, 13, 14), (9, 11, 13, 15)),
+    (6, 8): ((1, 2, 3), (1, 2, 4, 5), (1, 3, 4, 6),
+             (7, 8, 9, 10), (7, 8, 11, 12), (7, 8, 13, 14), (7, 9, 11, 13)),
+}
 
 
 def all_signatures(max_n=8):
@@ -63,6 +89,59 @@ def test_find_involution_system_every_signature():
         assert len(system) == involution_count(sig)
         check_involution_system(sig, system)
         assert all(inv.eigensign == 1 for inv in system)
+
+
+def test_search_matches_the_oracle_on_the_grid():
+    keys = [(r, s) for r in range(9) for s in range(9)
+            if r + s and (r, s) not in SLOW_SEARCHES]
+    assert len(keys) == 74
+    for key in keys:
+        sig = Signature(*key)
+        assert find_involution_system(sig) == search_oracle.find_involution_system(sig), key
+
+
+def test_search_keeps_the_oracle_systems_past_the_cap():
+    for key, letter_sets in PINNED_SYSTEMS.items():
+        sig = Signature(*key)
+        system = find_involution_system(sig)
+        assert system == [Involution(Word(1, c), 1) for c in letter_sets], key
+        assert len(system) == involution_count(sig)
+        check_involution_system(sig, system)
+
+
+def test_search_matches_the_oracle_for_every_size():
+    """Sizes up to one past the needed count, so the searches that
+    exhaust the tree and raise are compared too."""
+    for sig in all_signatures(max_n=6):
+        for k in range(1, involution_count(sig) + 2):
+            try:
+                want = search_oracle.find_involution_system(sig, k)
+            except ConstructionError as exc:
+                want = str(exc)
+            try:
+                got = find_involution_system(sig, k)
+            except ConstructionError as exc:
+                got = str(exc)
+            assert got == want, (sig, k)
+
+
+def test_commuting_bitsets_agree_with_words_commute():
+    cands = _candidate_sets(Signature(4, 4))
+    commuting = _commuting_sets(cands)
+    assert len(cands) > 50
+    for i, a in enumerate(cands):
+        row = commuting(i)
+        for j, b in enumerate(cands):
+            assert bool(row >> j & 1) == words_commute(Word(1, a), Word(1, b)), (a, b)
+
+
+def test_impossible_system_size_raises():
+    for key, k in (((3, 0), 2), ((1, 7), 4)):
+        sig = Signature(*key)
+        message = r"no involution system of size %d for \(%d,%d\)" % ((k,) + key)
+        for search in (find_involution_system, search_oracle.find_involution_system):
+            with pytest.raises(ConstructionError, match=message):
+                search(sig, k)
 
 
 def test_build_generators_every_signature():
@@ -112,6 +191,17 @@ def test_apply_word_respects_signs():
         w = random_canonical_word(rng, sig.n)
         flipped = w._replace(sign=-w.sign)
         assert gens.apply_word(flipped) == exactlin.negate(gens.apply_word(w))
+
+
+def test_act_word_agrees_with_apply_word():
+    rng = random.Random(73)
+    for key in ((4, 2), (0, 6), (3, 4)):
+        sig = Signature(*key)
+        gens = build_generators(sig)
+        for _ in range(60):
+            w = random_canonical_word(rng, sig.n)
+            v = (rng.randrange(gens.dim), rng.choice((1, -1)))
+            assert gens.act_word(w, v) == exactlin.act(gens.apply_word(w), v)
 
 
 def test_matrix_adjoint_agrees_with_word_adjoint():

@@ -224,3 +224,10 @@ def test_fast_tables_match_the_dense_oracle():
         e1 = [1] + [0] * (gens.dim - 1)
         assert v == e1, key
         assert dense.cells == fast.cells, key
+
+
+def test_tables_past_the_cli_cap_verify():
+    for key in ((6, 7), (7, 7)):
+        table = derive_table(Signature(*key))
+        assert table.dim == 128, key
+        assert verify_htype(table).ok, key
