@@ -1,90 +1,17 @@
 """Exact structure constant tables for pseudo H-type Lie algebras."""
 
-from .words import (
-    ONE,
-    Involution,
-    Signature,
-    Word,
-    format_word,
-    parse_word,
-    word,
-    word_mul,
-)
-from .clifford_rep import (
-    ConstructionError,
-    GeneratorSet,
-    build_generators,
-    clifford_type,
-    find_involution_system,
-    involution_count,
-    minimal_admissible_dimension,
-)
-from .basis_builder import (
-    ReferenceConfig,
-    build_basis,
-    configured_signatures,
-    find_initial_vector,
-    has_reference_config,
-    reference_config,
-)
-from .lie_algebra import (
-    StructureTable,
-    VerifyReport,
-    compare_tables,
-    compute_table,
-    derive_table,
-    generate_table,
-    reconstruct_J,
-    verify_htype,
-)
-from .golden import (
-    build_n07,
-    check_isomorphic_pairs,
-    golden_signatures,
-    golden_table,
-    match_generated,
-    split_blocks,
-    verify_all_golden,
-)
+from .words import Signature
+from .lie_algebra import derive_table, generate_table, verify_htype
+from .golden import build_n07, match_generated
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ONE",
-    "Involution",
     "Signature",
-    "Word",
-    "format_word",
-    "parse_word",
-    "word",
-    "word_mul",
-    "ConstructionError",
-    "GeneratorSet",
-    "build_generators",
-    "clifford_type",
-    "find_involution_system",
-    "involution_count",
-    "minimal_admissible_dimension",
-    "ReferenceConfig",
-    "build_basis",
-    "configured_signatures",
-    "find_initial_vector",
-    "has_reference_config",
-    "reference_config",
-    "StructureTable",
-    "VerifyReport",
-    "compare_tables",
-    "compute_table",
-    "derive_table",
     "generate_table",
-    "reconstruct_J",
+    "derive_table",
     "verify_htype",
-    "build_n07",
-    "check_isomorphic_pairs",
-    "golden_signatures",
-    "golden_table",
     "match_generated",
-    "split_blocks",
-    "verify_all_golden",
+    "build_n07",
     "__version__",
 ]

@@ -243,35 +243,21 @@ def has_reference_config(sig):
     return key in _CONFIGS or key in ALIASES
 
 
-def configured_signatures(include_shared=False):
-    keys = set(_CONFIGS)
-    if include_shared:
-        keys |= set(ALIASES)
-    return sorted(keys)
+def configured_signatures():
+    """Every signature with stored basis data, aliases included."""
+    return sorted(set(_CONFIGS) | set(ALIASES))
 
 
-def find_initial_vector(gens, config):
-    """The initial vector e_1 as the signed point (0, 1), once checked.
+def build_basis(gens, config):
+    """The frame M(W_a) e_1 as signed points, in word order.
 
-    The check is the one build_basis makes without an explicit vector;
-    callers that need the frame too should call that alone.
+    Each word acts on the signed point e_1 = (0, 1) letter by letter,
+    and the frame is checked on the way: ConstructionError is raised
+    when the involution system does not fix e_1 with its eigensigns,
+    or when the frame is not orthogonal with the expected norms or
+    breaks a zero pairing.  For signed basis vectors, orthogonality
+    means distinct points.
     """
-    build_basis(gens, config)
-    return (0, 1)
-
-
-def build_basis(gens, config, v=None):
-    """The frame M(W_a) v as signed points, in word order.
-
-    Each word acts on the signed point letter by letter.  Without v the
-    frame is that of e_1, checked on the way: ConstructionError is
-    raised when the involution system does not fix e_1 with its
-    eigensigns, or when the frame is not orthogonal with the expected
-    norms or breaks a zero pairing.  For signed basis vectors,
-    orthogonality means distinct points.
-    """
-    if v is not None:
-        return [gens.act_word(w, v) for w in config.basis_words]
     v = (0, 1)
     for p in config.involutions:
         if gens.act_word(p.word, v) != (0, p.eigensign):

@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import __version__
-from .basis_builder import (configured_signatures, find_initial_vector,
+from .basis_builder import (build_basis, configured_signatures,
                             has_reference_config, reference_config)
 from .clifford_rep import (GRID_NOTES, build_generators, clifford_type,
                            minimal_admissible_dimension)
@@ -36,8 +36,6 @@ def _signature(parser, r, s):
 
 
 def _build_table(sig):
-    if (sig.r, sig.s) == (0, 7):
-        return build_n07()
     if has_reference_config(sig):
         return generate_table(sig)
     return derive_table(sig)
@@ -158,7 +156,7 @@ def _cmd_verify(parser, args):
 
     if do_generated:
         section = {}
-        for key in configured_signatures(include_shared=True):
+        for key in configured_signatures():
             report = verify_htype(generate_table(Signature(*key)))
             failed = failed or not report.ok
             lines += _report_lines(report, "generated")
@@ -245,7 +243,8 @@ def _cmd_relations(parser, args):
         return 2
     config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
-    v = find_initial_vector(gens, config)
+    build_basis(gens, config)
+    v = (0, 1)
     bad = False
     print("n%s involution system, acting on the initial vector:" % sig)
     for inv in config.involutions:

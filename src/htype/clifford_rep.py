@@ -15,12 +15,10 @@ Clifford algebras Cl(r, s), stored verbatim below.
 """
 
 from dataclasses import dataclass
-
 from itertools import combinations
 
 from . import exactlin
 from .words import (
-    ONE,
     Involution,
     Signature,
     Word,

@@ -159,15 +159,14 @@ def build_n07():
     sig = Signature(7, 0)
     config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
-    plus = compute_table(gens, build_basis(gens, config), label="first block")
+    plus = compute_table(gens, build_basis(gens, config))
 
     gens_neg = negate_generators(gens)
     flipped = tuple(
         Involution(p.word, -p.eigensign if len(p.word.letters) % 2 else p.eigensign)
         for p in config.involutions)
     config_neg = replace(config, involutions=flipped)
-    minus = compute_table(gens_neg, build_basis(gens_neg, config_neg),
-                          label="second block")
+    minus = compute_table(gens_neg, build_basis(gens_neg, config_neg))
 
     half = plus.dim
     cells = dict(plus.cells)
@@ -177,8 +176,8 @@ def build_n07():
                           "doubled construction")
 
 
-def split_blocks(table, block_sig=None):
-    """Split a doubled table into its two diagonal blocks.
+def split_blocks(table, sig):
+    """Split a doubled table into two diagonal blocks of signature sig.
 
     Raises when any nonzero cell couples the halves, so a successful
     split certifies the cross brackets vanish.
@@ -194,7 +193,6 @@ def split_blocks(table, block_sig=None):
             second[(a - half, b - half)] = val
         else:
             raise ValueError("cell (v%d, v%d) couples the two halves" % (a, b))
-    sig = block_sig if block_sig is not None else table.sig
     return (StructureTable(sig, half, first, frozenset(), table.label + ", block 1"),
             StructureTable(sig, half, second, frozenset(), table.label + ", block 2"))
 

@@ -95,15 +95,14 @@ def compute_table(gens, frame, label=""):
     return StructureTable(sig, n_vec, cells, frozenset(), label)
 
 
-def generate_table(sig, config=None, label=""):
+def generate_table(sig):
     """Full pipeline from a signature to its structure table."""
-    if config is None:
-        config = reference_config(sig)
+    config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
-    return compute_table(gens, build_basis(gens, config), label=label)
+    return compute_table(gens, build_basis(gens, config))
 
 
-def derive_table(sig, label="derived"):
+def derive_table(sig):
     """Structure table for a signature without stored basis data.
 
     Searches an involution system and takes the coset words it cuts as
@@ -112,7 +111,7 @@ def derive_table(sig, label="derived"):
     system = find_involution_system(sig)
     gens = build_generators(sig, system=system)
     config = ReferenceConfig(involutions=system, basis_words=gens.coset_words)
-    return compute_table(gens, build_basis(gens, config), label=label)
+    return compute_table(gens, build_basis(gens, config), label="derived")
 
 
 def _propagate_signs(values, adj):

@@ -15,7 +15,6 @@ vector) and the reduction of arbitrary words modulo such a system.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 

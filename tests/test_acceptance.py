@@ -21,7 +21,6 @@ from dense_oracle import initial_vector_candidates, metric_adjoint, signed_point
 from htype.basis_builder import (
     build_basis,
     configured_signatures,
-    find_initial_vector,
     reference_config,
 )
 from htype.clifford_rep import build_generators, minimal_admissible_dimension
@@ -56,10 +55,9 @@ def build_pipeline(key):
     sig = Signature(*key)
     config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
-    v = find_initial_vector(gens, config)
-    vectors = build_basis(gens, config, v)
+    vectors = build_basis(gens, config)
     table = compute_table(gens, vectors)
-    return sig, config, gens, v, vectors, table
+    return sig, config, gens, (0, 1), vectors, table
 
 
 def test_1_embedded_transcription_integrity():
@@ -96,7 +94,7 @@ def test_2_embedded_tables_pass_the_axiom_checks():
 
 
 def test_3_generation_soundness():
-    keys = configured_signatures(include_shared=True)
+    keys = configured_signatures()
     assert EXTRA_SIGNATURES <= set(keys)
     assert set(golden_signatures()) <= set(keys)
     for key in keys:
@@ -161,7 +159,7 @@ def test_6_isomorphic_pairs():
 def test_7_stored_relations_hold():
     involutions = 0
     relations = 0
-    for key in configured_signatures(include_shared=True):
+    for key in configured_signatures():
         sig, config, gens, v, _, _ = build_pipeline(key)
         for inv in config.involutions:
             assert reduce_mod_system(
@@ -208,7 +206,7 @@ def test_8_property_suites():
     adjoint = 1000
 
     norm_cases = 0
-    for key in configured_signatures(include_shared=True):
+    for key in configured_signatures():
         sig, config, gens, _, vectors, _ = build_pipeline(key)
         for w, (point, _sign) in zip(config.basis_words, vectors):
             assert gens.form_v[point] == norm_sign(sig, w)
@@ -225,7 +223,7 @@ def test_8_property_suites():
     # Initial vectors from the dense oracle's search; each is a signed
     # unit vector, so the fast path takes it as a signed point.
     pools = {}
-    for key in configured_signatures(include_shared=True):
+    for key in configured_signatures():
         sig, config, gens, _, _, _ = build_pipeline(key)
         candidates = [signed_point(v) for v in itertools.islice(
             initial_vector_candidates(gens, config), 4)]
@@ -238,8 +236,10 @@ def test_8_property_suites():
         key = rng.choice(keys)
         config, gens, candidates = pools[key]
         point, sign = rng.choice(candidates)
-        plus = compute_table(gens, build_basis(gens, config, (point, sign)))
-        minus = compute_table(gens, build_basis(gens, config, (point, -sign)))
+        plus = compute_table(
+            gens, [gens.act_word(w, (point, sign)) for w in config.basis_words])
+        minus = compute_table(
+            gens, [gens.act_word(w, (point, -sign)) for w in config.basis_words])
         assert plus.cells == minus.cells
         assert plus.missing == minus.missing
         invariance += 1

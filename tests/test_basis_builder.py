@@ -11,10 +11,10 @@ from dense_oracle import (
     vector,
 )
 from htype.basis_builder import (
+    ALIASES,
     ReferenceConfig,
     build_basis,
     configured_signatures,
-    find_initial_vector,
     has_reference_config,
     reference_config,
 )
@@ -24,6 +24,7 @@ from htype.clifford_rep import (
     minimal_admissible_dimension,
     negate_generators,
 )
+from htype.golden import golden_signatures
 from htype.words import (
     ONE,
     Signature,
@@ -34,19 +35,16 @@ from htype.words import (
 
 
 def every_config():
-    for key in configured_signatures(include_shared=True):
+    for key in configured_signatures():
         sig = Signature(*key)
         yield sig, reference_config(sig)
 
 
 def test_configured_signatures_counts():
-    plain = configured_signatures()
-    shared = configured_signatures(include_shared=True)
-    assert len(plain) == 31
-    assert len(shared) == 34
-    assert (1, 0) in plain
-    assert (0, 1) in shared and (0, 1) not in plain
-    assert (0, 7) not in shared
+    keys = configured_signatures()
+    assert len(keys) == 34
+    assert keys == sorted(set(golden_signatures()) | set(ALIASES))
+    assert (0, 7) not in keys
 
 
 def test_reference_config_lookup():
@@ -74,7 +72,7 @@ def test_every_config_is_well_formed():
 def test_initial_vector_is_first_coordinate():
     for sig, config in every_config():
         gens = build_generators(sig, system=config.involutions)
-        assert find_initial_vector(gens, config) == (0, 1)
+        assert build_basis(gens, config)[0] == (0, 1)
         e1 = [1] + [0] * (gens.dim - 1)
         assert next(initial_vector_candidates(gens, config)) == e1
         assert is_valid_initial_vector(gens, config, e1)
@@ -124,12 +122,11 @@ def test_build_basis_gram_matrix():
         assert gram(vectors, gens.form_v) == diagonal(norms)
 
 
-def test_build_basis_accepts_explicit_vector():
-    sig = Signature(5, 0)
-    config = reference_config(sig)
-    gens = build_generators(sig, system=config.involutions)
-    v = find_initial_vector(gens, config)
-    assert build_basis(gens, config, v) == build_basis(gens, config)
+def test_build_basis_is_the_frame_of_e1():
+    for sig, config in every_config():
+        gens = build_generators(sig, system=config.involutions)
+        assert build_basis(gens, config) == [
+            gens.act_word(w, (0, 1)) for w in config.basis_words]
 
 
 def test_negated_module_hint():
@@ -137,7 +134,7 @@ def test_negated_module_hint():
     config = reference_config(sig)
     gens = negate_generators(build_generators(sig, system=config.involutions))
     with pytest.raises(ConstructionError, match="negated"):
-        find_initial_vector(gens, config)
+        build_basis(gens, config)
 
 
 def test_unsatisfiable_config_raises():
@@ -155,4 +152,4 @@ def test_unsatisfiable_config_raises():
     gens = build_generators(sig, system=config.involutions)
     for broken in (bad, repeated):
         with pytest.raises(ConstructionError, match="not a valid initial"):
-            find_initial_vector(gens, broken)
+            build_basis(gens, broken)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from htype.cli import main
+from htype.lie_algebra import StructureTable, verify_htype
+from htype.words import Signature
 
 
 def run(capsys, *argv):
@@ -89,12 +91,15 @@ def test_error_paths_exit_cleanly(argv, capsys):
     assert err.strip()
 
 
-def test_gen_doubled_signature(capsys):
+def test_gen_0_7_verifies_as_its_signature(capsys):
     code, out, _ = run(capsys, "gen", "0", "7")
     data = json.loads(out)
     assert code == 0
+    assert data["sig"] == [0, 7]
     assert data["dim"] == 16
-    assert data["label"] == "doubled construction"
+    cells = {(a, b): (k, sign) for a, b, k, sign in data["cells"]}
+    table = StructureTable(Signature(0, 7), 16, cells)
+    assert verify_htype(table).ok
 
 
 def test_gen_derived_signature(capsys):

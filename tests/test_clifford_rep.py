@@ -77,7 +77,7 @@ def test_minimal_dimension_matches_embedded_tables():
 
 
 def test_involution_count_matches_stored_systems():
-    for key in configured_signatures(include_shared=True):
+    for key in configured_signatures():
         sig = Signature(*key)
         config = reference_config(sig)
         assert involution_count(sig) == len(config.involutions)
@@ -225,7 +225,7 @@ def test_form_signature_split():
 
 
 def test_stored_system_builds_match_dimensions():
-    for key in configured_signatures(include_shared=True):
+    for key in configured_signatures():
         sig = Signature(*key)
         config = reference_config(sig)
         gens = build_generators(sig, system=config.involutions)
