@@ -218,9 +218,7 @@ def _cmd_dims(parser, args):
         for s in range(9):
             cell = "%s %d" % (clifford_type(r, s).label,
                               minimal_admissible_dimension(r, s))
-            embedded = r + s >= 1 and (
-                has_reference_config(Signature(r, s)) or (r, s) == (0, 7))
-            if embedded:
+            if r + s >= 1 and has_reference_config(Signature(r, s)):
                 cell += " +"
             row.append(cell)
         rows.append(row)

@@ -4,11 +4,13 @@ The entry point is build_generators, which realises the Clifford
 relations J_i J_j + J_j J_i = -2 <z_i, z_j> Id on a module of the
 minimal admissible dimension.  The construction is combinatorial: fix a
 system of k commuting involution words with independent letter sets,
-declare them to act as +1, and take as module basis the cosets of all
-letter sets modulo the span of the system.  Each J_i then permutes the
-cosets with signs given by exact word arithmetic, and the diagonal form
-with entries eta(W) = prod eps over the representative letters makes
-every J_i skew.
+declare them to act as +1 on a vector v, and take as module basis the
+vectors e_a = J_(R_a) v, one per coset of letter masks modulo the span
+of the system, R_a its smallest member.  Every word maps v to a signed
+point, J_L v = sign * e_a for the coset a of its mask L, with the sign
+from the one sign rule of the words module.  J_i e_a = J_i J_(R_a) v is
+read off that signed-point map, and the diagonal form with entries
+eta(W) = prod eps over the representative letters makes every J_i skew.
 
 The minimal dimensions come from the classification grid of real
 Clifford algebras Cl(r, s), stored verbatim below.
@@ -22,11 +24,11 @@ from .words import (
     Involution,
     Signature,
     Word,
+    letter_mask,
+    mask_letters,
+    mul_sign,
     norm_sign,
-    reduce_mod_system,
     span_products,
-    word_inverse,
-    word_mul,
 )
 
 
@@ -114,10 +116,7 @@ def _candidate_sets(sig):
     cands = []
     for size in (3, 4):
         for c in combinations(range(1, sig.n + 1), size):
-            eta = 1
-            for i in c:
-                eta *= sig.eps(i)
-            if eta == 1:
+            if norm_sign(sig, Word(1, c)) == 1:
                 cands.append(c)
     cands.sort()
     return cands
@@ -175,7 +174,7 @@ def find_involution_system(sig, k=None):
     if k == 0:
         return []
     cands = _candidate_sets(sig)
-    masks = [sum(1 << x for x in c) for c in cands]
+    masks = [letter_mask(c) for c in cands]
     index = {m: idx for idx, m in enumerate(masks)}
     commuting = _commuting_sets(cands)
     chosen = []
@@ -243,26 +242,20 @@ def build_generators(sig, system=None):
     """
     if system is None:
         system = find_involution_system(sig)
-    table = span_products(sig, system)
-    span_keys = list(table)
+    span = span_products(sig, system)
 
-    # Enumerate cosets of letter sets modulo the span; scanning subsets
-    # in tuple order makes the first member of each coset its smallest
-    # representative.
-    reps = []
-    coset_index = {}
-    subsets = []
-    for size in range(sig.n + 1):
-        subsets.extend(combinations(range(1, sig.n + 1), size))
-    subsets.sort()
-    for t in subsets:
-        key = frozenset(t)
-        if key in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(t)
-        for sk in span_keys:
-            coset_index[key ^ sk] = idx
+    # Masks in tuple order of their letters (the empty set, then those
+    # with least letter x, then the rest), so the first member met of each
+    # coset is its smallest representative R_a; coset[R_a xor P] = (a, P).
+    ordered = [0]
+    for x in range(sig.n, 0, -1):
+        ordered = [0] + [1 << x | m for m in ordered] + ordered[1:]
+    reps, coset = [], {}
+    for rep in ordered:
+        if rep not in coset:
+            for p in span:
+                coset[rep ^ p] = (len(reps), p)
+            reps.append(rep)
 
     dim = len(reps)
     expected = minimal_admissible_dimension(sig.r, sig.s)
@@ -270,22 +263,22 @@ def build_generators(sig, system=None):
         raise ConstructionError(
             "coset count %d does not match minimal dimension %d" % (dim, expected))
 
-    rep_words = [Word(1, t) for t in reps]
-    rep_inverses = [word_inverse(sig, w) for w in rep_words]
+    # J_i e_a = J_i J_(R_a) v = mul_sign(i, R_a) J_L v for L = R_a xor i.
+    # The signed point of L: with coset[L] = (b, P), J_L equals
+    # mul_sign(R_b, P) J_(R_b) J_P, and J_P v = span[P] v.
     ops = []
     for i in range(1, sig.n + 1):
-        gen = Word(1, (i,))
         perm, signs = [], []
-        for wa in rep_words:
-            u = word_mul(sig, gen, wa)
-            b = coset_index[frozenset(u.letters)]
-            residual = word_mul(sig, rep_inverses[b], u)
+        for rep in reps:
+            b, p = coset[rep ^ 1 << i]
             perm.append(b)
-            signs.append(reduce_mod_system(sig, system, residual, table))
+            sign = mul_sign(sig, reps[b], p) * span[p]
+            signs.append(mul_sign(sig, 1 << i, rep) * sign)
         ops.append((perm, signs))
 
+    rep_words = tuple(Word(1, mask_letters(rep)) for rep in reps)
     form_v = tuple(norm_sign(sig, w) for w in rep_words)
-    gens = GeneratorSet(sig, dim, tuple(ops), form_v, tuple(rep_words))
+    gens = GeneratorSet(sig, dim, tuple(ops), form_v, rep_words)
     problems = verify_generators(gens)
     if problems:
         raise ConstructionError("; ".join(problems))

@@ -7,7 +7,7 @@ mirror image and are resolved through an alias map.
 
 This module also hosts the doubled construction for the (0, 7) algebra,
 whose module is two copies of the (7, 0) module with opposite central
-action, and the isomorphism spot checks between low signatures.
+action.
 """
 
 import hashlib
@@ -27,14 +27,6 @@ from .lie_algebra import (
     verify_htype,
 )
 from .words import Involution, Signature
-
-ISOMORPHIC_PAIRS = (
-    ((1, 0), (0, 1)),
-    ((2, 0), (0, 2)),
-    ((4, 0), (0, 4)),
-    ((8, 0), (0, 8)),
-)
-NON_ISOMORPHIC_PAIR = ((2, 0), (1, 1))
 
 
 def _data_dir():
@@ -196,21 +188,3 @@ def split_blocks(table, sig):
     return (StructureTable(sig, half, first, frozenset(), table.label + ", block 1"),
             StructureTable(sig, half, second, frozenset(), table.label + ", block 2"))
 
-
-def check_isomorphic_pairs(source="golden"):
-    """Compare the tables of signature pairs known to agree, plus one
-    pair known to differ as a control.
-
-    source picks where the tables come from: the embedded files or the
-    generation pipeline.
-    """
-    if source == "golden":
-        fetch = lambda key: golden_table(*key)
-    elif source == "generated":
-        fetch = lambda key: generate_table(Signature(*key))
-    else:
-        raise ValueError("source must be 'golden' or 'generated'")
-    results = []
-    for left, right in ISOMORPHIC_PAIRS + (NON_ISOMORPHIC_PAIR,):
-        results.append(((left, right), compare_tables(fetch(left), fetch(right))))
-    return results

@@ -7,11 +7,14 @@ generated by J_1, ..., J_n subject to
 
 where eps_i = +1 for i <= r and -1 for i > r.  Canonical form keeps the
 letters strictly increasing, so a word is a pair (sign, letters) and the
-scalar one is (1, ()).  Products, adjoints and inverses all stay exact.
+scalar one is (1, ()).  Inside the package a letter set is an int mask,
+bit x for letter x, and one sign rule, mul_sign, gives the s in
+J_A J_B = s J_(A xor B).
 
 The second half of the module handles systems of commuting involution
 words (words P with P^2 = +1 prescribed to act as a fixed sign on some
-vector) and the reduction of arbitrary words modulo such a system.
+vector): the scalar each subset product takes on that vector, and the
+reduction of arbitrary words modulo such a system.
 """
 
 from dataclasses import dataclass
@@ -53,65 +56,45 @@ class Word(NamedTuple):
 ONE = Word(1, ())
 
 
-def word(sign, letters):
-    """Build a word, checking the canonical shape."""
-    letters = tuple(letters)
-    if sign not in (1, -1):
-        raise ValueError("word sign must be +1 or -1")
-    if any(b <= a for a, b in zip(letters, letters[1:])):
-        raise ValueError("letters must be strictly increasing")
-    if letters and letters[0] < 1:
-        raise ValueError("letters start at 1")
-    return Word(sign, letters)
+def letter_mask(letters):
+    """The letter set as an int: bit x is set for each letter x."""
+    mask = 0
+    for x in letters:
+        mask |= 1 << x
+    return mask
+
+
+def mask_letters(mask):
+    """The letters of a mask, increasing."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def mul_sign(sig, a, b):
+    """The sign s in J_A J_B = s J_(A xor B), for letter masks a and b.
+
+    The letters x of B join in increasing order: x moves left past the
+    letters of A above x, one sign flip each, and then either is
+    inserted or meets its twin, and J_x^2 = -eps_x.
+    """
+    sign = 1
+    for x in mask_letters(b):
+        if (a >> x + 1).bit_count() % 2:
+            sign = -sign
+        if a >> x & 1:
+            sign *= -sig.eps(x)
+    return sign
 
 
 def word_mul(sig, a, b):
-    """Product of two canonical words, canonicalised again.
-
-    Letters of b are inserted one by one; each transposition with a
-    distinct letter flips the sign and a repeated letter collapses to
-    the scalar -eps.
-    """
-    sign = a.sign * b.sign
-    out = list(a.letters)
-    for x in b.letters:
-        k = len(out)
-        while k > 0 and out[k - 1] > x:
-            k -= 1
-        # moved x past len(out)-k larger letters
-        if (len(out) - k) % 2:
-            sign = -sign
-        if k > 0 and out[k - 1] == x:
-            del out[k - 1]
-            sign *= -sig.eps(x)
-        else:
-            out.insert(k, x)
-    return Word(sign, tuple(out))
+    """Product of two canonical words, canonicalised again."""
+    am, bm = letter_mask(a.letters), letter_mask(b.letters)
+    return Word(a.sign * b.sign * mul_sign(sig, am, bm), mask_letters(am ^ bm))
 
 
 def word_square_sign(sig, w):
     """The scalar w * w, always +1 or -1."""
-    sq = word_mul(sig, w, w)
-    if sq.letters:
-        raise AssertionError("square of a word must be scalar")
-    return sq.sign
-
-
-def word_adjoint(sig, w):
-    """Adjoint with respect to an admissible form.
-
-    Each generator is skew, so reversing the k letters and flipping k
-    signs gives w* = (-1)^(k(k+1)/2) w on the same letters.
-    """
-    k = len(w.letters)
-    flip = -1 if (k * (k + 1) // 2) % 2 else 1
-    return Word(w.sign * flip, w.letters)
-
-
-def word_inverse(sig, w):
-    """Inverse word: w times its own square sign."""
-    tau = word_square_sign(sig, w)
-    return Word(w.sign * tau, w.letters)
+    m = letter_mask(w.letters)
+    return mul_sign(sig, m, m)
 
 
 def norm_sign(sig, w):
@@ -128,7 +111,7 @@ def words_commute(a, b):
     Moving the letters of b through those of a costs |A||B| - |A and B|
     transposition signs.
     """
-    common = len(set(a.letters) & set(b.letters))
+    common = (letter_mask(a.letters) & letter_mask(b.letters)).bit_count()
     return (len(a.letters) * len(b.letters) - common) % 2 == 0
 
 
@@ -137,35 +120,6 @@ def format_word(w):
         return "1" if w.sign == 1 else "-1"
     body = "".join("J%d" % i for i in w.letters)
     return body if w.sign == 1 else "-" + body
-
-
-def parse_word(text):
-    """Parse the format produced by format_word, e.g. "-J1J3"."""
-    t = text.strip()
-    sign = 1
-    if t.startswith("-"):
-        sign = -1
-        t = t[1:]
-    if t == "1":
-        return Word(sign, ())
-    letters = []
-    pos = 0
-    while pos < len(t):
-        if t[pos] not in ("J", "j"):
-            raise ValueError("cannot parse word %r" % text)
-        pos += 1
-        start = pos
-        while pos < len(t) and t[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ValueError("cannot parse word %r" % text)
-        letters.append(int(t[start:pos]))
-    return word(sign, letters)
-
-
-def is_involution_word(sig, w):
-    """Whether w squares to +1, so it can act as +-1 on a vector."""
-    return word_square_sign(sig, w) == 1
 
 
 class Involution(NamedTuple):
@@ -179,54 +133,50 @@ def check_involution_system(sig, system):
     """Validate a list of Involution entries; returns None or raises.
 
     Required: every word squares to +1, the words commute pairwise and
-    their letter sets are independent over GF(2), so the 2^k subset
+    their letter masks are independent over GF(2), so the 2^k subset
     products are distinct and themselves involutions.
     """
-    span = {frozenset()}
-    for idx, inv in enumerate(system):
-        w, sgn = inv
+    span = {0}
+    for idx, (w, sgn) in enumerate(system):
         if sgn not in (1, -1):
             raise ValueError("eigensign must be +-1")
-        if not is_involution_word(sig, w):
+        if word_square_sign(sig, w) != 1:
             raise ValueError("word %s does not square to +1" % (w,))
         for other, _ in system[idx + 1:]:
             if not words_commute(w, other):
                 raise ValueError("words %s and %s do not commute" % (w, other))
-        if frozenset(w.letters) in span:
+        m = letter_mask(w.letters)
+        if m in span:
             raise ValueError("letter set of %s lies in the span of the others" % (w,))
-        span |= {s ^ frozenset(w.letters) for s in span}
+        span |= {p ^ m for p in span}
 
 
 def span_products(sig, system):
-    """All 2^k subset products of the system.
+    """All 2^k subset products of the system, on the common eigenvector v.
 
-    Returns a dict keyed by the letter set of the product; the value is
-    (product word, product of eigensigns).  Distinctness of the keys is
-    exactly GF(2) independence of the letter sets.
+    Returns {mask P: scalar c} with J_P v = c v, where J_P is the
+    canonical word on the letters of P with sign +1.  Distinctness of
+    the masks is exactly GF(2) independence of the letter sets.
     """
-    out = {frozenset(): (ONE, 1)}
+    out = {0: 1}
     for w, sgn in system:
-        extra = {}
-        for key, (p, ps) in out.items():
-            q = word_mul(sig, p, w)
-            extra[frozenset(q.letters)] = (q, ps * sgn)
-        out.update(extra)
+        m = letter_mask(w.letters)
+        # J_P w = mul_sign(P, m) * w.sign * J_(P xor m), and w v = sgn v.
+        out.update({p ^ m: c * sgn * w.sign * mul_sign(sig, p, m)
+                    for p, c in out.items()})
     if len(out) != 2 ** len(system):
         raise ValueError("involution letter sets are not independent")
     return out
 
 
-def reduce_mod_system(sig, system, w, table=None):
+def reduce_mod_system(sig, system, w):
     """Scalar action of w on the common eigenvector of the system.
 
     Only defined when the letter set of w is a subset product of the
     system; then w equals a sign times that product and acts by the
     corresponding product of eigensigns.  Raises ValueError otherwise.
     """
-    if table is None:
-        table = span_products(sig, system)
-    key = frozenset(w.letters)
-    if key not in table:
+    scalar = span_products(sig, system).get(letter_mask(w.letters))
+    if scalar is None:
         raise ValueError("word %s does not reduce modulo the system" % (w,))
-    p, psign = table[key]
-    return w.sign * p.sign * psign
+    return w.sign * scalar

@@ -8,10 +8,20 @@ It shares no code with the fast implementation.
 
 import hashlib
 import json
-import random
 from importlib import resources
 
+from htype.lie_algebra import compare_tables
 from htype.words import Signature, Word
+
+# Mirror signature pairs whose algebras agree, and a control pair that
+# differs.
+ISOMORPHIC_PAIRS = (
+    ((1, 0), (0, 1)),
+    ((2, 0), (0, 2)),
+    ((4, 0), (0, 4)),
+    ((8, 0), (0, 8)),
+)
+NON_ISOMORPHIC_PAIR = ((2, 0), (1, 1))
 
 
 def slow_word_mul(sig, u, v):
@@ -63,3 +73,10 @@ def resign(data):
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     return data
+
+
+def compare_pairs(fetch):
+    """compare_tables on every pair above, keyed by the pair; fetch(r, s)
+    supplies the tables."""
+    return {(left, right): compare_tables(fetch(*left), fetch(*right))
+            for left, right in ISOMORPHIC_PAIRS + (NON_ISOMORPHIC_PAIR,)}

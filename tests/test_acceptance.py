@@ -11,6 +11,9 @@ import random
 import pytest
 
 from conftest import (
+    ISOMORPHIC_PAIRS,
+    NON_ISOMORPHIC_PAIR,
+    compare_pairs,
     random_canonical_word,
     random_signature,
     raw_data,
@@ -26,10 +29,7 @@ from htype.basis_builder import (
 from htype.clifford_rep import build_generators, minimal_admissible_dimension
 from htype.exactlin import act
 from htype.golden import (
-    ISOMORPHIC_PAIRS,
-    NON_ISOMORPHIC_PAIR,
     build_n07,
-    check_isomorphic_pairs,
     golden_signatures,
     golden_table,
     match_generated,
@@ -42,6 +42,7 @@ from htype.lie_algebra import (
     EQUAL,
     SIGN_EQUIVALENT,
     compute_table,
+    generate_table,
     verify_htype,
 )
 from htype.words import Signature, norm_sign, reduce_mod_system, word_mul
@@ -146,8 +147,10 @@ def test_5_doubled_construction():
 
 
 def test_6_isomorphic_pairs():
-    for source in ("golden", "generated"):
-        results = dict(check_isomorphic_pairs(source))
+    sources = {"golden": golden_table,
+               "generated": lambda r, s: generate_table(Signature(r, s))}
+    for source, fetch in sources.items():
+        results = compare_pairs(fetch)
         for pair in ISOMORPHIC_PAIRS:
             assert results[pair].status in (EQUAL, SIGN_EQUIVALENT), \
                 (source, pair, results[pair])

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from htype.basis_builder import configured_signatures
 from htype.cli import main
 from htype.lie_algebra import StructureTable, verify_htype
 from htype.words import Signature
@@ -194,6 +196,13 @@ def test_dims_grid(capsys):
     assert "R2(8)" in out
     assert "note (7,0):" in out
     assert "minimal admissible dimension" in out
+    embedded = []
+    for line in out.splitlines()[1:10]:
+        cells = re.split(r"\s{2,}", line)
+        r = int(cells[0][2:])
+        embedded += [(r, s) for s, cell in enumerate(cells[1:]) if cell.endswith(" +")]
+    assert embedded == configured_signatures()
+    assert (0, 7) not in embedded
 
 
 def test_version_flag(capsys):

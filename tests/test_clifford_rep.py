@@ -4,8 +4,7 @@ import pytest
 
 import search_oracle
 from conftest import random_canonical_word
-from dense_oracle import (clifford_failures, matrix, mat_mul, mat_neg,
-                          metric_adjoint, word_matrix)
+from dense_oracle import clifford_failures, matrix, mat_mul, mat_neg, word_matrix
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
@@ -26,7 +25,6 @@ from htype.words import (
     Signature,
     Word,
     check_involution_system,
-    word_adjoint,
     word_mul,
     words_commute,
 )
@@ -202,18 +200,6 @@ def test_act_word_agrees_with_apply_word():
             w = random_canonical_word(rng, sig.n)
             v = (rng.randrange(gens.dim), rng.choice((1, -1)))
             assert gens.act_word(w, v) == exactlin.act(gens.apply_word(w), v)
-
-
-def test_matrix_adjoint_agrees_with_word_adjoint():
-    for key in ((4, 2), (1, 4), (6, 0)):
-        sig = Signature(*key)
-        gens = build_generators(sig)
-        rng = random.Random(71)
-        for _ in range(50):
-            w = random_canonical_word(rng, sig.n)
-            lhs = metric_adjoint(matrix(gens.apply_word(w)), gens.form_v)
-            rhs = matrix(gens.apply_word(word_adjoint(sig, w)))
-            assert lhs == rhs
 
 
 def test_form_signature_split():

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import raw_data, resign
-from htype.golden import (
+from conftest import (
     ISOMORPHIC_PAIRS,
     NON_ISOMORPHIC_PAIR,
+    compare_pairs,
+    raw_data,
+    resign,
+)
+from htype.golden import (
     build_n07,
-    check_isomorphic_pairs,
     golden_signatures,
     golden_table,
     match_generated,
@@ -15,7 +18,13 @@ from htype.golden import (
     table_from_data,
     verify_all_golden,
 )
-from htype.lie_algebra import DIFFERENT, EQUAL, SIGN_EQUIVALENT, verify_htype
+from htype.lie_algebra import (
+    DIFFERENT,
+    EQUAL,
+    SIGN_EQUIVALENT,
+    generate_table,
+    verify_htype,
+)
 from htype.words import Signature
 
 EXPECTED_CORRECTIONS = {
@@ -177,14 +186,14 @@ def test_split_blocks_rejects_coupled_halves():
 
 
 def test_isomorphic_pairs_from_the_embedded_files():
-    results = dict(check_isomorphic_pairs("golden"))
+    results = compare_pairs(golden_table)
     for pair in ISOMORPHIC_PAIRS:
         assert results[pair].status == EQUAL
     assert results[NON_ISOMORPHIC_PAIR].status == DIFFERENT
 
 
 def test_isomorphic_pairs_from_generation():
-    results = dict(check_isomorphic_pairs("generated"))
+    results = compare_pairs(lambda r, s: generate_table(Signature(r, s)))
     for pair in ISOMORPHIC_PAIRS:
         assert results[pair].status in (EQUAL, SIGN_EQUIVALENT)
     assert results[((1, 0), (0, 1))].status == EQUAL

@@ -1,6 +1,6 @@
+import hashlib
+import json
 from dataclasses import replace
-
-import pytest
 
 from dense_oracle import (
     clifford_failures,
@@ -18,7 +18,6 @@ from htype.lie_algebra import (
     DIFFERENT,
     EQUAL,
     SIGN_EQUIVALENT,
-    StructureTable,
     compare_tables,
     compute_table,
     derive_table,
@@ -27,6 +26,16 @@ from htype.lie_algebra import (
     verify_htype,
 )
 from htype.words import Signature
+
+# sha256 of json [dim, sorted cells] for the scale ladder's derived
+# tables past the CLI cap, where tests/cli_digests.json stops.  A
+# rewrite of the construction has to reproduce them byte for byte.
+LADDER_DIGESTS = {
+    (5, 3): "f27293946fc74f94869effcf6052e8f48e47f0002fb3588f0fa75862e0bb7088",
+    (5, 5): "47ae3dce8b05a7274ce4dd445c0318cfcc3e5cb1b3536cb9869336c550f9d147",
+    (4, 6): "1b02bb2b966f0c45bdf5b547f4a070a91f4f0458a6fbf7e31c7549361fef4674",
+    (6, 6): "37ecec18b56299fc0e04ccfb25e95c26893681c649584069b476352b40ba957b",
+}
 
 
 def test_generate_n10_hand_table():
@@ -231,3 +240,10 @@ def test_tables_past_the_cli_cap_verify():
         table = derive_table(Signature(*key))
         assert table.dim == 128, key
         assert verify_htype(table).ok, key
+
+
+def test_ladder_tables_match_the_pinned_digests():
+    for key, digest in LADDER_DIGESTS.items():
+        table = derive_table(Signature(*key))
+        payload = json.dumps([table.dim, table.sorted_cells()], separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, key

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,14 +11,10 @@ from htype.words import (
     Word,
     check_involution_system,
     format_word,
-    is_involution_word,
+    letter_mask,
     norm_sign,
-    parse_word,
     reduce_mod_system,
     span_products,
-    word,
-    word_adjoint,
-    word_inverse,
     word_mul,
     word_square_sign,
     words_commute,
@@ -33,18 +30,6 @@ def test_signature_basics():
         Signature(0, 0)
     with pytest.raises(ValueError):
         Signature(-1, 2)
-
-
-def test_word_constructor_validation():
-    assert word(1, (1, 3)) == Word(1, (1, 3))
-    with pytest.raises(ValueError):
-        word(2, (1,))
-    with pytest.raises(ValueError):
-        word(1, (3, 1))
-    with pytest.raises(ValueError):
-        word(1, (1, 1))
-    with pytest.raises(ValueError):
-        word(1, (0, 1))
 
 
 def test_word_mul_hand_cases():
@@ -103,28 +88,6 @@ def test_word_square_sign_formula():
         assert word_square_sign(sig, w) == expect
 
 
-def test_word_adjoint_reverses_products():
-    rng = random.Random(37)
-    for _ in range(300):
-        sig = random_signature(rng)
-        u = random_canonical_word(rng, sig.n)
-        v = random_canonical_word(rng, sig.n)
-        assert word_adjoint(sig, word_adjoint(sig, u)) == u
-        lhs = word_adjoint(sig, word_mul(sig, u, v))
-        rhs = word_mul(sig, word_adjoint(sig, v), word_adjoint(sig, u))
-        assert lhs == rhs
-
-
-def test_word_inverse():
-    rng = random.Random(41)
-    for _ in range(300):
-        sig = random_signature(rng)
-        w = random_canonical_word(rng, sig.n)
-        inv = word_inverse(sig, w)
-        assert word_mul(sig, w, inv) == ONE
-        assert word_mul(sig, inv, w) == ONE
-
-
 def test_norm_sign_multiplicative():
     rng = random.Random(43)
     for _ in range(300):
@@ -149,20 +112,15 @@ def test_format_and_parse():
     assert format_word(ONE) == "1"
     assert format_word(Word(-1, ())) == "-1"
     assert format_word(Word(-1, (1, 3))) == "-J1J3"
-    assert parse_word("-J1J3") == Word(-1, (1, 3))
-    assert parse_word("1") == ONE
-    rng = random.Random(53)
-    for _ in range(100):
-        w = random_canonical_word(rng, 8)
-        assert parse_word(format_word(w)) == w
+    assert format_word(Word(1, (2, 10))) == "J2J10"
 
 
 def test_is_involution_word():
     sig = Signature(4, 0)
-    assert is_involution_word(sig, Word(1, (1, 2, 3, 4)))
-    assert not is_involution_word(sig, Word(1, (1,)))
-    assert not is_involution_word(sig, Word(1, (1, 2)))
-    assert is_involution_word(Signature(0, 1), Word(1, (1,)))
+    assert word_square_sign(sig, Word(1, (1, 2, 3, 4))) == 1
+    assert word_square_sign(sig, Word(1, (1,))) == -1
+    assert word_square_sign(sig, Word(1, (1, 2))) == -1
+    assert word_square_sign(Signature(0, 1), Word(1, (1,))) == 1
 
 
 def test_check_involution_system_accepts_valid():
@@ -195,11 +153,26 @@ def test_span_products_and_reduce():
               Involution(Word(1, (1, 2, 5, 6)), 1))
     table = span_products(sig, system)
     assert len(table) == 4
-    assert frozenset((3, 4, 5, 6)) in table
+    assert letter_mask((3, 4, 5, 6)) in table
     assert reduce_mod_system(sig, system, Word(1, (1, 2, 3, 4))) == 1
     assert reduce_mod_system(sig, system, Word(-1, (1, 2, 3, 4))) == -1
     with pytest.raises(ValueError):
         reduce_mod_system(sig, system, Word(1, (1, 2)))
+    rng = random.Random(59)
+    for _ in range(50):
+        sig = Signature(rng.randint(4, 8), 8)
+        system = [Involution(Word(rng.choice((1, -1)), letters), rng.choice((1, -1)))
+                  for letters in ((1, 2, 3), (1, 4, 5), (6, 7, 8), (9, 10, 11, 12))]
+        table = span_products(sig, system)
+        assert len(table) == 16
+        for size in range(len(system) + 1):
+            for subset in itertools.combinations(system, size):
+                prod, scalar = ONE, 1
+                for w, sgn in subset:
+                    prod = slow_word_mul(sig, prod, w)
+                    scalar *= sgn
+                # prod v = scalar v, with prod = prod.sign * J_P
+                assert table[letter_mask(prod.letters)] == prod.sign * scalar
 
 
 def test_reduce_respects_eigensigns():
