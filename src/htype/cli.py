@@ -14,6 +14,7 @@ All output is deterministic for a given package version.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -21,7 +22,7 @@ import sys
 from . import __version__
 from .basis_builder import (build_basis, configured_signatures,
                             has_reference_config, reference_config)
-from .clifford_rep import (GRID_NOTES, build_generators, clifford_type,
+from .clifford_rep import (build_generators, clifford_type,
                            minimal_admissible_dimension)
 from .golden import build_n07, match_generated, split_blocks, verify_all_golden
 from .lie_algebra import derive_table, generate_table, verify_htype
@@ -229,8 +230,6 @@ def _cmd_dims(parser, args):
     print("cell: module type over the reals, minimal admissible dimension")
     print("*  doubled module (both inequivalent halves)")
     print("+  structure table embedded in the package")
-    for key in sorted(GRID_NOTES):
-        print("note (%d,%d): %s" % (key[0], key[1], GRID_NOTES[key]))
     return 0
 
 
@@ -266,6 +265,9 @@ def _cmd_relations(parser, args):
     return 3 if bad else 0
 
 
+# Built once: a parser is a web of reference cycles that only the cyclic
+# garbage collector frees.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="htype",

@@ -12,12 +12,17 @@ from the one sign rule of the words module.  J_i e_a = J_i J_(R_a) v is
 read off that signed-point map, and the diagonal form with entries
 eta(W) = prod eps over the representative letters makes every J_i skew.
 
-The minimal dimensions come from the classification grid of real
-Clifford algebras Cl(r, s), stored verbatim below.
+The minimal dimensions follow from the classification of the real
+Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
+Geometry, ch. I sec. 4): the kind, R, C, H or a sum R2, H2 of two
+copies, depends only on (r - s) mod 8, and whether the minimal
+admissible module doubles the irreducible one only on (r - s) mod 8 and
+s mod 4, since Cl(4,4) = R(16).
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from . import exactlin
 from .words import (
@@ -36,26 +41,14 @@ class ConstructionError(Exception):
     pass
 
 
-# Classification grid for Cl(r, s), 0 <= r, s <= 8.  Rows are indexed by
-# s, columns by r.  Cell syntax: kind, optional (size), trailing "*" when
-# the minimal admissible module doubles the irreducible one.
-_GRID_ROWS = {
-    0: ["R", "C", "H", "H2", "H(2)", "C(4)", "R(8)", "R(8)", "R(16)"],
-    1: ["R2*", "R(2)*", "C(2)*", "H(2)", "H2(2)*", "H(4)", "C(8)", "R(16)", "R2(16)*"],
-    2: ["R(2)*", "R2(2)*", "R(4)*", "C(4)", "H(4)", "H2(4)", "H(8)", "C(16)", "R(32)*"],
-    3: ["C(2)*", "R(4)*", "R2(4)*", "R(8)", "C(8)", "H(8)", "H2(8)*", "H(16)", "C(32)*"],
-    4: ["H(2)", "C(4)", "R(8)", "R2(8)", "R(16)", "C(16)", "H(16)", "H2(16)", "H(32)"],
-    5: ["H2(2)*", "H(4)", "C(8)", "R(16)", "R2(16)*", "R(32)*", "C(32)*", "H(32)", "H2(32)*"],
-    6: ["H(4)", "H2(4)", "H(8)", "C(16)", "R(32)*", "R2(32)*", "R(64)*", "C(64)", "H(64)"],
-    7: ["C(8)", "H(8)", "H2(8)*", "H(16)", "C(32)*", "R(64)*", "R2(64)*", "R(128)", "C(128)"],
-    8: ["R(16)", "C(16)", "H(16)", "H2(16)", "H(32)", "C(64)", "R(128)", "R2(128)", "R(256)"],
-}
+# Kind K of Cl(r, s) by (r - s) mod 8, and the real dimension of K(1);
+# K(m) has m^2 times that.
+_KINDS = ("R", "C", "H", "H2", "H", "C", "R", "R2")
+_ALGEBRA_DIM = {"R": 1, "R2": 2, "C": 2, "H": 4, "H2": 8}
 
-# The (7, 0) cell repeats R(8); mod 8 periodicity of the grid would give
-# R2(8) there.  The printed value is kept and the doubt surfaced.
-GRID_NOTES = {(7, 0): "grid prints R(8), periodicity suggests R2(8)"}
-
-_REAL_DIM_FACTOR = {"R": 1, "R2": 1, "C": 2, "H": 4, "H2": 4}
+# "1" where the minimal admissible module doubles the irreducible one;
+# rows by (r - s) mod 8, columns by s mod 4.
+_DOUBLED = ("0110", "0100", "0000", "0101", "0000", "0001", "0011", "0111")
 
 
 @dataclass(frozen=True)
@@ -70,28 +63,24 @@ class CliffordType:
         return base + ("*" if self.doubled else "")
 
 
-def _parse_cell(cell):
-    doubled = cell.endswith("*")
-    if doubled:
-        cell = cell[:-1]
-    if "(" in cell:
-        kind, rest = cell.split("(")
-        size = int(rest.rstrip(")"))
-    else:
-        kind, size = cell, 1
-    return CliffordType(kind, size, doubled)
-
-
 def clifford_type(r, s):
     if not (0 <= r <= 8 and 0 <= s <= 8):
         raise ValueError("grid covers 0 <= r, s <= 8")
-    return _parse_cell(_GRID_ROWS[s][r])
+    kind = _KINDS[(r - s) % 8]
+    size = isqrt(2 ** (r + s) // _ALGEBRA_DIM[kind])
+    return CliffordType(kind, size, _DOUBLED[(r - s) % 8][s % 4] == "1")
 
 
 def minimal_admissible_dimension(r, s):
-    """Real dimension of the smallest module carrying an admissible form."""
+    """Real dimension of the smallest module carrying an admissible form.
+
+    K(m) of real dimension D acts irreducibly on its columns, of real
+    dimension D / m; a sum K(m) + K(m) acts on the columns of one copy.
+    """
     t = clifford_type(r, s)
-    dim = _REAL_DIM_FACTOR[t.kind] * t.size
+    dim = 2 ** (r + s) // t.size
+    if t.kind in ("R2", "H2"):
+        dim //= 2
     if t.doubled:
         dim *= 2
     return dim

@@ -53,9 +53,6 @@ class Word(NamedTuple):
         return format_word(self)
 
 
-ONE = Word(1, ())
-
-
 def letter_mask(letters):
     """The letter set as an int: bit x is set for each letter x."""
     mask = 0
@@ -83,12 +80,6 @@ def mul_sign(sig, a, b):
         if a >> x & 1:
             sign *= -sig.eps(x)
     return sign
-
-
-def word_mul(sig, a, b):
-    """Product of two canonical words, canonicalised again."""
-    am, bm = letter_mask(a.letters), letter_mask(b.letters)
-    return Word(a.sign * b.sign * mul_sign(sig, am, bm), mask_letters(am ^ bm))
 
 
 def word_square_sign(sig, w):

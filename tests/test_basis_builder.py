@@ -26,8 +26,8 @@ from htype.clifford_rep import (
 )
 from htype.golden import golden_signatures
 from htype.words import (
-    ONE,
     Signature,
+    Word,
     check_involution_system,
     norm_sign,
     reduce_mod_system,
@@ -60,7 +60,7 @@ def test_every_config_is_well_formed():
         check_involution_system(sig, config.involutions)
         dim = minimal_admissible_dimension(sig.r, sig.s)
         assert len(config.basis_words) == dim
-        assert config.basis_words[0] == ONE
+        assert config.basis_words[0] == Word(1, ())
         letter_sets = {w.letters for w in config.basis_words}
         assert len(letter_sets) == dim
         for rel in config.relations:
@@ -143,11 +143,11 @@ def test_unsatisfiable_config_raises():
     bad = ReferenceConfig(
         involutions=config.involutions,
         basis_words=config.basis_words,
-        zero_pairings=(ONE,),
+        zero_pairings=(Word(1, ()),),
     )
     repeated = ReferenceConfig(
         involutions=config.involutions,
-        basis_words=(ONE,) + config.basis_words[:-1],
+        basis_words=(Word(1, ()),) + config.basis_words[:-1],
     )
     gens = build_generators(sig, system=config.involutions)
     for broken in (bad, repeated):

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import re
 
@@ -193,16 +196,26 @@ def test_relations_without_stored_words(capsys):
 def test_dims_grid(capsys):
     code, out, _ = run(capsys, "dims")
     assert code == 0
-    assert "R2(8)" in out
-    assert "note (7,0):" in out
     assert "minimal admissible dimension" in out
+    lines = out.splitlines()
+    assert re.split(r"\s{2,}", lines[8])[:2] == ["r=7", "R2(8) 8 +"]
+    assert not any(line.startswith("note") for line in lines)
     embedded = []
-    for line in out.splitlines()[1:10]:
+    for line in lines[1:10]:
         cells = re.split(r"\s{2,}", line)
         r = int(cells[0][2:])
         embedded += [(r, s) for s, cell in enumerate(cells[1:]) if cell.endswith(" +")]
     assert embedded == configured_signatures()
     assert (0, 7) not in embedded
+
+
+def test_a_warm_cli_call_leaves_no_cyclic_garbage():
+    argv = ["match", "3", "0"]
+    for _ in range(2):
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert gc.collect() == 0
 
 
 def test_version_flag(capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+import grid_oracle
 import search_oracle
-from conftest import random_canonical_word
+from conftest import random_canonical_word, slow_word_mul
 from dense_oracle import clifford_failures, matrix, mat_mul, mat_neg, word_matrix
 from htype import exactlin
 from htype.clifford_rep import (
@@ -25,7 +26,6 @@ from htype.words import (
     Signature,
     Word,
     check_involution_system,
-    word_mul,
     words_commute,
 )
 
@@ -57,7 +57,7 @@ def test_clifford_type_spot_values():
     cases = {
         (1, 0): ("C", 2), (2, 0): ("H", 4), (3, 0): ("H2", 4),
         (4, 0): ("H(2)", 8), (5, 0): ("C(4)", 8), (6, 0): ("R(8)", 8),
-        (7, 0): ("R(8)", 8), (8, 0): ("R(16)", 16),
+        (7, 0): ("R2(8)", 8), (8, 0): ("R(16)", 16),
         (0, 1): ("R2*", 2), (0, 2): ("R(2)*", 4), (0, 3): ("C(2)*", 8),
         (0, 4): ("H(2)", 8), (0, 5): ("H2(2)*", 16), (0, 6): ("H(4)", 16),
         (0, 7): ("C(8)", 16), (0, 8): ("R(16)", 16),
@@ -67,6 +67,20 @@ def test_clifford_type_spot_values():
     for (r, s), (label, dim) in cases.items():
         assert clifford_type(r, s).label == label, (r, s)
         assert minimal_admissible_dimension(r, s) == dim, (r, s)
+
+
+def test_clifford_grid_matches_the_printed_oracle():
+    cells = grid_oracle.printed_cells()
+    assert len(cells) == 81
+    for (r, s), printed in cells.items():
+        label = grid_oracle.ERRATA.get((r, s), printed)
+        assert clifford_type(r, s).label == label, (r, s)
+        assert minimal_admissible_dimension(r, s) == \
+            grid_oracle.minimal_dimension(printed), (r, s)
+    assert grid_oracle.minimal_dimension("R2(8)") == 8
+    for r, s in ((9, 0), (0, 9), (-1, 3)):
+        with pytest.raises(ValueError, match="grid covers"):
+            clifford_type(r, s)
 
 
 def test_minimal_dimension_matches_embedded_tables():
@@ -174,9 +188,9 @@ def test_apply_word_is_a_homomorphism():
             u = random_canonical_word(rng, sig.n)
             v = random_canonical_word(rng, sig.n)
             lhs = exactlin.compose(gens.apply_word(u), gens.apply_word(v))
-            rhs = gens.apply_word(word_mul(sig, u, v))
+            rhs = gens.apply_word(slow_word_mul(sig, u, v))
             assert lhs == rhs
-            assert matrix(rhs) == word_matrix(gens, word_mul(sig, u, v))
+            assert matrix(rhs) == word_matrix(gens, slow_word_mul(sig, u, v))
             assert matrix(lhs) == mat_mul(word_matrix(gens, u),
                                           word_matrix(gens, v))
 
