@@ -166,33 +166,37 @@ def find_involution_system(sig, k=None):
     masks = [letter_mask(c) for c in cands]
     index = {m: idx for idx, m in enumerate(masks)}
     commuting = _commuting_sets(cands)
+    # One frame per node on the current path: the part of its pool not
+    # yet tried and the span of the chosen letter sets; chosen[d] is the
+    # candidate that led from frame d to frame d + 1.
+    pool = (1 << len(cands)) - 1
+    frames = [[pool if pool.bit_count() >= k else 0, [0]]]
     chosen = []
-
-    def extend(pool, span):
+    while frames:
+        frame = frames[-1]
+        rest, span = frame
+        if not rest:
+            frames.pop()
+            if chosen:
+                chosen.pop()
+            continue
+        low = rest & -rest
+        rest ^= low
+        frame[0] = rest
+        idx = low.bit_length() - 1
+        coset = [s ^ masks[idx] for s in span]
+        drop = 0
+        for m in coset:
+            j = index.get(m)
+            if j is not None:
+                drop |= 1 << j
+        chosen.append(idx)
         if len(chosen) == k:
-            return True
-        if pool.bit_count() < k - len(chosen):
-            return False
-        rest = pool
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            idx = low.bit_length() - 1
-            coset = [s ^ masks[idx] for s in span]
-            drop = 0
-            for m in coset:
-                j = index.get(m)
-                if j is not None:
-                    drop |= 1 << j
-            chosen.append(idx)
-            if extend(rest & commuting(idx) & ~drop, span + coset):
-                return True
-            chosen.pop()
-        return False
-
-    if not extend((1 << len(cands)) - 1, [0]):
-        raise ConstructionError("no involution system of size %d for %s" % (k, sig))
-    return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
+            return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
+        pool = rest & commuting(idx) & ~drop
+        missing = k - len(chosen)
+        frames.append([pool if pool.bit_count() >= missing else 0, span + coset])
+    raise ConstructionError("no involution system of size %d for %s" % (k, sig))
 
 
 @dataclass(frozen=True)

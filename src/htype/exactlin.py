@@ -6,6 +6,12 @@ pair of lists (perm, signs): basis vector e_j goes to signs[j] times
 e_perm[j].  A partial operator, as rebuilt from a table with an empty
 cell, holds None in perm where it does not act.  A signed point (p, s)
 stands for the vector s e_p, so every frame vector is one signed point.
+
+relation_failures checks each Clifford relation on whole lists: for two
+total operators, A_i A_j = -A_j A_i and A_i^2 = squares[i] Id are
+equalities of composed (perm, signs) lists.  Only a pair that fails
+there, or holds a partial operator, falls back to a walk over its
+points, which names the points that break the relation.
 """
 
 
@@ -70,13 +76,19 @@ def relation_failures(ops, squares):
     A_i^2 = squares[i] Id.  Yields (i, j, points) for each pair i <= j
     that fails, with the points whose images break it, in order.
     """
+    total = [None not in op[0] for op in ops]
     for i, a in enumerate(ops):
         points = range(len(a[0]))
         for j in range(i, len(ops)):
             b = ops[j]
             if i == j:
+                square = (list(points), [squares[i]] * len(points))
+                if total[i] and compose(a, a) == square:
+                    continue
                 bad = [p for p in points if _twice(a, a, p) != (p, squares[i])]
             else:
+                if total[i] and total[j] and compose(a, b) == negate(compose(b, a)):
+                    continue
                 bad = [p for p in points
                        if not _cancel(_twice(a, b, p), _twice(b, a, p))]
             if bad:

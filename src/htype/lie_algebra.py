@@ -59,6 +59,11 @@ class VerifyReport:
         return not self.errata
 
 
+def _eps_by_k(sig):
+    """eps_k for k = 1..n, indexed by k (slot 0 unused)."""
+    return (None,) + tuple(sig.eps(k) for k in range(1, sig.n + 1))
+
+
 def compute_table(gens, frame, label=""):
     """Read the bracket table off where each J_k sends each frame point.
 
@@ -71,6 +76,7 @@ def compute_table(gens, frame, label=""):
     n_vec = len(frame)
     if n_vec != gens.dim:
         raise ValueError("expected %d basis vectors, got %d" % (gens.dim, n_vec))
+    eps = _eps_by_k(sig)
     where = {}
     for b, (point, _s) in enumerate(frame):
         where.setdefault(point, []).append(b)
@@ -88,7 +94,7 @@ def compute_table(gens, frame, label=""):
             key = (a + 1, b + 1)
             if key in cells:
                 raise ValueError("two central directions on pair (%d, %d)" % key)
-            cells[key] = (k, sig.eps(k) * pairing)
+            cells[key] = (k, eps[k] * pairing)
     for (a, b), (k, s) in cells.items():
         if cells.get((b, a)) != (k, -s):
             raise ValueError("computed table is not antisymmetric at (%d, %d)" % (a, b))
@@ -145,10 +151,10 @@ def _solve_eta(table):
     scales square norms by eps_k.  Components not reachable from v_1
     start at +1 as well.
     """
-    sig = table.sig
+    eps = _eps_by_k(table.sig)
     adj = {a: [] for a in range(1, table.dim + 1)}
     for (a, b), (k, _s) in table.cells.items():
-        adj[a].append((b, sig.eps(k), (a, b)))
+        adj[a].append((b, eps[k], (a, b)))
     eta = [None] * (table.dim + 1)
     errata = ["norm signs conflict at cell (v%d, v%d)" % cell
               for cell in _propagate_signs(eta, adj)]
@@ -166,11 +172,12 @@ def reconstruct_J(table, eta=None):
         if conflicts:
             raise ValueError("; ".join(conflicts))
     n_vec = table.dim
+    eps = _eps_by_k(table.sig)
     ops = [([None] * n_vec, [0] * n_vec) for _ in range(table.sig.n)]
     for (a, b), (k, s) in table.cells.items():
         perm, signs = ops[k - 1]
         perm[a - 1] = b - 1
-        signs[a - 1] = table.sig.eps(k) * s * eta[b - 1]
+        signs[a - 1] = eps[k] * s * eta[b - 1]
     return ops
 
 
@@ -179,7 +186,8 @@ def _structural_errata(table):
     n = sig.n
     n_vec = table.dim
     errata = []
-    for (a, b), (k, s) in sorted(table.cells.items()):
+    cells = sorted(table.cells.items())
+    for (a, b), (k, s) in cells:
         if not (1 <= a <= n_vec and 1 <= b <= n_vec):
             errata.append("cell (v%d, v%d) outside the table" % (a, b))
             continue
@@ -191,7 +199,9 @@ def _structural_errata(table):
             errata.append("cell (v%d, v%d) has non-unit coefficient" % (a, b))
     if errata:
         return errata
-    for (a, b), (k, s) in sorted(table.cells.items()):
+    by_k = {}
+    for (a, b), (k, s) in cells:
+        by_k.setdefault(k, []).append((a, b))
         if (b, a) in table.missing:
             continue
         if table.cells.get((b, a)) != (k, -s):
@@ -205,9 +215,7 @@ def _structural_errata(table):
     for k in range(1, n + 1):
         row_hits = {}
         col_hits = {}
-        for (a, b), (kk, s) in sorted(table.cells.items()):
-            if kk != k:
-                continue
+        for a, b in by_k.get(k, ()):
             if a in row_hits:
                 errata.append("z%d appears twice in row v%d" % (k, a))
             row_hits[a] = b

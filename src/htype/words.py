@@ -69,17 +69,25 @@ def mask_letters(mask):
 def mul_sign(sig, a, b):
     """The sign s in J_A J_B = s J_(A xor B), for letter masks a and b.
 
-    The letters x of B join in increasing order: x moves left past the
-    letters of A above x, one sign flip each, and then either is
-    inserted or meets its twin, and J_x^2 = -eps_x.
+    Each letter x of B moves left past the letters of A above x, one
+    sign flip each, and then either is inserted or meets its twin, and
+    J_x^2 = -eps_x is -1 for the letters 1..r.  Bit x of `above` is set
+    when an odd number of A's letters lie above x, so the sign is -1 to
+    the power |above & B| + |A & B & {1..r}|.  Masks are nonnegative;
+    a letter outside 1..n in both raises ValueError.
     """
-    sign = 1
-    for x in mask_letters(b):
-        if (a >> x + 1).bit_count() % 2:
-            sign = -sign
-        if a >> x & 1:
-            sign *= -sig.eps(x)
-    return sign
+    common = a & b
+    bad = common & ~((2 << sig.r + sig.s) - 2)
+    if bad:
+        x = (bad & -bad).bit_length() - 1
+        raise ValueError("letter %r out of range for %r" % (x, sig))
+    above, rest = 0, a
+    while rest > 0:
+        low = rest & -rest
+        rest ^= low
+        above ^= low - 1
+    flips = (above & b) ^ (common & ((2 << sig.r) - 2))
+    return -1 if flips.bit_count() & 1 else 1
 
 
 def word_square_sign(sig, w):

@@ -306,3 +306,39 @@ def clifford_failures(mats, sig):
             if anti != want:
                 out.append((i, j))
     return out
+
+
+# --- the per-point Clifford relation walk --------------------------------
+
+def _act(op, v):
+    p, s = v
+    q = op[0][p]
+    return None if q is None else (q, s * op[1][p])
+
+
+def _twice(a, b, p):
+    v = _act(b, (p, 1))
+    return None if v is None else _act(a, v)
+
+
+def _cancel(x, y):
+    """True when the signed points (or Nones) x and y sum to zero."""
+    if x is None or y is None:
+        return x is y
+    return x == (y[0], -y[1])
+
+
+def relation_failures(ops, squares):
+    """exactlin.relation_failures as a walk over every point of every
+    pair: four single-point images per point, no whole-list shortcut."""
+    for i, a in enumerate(ops):
+        points = range(len(a[0]))
+        for j in range(i, len(ops)):
+            b = ops[j]
+            if i == j:
+                bad = [p for p in points if _twice(a, a, p) != (p, squares[i])]
+            else:
+                bad = [p for p in points
+                       if not _cancel(_twice(a, b, p), _twice(b, a, p))]
+            if bad:
+                yield i, j, bad

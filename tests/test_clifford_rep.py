@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -135,6 +136,14 @@ def test_search_matches_the_oracle_for_every_size():
             except ConstructionError as exc:
                 got = str(exc)
             assert got == want, (sig, k)
+
+
+def test_a_warm_search_leaves_no_cyclic_garbage():
+    sig = Signature(6, 7)
+    for _ in range(2):
+        gc.collect()
+        assert len(find_involution_system(sig)) == 6
+    assert gc.collect() == 0
 
 
 def test_commuting_bitsets_agree_with_words_commute():

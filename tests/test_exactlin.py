@@ -4,6 +4,7 @@ and the oracle's own matrix arithmetic."""
 import math
 import random
 
+import dense_oracle
 from dense_oracle import (
     column_space_basis,
     diagonal,
@@ -219,6 +220,38 @@ def test_relation_failures_agree_with_dense_products():
                 for i, j, points in exactlin.relation_failures(ops, squares)}
         assert fast == dense
     assert dense == {}
+
+
+def test_relation_failures_match_the_per_point_walk():
+    """Whole-list checks with their fallback against the oracle's walk,
+    on built generators and on copies that break a relation: one entry
+    damaged, the opposite squares, a generator repeated."""
+    rng = random.Random(41)
+    cases = []
+    for key in ((2, 1), (1, 3), (3, 2), (0, 7), (4, 4), (5, 3)):
+        sig = Signature(*key)
+        ops = list(build_generators(sig).ops)
+        squares = [-sig.eps(i) for i in range(1, sig.n + 1)]
+        cases.append((ops, squares, True))
+        cases.append((ops, [-x for x in squares], False))
+        cases.append((ops + ops[:1], squares + squares[:1], False))
+        for damage in ("sign", "swap", "copy", "none") * 4:
+            copy = [(list(perm), list(signs)) for perm, signs in ops]
+            perm, signs = rng.choice(copy)
+            p, q = rng.sample(range(len(perm)), 2)
+            if damage == "sign":
+                signs[p] = -signs[p]
+            elif damage == "swap":
+                perm[p], perm[q] = perm[q], perm[p]
+            elif damage == "copy":
+                perm[p] = perm[q]
+            else:
+                perm[p] = None
+            cases.append((copy, squares, False))
+    for ops, squares, intact in cases:
+        want = list(dense_oracle.relation_failures(ops, squares))
+        assert list(exactlin.relation_failures(ops, squares)) == want
+        assert (want == []) == intact
 
 
 def test_column_space_basis_simple():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -60,6 +61,33 @@ def test_word_mul_matches_slow_oracle():
         a, b = letter_mask(u.letters), letter_mask(v.letters)
         prod = Word(u.sign * v.sign * mul_sign(sig, a, b), mask_letters(a ^ b))
         assert prod == slow_word_mul(sig, u, v)
+
+
+def test_mul_sign_matches_slow_oracle_on_every_mask_pair():
+    for key in ((2, 1), (3, 2), (1, 4)):
+        sig = Signature(*key)
+        for a in range(0, 2 << sig.n, 2):
+            for b in range(0, 2 << sig.n, 2):
+                u, v = Word(1, mask_letters(a)), Word(1, mask_letters(b))
+                want = slow_word_mul(sig, u, v)
+                assert want.letters == mask_letters(a ^ b)
+                assert mul_sign(sig, a, b) == want.sign, (key, a, b)
+
+
+def test_mul_sign_rejects_a_shared_letter_out_of_range():
+    """ValueError exactly when A and B share a letter outside 1..n, with
+    the message Signature.eps gives for the least such letter."""
+    sig = Signature(2, 1)
+    for a in range(1 << sig.n + 3):
+        for b in range(1 << sig.n + 3):
+            outside = [x for x in mask_letters(a & b) if not 1 <= x <= sig.n]
+            if not outside:
+                assert mul_sign(sig, a, b) in (1, -1)
+                continue
+            with pytest.raises(ValueError) as want:
+                sig.eps(outside[0])
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                mul_sign(sig, a, b)
 
 
 def test_word_mul_associative():
