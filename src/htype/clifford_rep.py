@@ -11,6 +11,8 @@ point, J_L v = sign * e_a for the coset a of its mask L, with the sign
 from the one sign rule of the words module.  J_i e_a = J_i J_(R_a) v is
 read off that signed-point map, and the diagonal form with entries
 eta(W) = prod eps over the representative letters makes every J_i skew.
+verify_generators is the one check of the module axioms, here and for
+the operators lie_algebra.verify_htype rebuilds from a table.
 
 The minimal dimensions follow from the classification of the real
 Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
@@ -111,9 +113,9 @@ def _candidate_sets(sig):
     return cands
 
 
-def _commuting_sets(cands):
-    """commuting(idx): bitset of the candidates whose words commute with
-    that of cands[idx], built on first use (see find_involution_system)."""
+def _anticommuting_sets(cands):
+    """anti[idx]: bitset of the candidates whose words anticommute with
+    that of cands[idx] (see find_involution_system)."""
     containing = {}
     odd = 0
     for idx, c in enumerate(cands):
@@ -121,17 +123,13 @@ def _commuting_sets(cands):
             containing[x] = containing.get(x, 0) | 1 << idx
         if len(c) % 2:
             odd |= 1 << idx
-    memo = {}
-
-    def commuting(idx):
-        if idx not in memo:
-            anti = odd if len(cands[idx]) % 2 else 0
-            for x in cands[idx]:
-                anti ^= containing[x]
-            memo[idx] = ~anti
-        return memo[idx]
-
-    return commuting
+    anti = []
+    for c in cands:
+        bits = odd if len(c) % 2 else 0
+        for x in c:
+            bits ^= containing[x]
+        anti.append(bits)
+    return anti
 
 
 def find_involution_system(sig, k=None):
@@ -148,7 +146,7 @@ def find_involution_system(sig, k=None):
     GF(2) in the indicator vectors of A and B.  So the candidates that
     anticommute with A form one bitset: the XOR over the letters x of A
     of the candidates containing x, XOR the odd-size candidates when |A|
-    is odd.  It is built only for candidates that get chosen.  Each node
+    is odd.  All of them are built before the search starts.  Each node
     carries a pool: the later candidates that commute with every chosen
     word and lie outside the GF(2) span of their letter sets.  The pool
     holds exactly the candidates the plain scan would accept at that
@@ -165,7 +163,7 @@ def find_involution_system(sig, k=None):
     cands = _candidate_sets(sig)
     masks = [letter_mask(c) for c in cands]
     index = {m: idx for idx, m in enumerate(masks)}
-    commuting = _commuting_sets(cands)
+    anti = _anticommuting_sets(cands)
     # One frame per node on the current path: the part of its pool not
     # yet tried and the span of the chosen letter sets; chosen[d] is the
     # candidate that led from frame d to frame d + 1.
@@ -193,7 +191,7 @@ def find_involution_system(sig, k=None):
         chosen.append(idx)
         if len(chosen) == k:
             return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
-        pool = rest & commuting(idx) & ~drop
+        pool = rest & ~anti[idx] & ~drop
         missing = k - len(chosen)
         frames.append([pool if pool.bit_count() >= missing else 0, span + coset])
     raise ConstructionError("no involution system of size %d for %s" % (k, sig))
@@ -228,13 +226,11 @@ class GeneratorSet:
         return v if w.sign == 1 else (v[0], -v[1])
 
 
-def build_generators(sig, system=None):
+def build_generators(sig, system):
     """Minimal admissible Clifford module for sig, as signed permutations.
 
-    The result is checked against all invariants before being returned.
+    The result is checked by verify_generators before being returned.
     """
-    if system is None:
-        system = find_involution_system(sig)
     span = span_products(sig, system)
 
     # Masks in tuple order of their letters (the empty set, then those
@@ -271,11 +267,10 @@ def build_generators(sig, system=None):
 
     rep_words = tuple(Word(1, mask_letters(rep)) for rep in reps)
     form_v = tuple(norm_sign(sig, w) for w in rep_words)
-    gens = GeneratorSet(sig, dim, tuple(ops), form_v, rep_words)
-    problems = verify_generators(gens)
+    problems = verify_generators(sig, ops, form_v)
     if problems:
         raise ConstructionError("; ".join(problems))
-    return gens
+    return GeneratorSet(sig, dim, tuple(ops), form_v, rep_words)
 
 
 def negate_generators(gens):
@@ -284,23 +279,31 @@ def negate_generators(gens):
     return GeneratorSet(gens.sig, gens.dim, ops, gens.form_v, gens.coset_words)
 
 
-def verify_generators(gens):
-    """Check all invariants of a generator set; returns a list of problems."""
-    sig = gens.sig
+def verify_generators(sig, ops, form):
+    """Errata of the module axioms, in order: diag(form) is definite when
+    s = 0 and neutral otherwise, each J_k in ops is a signed permutation
+    skew for it, and the Clifford relations hold.  As in a table, J_k is
+    named z_k and point a - 1 is named v_a."""
+    dim, pos = len(form), form.count(1)
+    want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
     out = []
-    for i, op in enumerate(gens.ops, start=1):
-        if not exactlin.is_permutation(op):
-            out.append("J_%d is not a signed permutation" % i)
-        if not exactlin.is_skew(op, gens.form_v):
-            out.append("J_%d is not skew for the form" % i)
-    squares = [-sig.eps(i) for i in range(1, sig.n + 1)]
-    for i, j, _points in exactlin.relation_failures(gens.ops, squares):
-        out.append("Clifford relation fails for J_%d, J_%d" % (i + 1, j + 1))
-    pos = sum(1 for e in gens.form_v if e == 1)
-    neg = gens.dim - pos
-    if sig.s == 0:
-        if neg:
-            out.append("form should be positive definite, got (%d,%d)" % (pos, neg))
-    elif pos != neg:
-        out.append("form should be neutral, got (%d,%d)" % (pos, neg))
+    if (pos, dim - pos) != want:
+        out.append("solved norms have signature (%d, %d), expected (%d, %d)"
+                   % (pos, dim - pos, want[0], want[1]))
+    total = [exactlin.is_permutation(op) for op in ops]
+    for k, op in enumerate(ops, start=1):
+        if not total[k - 1]:
+            out.append("z%d does not act by a signed permutation" % k)
+        elif not exactlin.is_skew(op, form):
+            out.append("z%d is not skew for the solved norms" % k)
+    squares = [-sig.eps(k) for k in range(1, sig.n + 1)]
+    for i, j, points in exactlin.relation_failures(ops, squares):
+        if i == j and total[i]:
+            pi = ops[i][0]
+            for a in points:
+                out.append(
+                    "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
+                    % (i + 1, a + 1, pi[a] + 1, pi[a] + 1, pi[pi[a]] + 1))
+        else:
+            out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
     return out

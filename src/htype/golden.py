@@ -21,6 +21,7 @@ from .lie_algebra import (
     EQUAL,
     SIGN_EQUIVALENT,
     StructureTable,
+    cell_errata,
     compare_tables,
     compute_table,
     generate_table,
@@ -46,8 +47,9 @@ def golden_signatures():
 def table_from_data(data):
     """Validate a raw table dict and build the StructureTable.
 
-    Rejects bad checksums, out of range indices, nonzero diagonal and
-    antisymmetry violations, so a damaged file never loads quietly.
+    Rejects missing keys, bad checksums, duplicate cells and every break
+    of the cell rules of lie_algebra.cell_errata, so a damaged file never
+    loads quietly.
     """
     required = {"table", "sig", "dim", "cells", "sha256"}
     missing_keys = required - set(data)
@@ -59,29 +61,19 @@ def table_from_data(data):
     ).hexdigest()
     if digest != data["sha256"]:
         raise ValueError("table data fails its checksum")
-    r, s = data["sig"]
-    sig = Signature(r, s)
-    dim = data["dim"]
-    holes = frozenset((a, b) for a, b in data.get("missing", []))
     cells = {}
     for a, b, k, sign in data["cells"]:
-        if not (1 <= a <= dim and 1 <= b <= dim):
-            raise ValueError("cell (%d, %d) outside a %d by %d table" % (a, b, dim, dim))
-        if a == b:
-            raise ValueError("nonzero diagonal cell (%d, %d)" % (a, b))
-        if not (1 <= k <= sig.n) or sign not in (1, -1):
-            raise ValueError("cell (%d, %d) holds an invalid value" % (a, b))
         if (a, b) in cells:
             raise ValueError("duplicate cell (%d, %d)" % (a, b))
         cells[(a, b)] = (k, sign)
-    for (a, b), (k, sign) in cells.items():
-        if (b, a) in holes:
-            continue
-        if cells.get((b, a)) != (k, -sign):
-            raise ValueError("cells (%d, %d) and (%d, %d) break antisymmetry"
-                             % (a, b, b, a))
+    r, s = data["sig"]
+    holes = frozenset((a, b) for a, b in data.get("missing", []))
     label = "reference table %d" % data["table"]
-    return StructureTable(sig, dim, cells, holes, label)
+    table = StructureTable(Signature(r, s), data["dim"], cells, holes, label)
+    errata = cell_errata(table)
+    if errata:
+        raise ValueError(errata[0])
+    return table
 
 
 def golden_table(r, s):

@@ -5,10 +5,12 @@ with centre z_1 ... z_n and module basis v_1 ... v_N.  Every bracket
 [v_a, v_b] is either zero or a single signed central element, so a cell
 is stored as (k, sign) under the key (a, b), with zero cells omitted.
 
-verify_htype rebuilds the generators as signed permutations from
-nothing but the table and checks the Clifford relations, skewness for a
-diagonal form whose signs are solved by propagation, and the expected
-form signature.  It reports every defect it can pin to specific cells.
+cell_errata is the one check of the cell rules, shared with the golden
+loader.  verify_htype adds the row and column counts of each z_k, solves
+the norm signs of the basis by propagation, and hands the generators it
+rebuilds from the table to clifford_rep.verify_generators, the one check
+of the module axioms.  It reports every defect it can pin to specific
+cells.
 """
 
 from collections import deque
@@ -16,7 +18,8 @@ from dataclasses import dataclass, field
 
 from . import exactlin
 from .basis_builder import ReferenceConfig, build_basis, reference_config
-from .clifford_rep import build_generators, find_involution_system
+from .clifford_rep import (build_generators, find_involution_system,
+                           verify_generators)
 from .words import Signature
 
 EQUAL = "equal"
@@ -161,16 +164,12 @@ def _solve_eta(table):
     return tuple(eta[1:]), errata
 
 
-def reconstruct_J(table, eta=None):
+def reconstruct_J(table, eta):
     """Generators implied by the table: J_k v_a = eps_k c eta_b v_b.
 
     They are partial signed permutations, with None where an empty cell
     leaves J_k undefined.
     """
-    if eta is None:
-        eta, conflicts = _solve_eta(table)
-        if conflicts:
-            raise ValueError("; ".join(conflicts))
     n_vec = table.dim
     eps = _eps_by_k(table.sig)
     ops = [([None] * n_vec, [0] * n_vec) for _ in range(table.sig.n)]
@@ -181,32 +180,46 @@ def reconstruct_J(table, eta=None):
     return ops
 
 
-def _structural_errata(table):
-    sig = table.sig
-    n = sig.n
+def cell_errata(table):
+    """Errata of the cell rules, in cell order: each cell lies inside the
+    table, off the diagonal, and holds a known z_k with coefficient +-1;
+    once all do, each is antisymmetric unless its mirror cell is missing."""
+    n = table.sig.n
     n_vec = table.dim
-    errata = []
-    cells = sorted(table.cells.items())
-    for (a, b), (k, s) in cells:
+    found = []  # (cell, erratum); a stable sort by cell keeps each cell's order
+    for cell, (k, s) in table.cells.items():
+        a, b = cell
         if not (1 <= a <= n_vec and 1 <= b <= n_vec):
-            errata.append("cell (v%d, v%d) outside the table" % (a, b))
+            found.append((cell, "cell (v%d, v%d) outside the table" % cell))
             continue
         if a == b:
-            errata.append("nonzero diagonal at v%d" % a)
+            found.append((cell, "nonzero diagonal at v%d" % a))
         if not (1 <= k <= n):
-            errata.append("cell (v%d, v%d) uses unknown central z%d" % (a, b, k))
+            found.append(
+                (cell, "cell (v%d, v%d) uses unknown central z%d" % (a, b, k)))
         if s not in (1, -1):
-            errata.append("cell (v%d, v%d) has non-unit coefficient" % (a, b))
-    if errata:
+            found.append((cell, "cell (v%d, v%d) has non-unit coefficient" % cell))
+    if not found:
+        for cell, (k, s) in table.cells.items():
+            a, b = cell
+            if (b, a) not in table.missing and table.cells.get((b, a)) != (k, -s):
+                erratum = "cells (v%d, v%d) and (v%d, v%d) break antisymmetry"
+                found.append((cell, erratum % (a, b, b, a)))
+    found.sort(key=lambda entry: entry[0])
+    return [erratum for _cell, erratum in found]
+
+
+def _structural_errata(table):
+    """cell_errata, then the rows and columns of each z_k, which can be
+    counted only when every cell is well formed."""
+    n = table.sig.n
+    n_vec = table.dim
+    errata = cell_errata(table)
+    if errata and not errata[0].endswith("break antisymmetry"):
         return errata
     by_k = {}
-    for (a, b), (k, s) in cells:
+    for (a, b), (k, _s) in table.cells.items():
         by_k.setdefault(k, []).append((a, b))
-        if (b, a) in table.missing:
-            continue
-        if table.cells.get((b, a)) != (k, -s):
-            errata.append(
-                "cells (v%d, v%d) and (v%d, v%d) break antisymmetry" % (a, b, b, a))
     rows_missing = {}
     cols_missing = {}
     for (a, b) in table.missing:
@@ -215,7 +228,7 @@ def _structural_errata(table):
     for k in range(1, n + 1):
         row_hits = {}
         col_hits = {}
-        for a, b in by_k.get(k, ()):
+        for a, b in sorted(by_k.get(k, ())):
             if a in row_hits:
                 errata.append("z%d appears twice in row v%d" % (k, a))
             row_hits[a] = b
@@ -253,40 +266,13 @@ def _missing_reports(table):
 def verify_htype(table):
     """Check a table against every axiom it is supposed to satisfy."""
     sig = table.sig
-    n = sig.n
-    n_vec = table.dim
     errata = _structural_errata(table)
     missing = _missing_reports(table)
     if errata:
         return VerifyReport(sig, table.label, errata, None, missing)
-    eta, conflicts = _solve_eta(table)
-    errata.extend(conflicts)
-    if conflicts:
-        return VerifyReport(sig, table.label, errata, eta, missing)
-    pos = sum(1 for e in eta if e == 1)
-    neg = n_vec - pos
-    want = (n_vec, 0) if sig.s == 0 else (n_vec // 2, n_vec // 2)
-    if (pos, neg) != want:
-        errata.append(
-            "solved norms have signature (%d, %d), expected (%d, %d)"
-            % (pos, neg, want[0], want[1]))
-    ops = reconstruct_J(table, eta)
-    total = [exactlin.is_permutation(op) for op in ops]
-    for k, op in enumerate(ops, start=1):
-        if not total[k - 1]:
-            errata.append("z%d does not act by a signed permutation" % k)
-        elif not exactlin.is_skew(op, eta):
-            errata.append("z%d is not skew for the solved norms" % k)
-    squares = [-sig.eps(k) for k in range(1, n + 1)]
-    for i, j, points in exactlin.relation_failures(ops, squares):
-        if i == j and total[i]:
-            pi = ops[i][0]
-            for a in points:
-                errata.append(
-                    "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
-                    % (i + 1, a + 1, pi[a] + 1, pi[a] + 1, pi[pi[a]] + 1))
-        else:
-            errata.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
+    eta, errata = _solve_eta(table)
+    if not errata:
+        errata = verify_generators(sig, reconstruct_J(table, eta), eta)
     return VerifyReport(sig, table.label, errata, eta, missing)
 
 

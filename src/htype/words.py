@@ -97,11 +97,15 @@ def word_square_sign(sig, w):
 
 
 def norm_sign(sig, w):
-    """Product of eps over the letters; the squared norm J_W v picks up."""
-    eta = 1
-    for i in w.letters:
-        eta *= sig.eps(i)
-    return eta
+    """Product of eps over the letters, -1 to the number above r: the
+    squared norm J_W v picks up.  A letter outside 1..n raises ValueError."""
+    r, n = sig.r, sig.r + sig.s
+    above = 0
+    for x in w.letters:
+        if not 1 <= x <= n:
+            raise ValueError("letter %r out of range for %r" % (x, sig))
+        above += x > r
+    return -1 if above & 1 else 1
 
 
 def words_commute(a, b):

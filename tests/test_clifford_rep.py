@@ -10,8 +10,8 @@ from dense_oracle import clifford_failures, matrix, mat_mul, mat_neg, word_matri
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
+    _anticommuting_sets,
     _candidate_sets,
-    _commuting_sets,
     build_generators,
     clifford_type,
     find_involution_system,
@@ -148,12 +148,12 @@ def test_a_warm_search_leaves_no_cyclic_garbage():
 
 def test_commuting_bitsets_agree_with_words_commute():
     cands = _candidate_sets(Signature(4, 4))
-    commuting = _commuting_sets(cands)
+    anti = _anticommuting_sets(cands)
     assert len(cands) > 50
+    assert len(anti) == len(cands)
     for i, a in enumerate(cands):
-        row = commuting(i)
         for j, b in enumerate(cands):
-            assert bool(row >> j & 1) == words_commute(Word(1, a), Word(1, b)), (a, b)
+            assert bool(anti[i] >> j & 1) != words_commute(Word(1, a), Word(1, b)), (a, b)
 
 
 def test_impossible_system_size_raises():
@@ -167,23 +167,23 @@ def test_impossible_system_size_raises():
 
 def test_build_generators_every_signature():
     for sig in all_signatures():
-        gens = build_generators(sig)
+        gens = build_generators(sig, find_involution_system(sig))
         assert gens.dim == minimal_admissible_dimension(sig.r, sig.s)
         assert len(gens.ops) == sig.n
         assert len(gens.coset_words) == gens.dim
         assert gens.coset_words[0].letters == ()
-        assert verify_generators(gens) == []
+        assert verify_generators(sig, gens.ops, gens.form_v) == []
 
 
 def test_negate_generators_still_valid():
     sig = Signature(3, 2)
-    gens = build_generators(sig)
+    gens = build_generators(sig, find_involution_system(sig))
     neg = negate_generators(gens)
     for op, nop in zip(gens.ops, neg.ops):
         assert matrix(nop) == mat_neg(matrix(op))
     assert neg.form_v == gens.form_v
     assert neg.coset_words == gens.coset_words
-    assert verify_generators(neg) == []
+    assert verify_generators(sig, neg.ops, neg.form_v) == []
     for g in (gens, neg):
         assert clifford_failures([matrix(op) for op in g.ops], sig) == []
 
@@ -192,7 +192,7 @@ def test_apply_word_is_a_homomorphism():
     rng = random.Random(61)
     for key in ((4, 2), (2, 3), (0, 6)):
         sig = Signature(*key)
-        gens = build_generators(sig)
+        gens = build_generators(sig, find_involution_system(sig))
         for _ in range(60):
             u = random_canonical_word(rng, sig.n)
             v = random_canonical_word(rng, sig.n)
@@ -206,7 +206,7 @@ def test_apply_word_is_a_homomorphism():
 
 def test_apply_word_respects_signs():
     sig = Signature(2, 1)
-    gens = build_generators(sig)
+    gens = build_generators(sig, find_involution_system(sig))
     rng = random.Random(67)
     for _ in range(40):
         w = random_canonical_word(rng, sig.n)
@@ -218,7 +218,7 @@ def test_act_word_agrees_with_apply_word():
     rng = random.Random(73)
     for key in ((4, 2), (0, 6), (3, 4)):
         sig = Signature(*key)
-        gens = build_generators(sig)
+        gens = build_generators(sig, find_involution_system(sig))
         for _ in range(60):
             w = random_canonical_word(rng, sig.n)
             v = (rng.randrange(gens.dim), rng.choice((1, -1)))
@@ -226,9 +226,11 @@ def test_act_word_agrees_with_apply_word():
 
 
 def test_form_signature_split():
-    gens = build_generators(Signature(4, 0))
+    sig = Signature(4, 0)
+    gens = build_generators(sig, find_involution_system(sig))
     assert gens.form_v.count(1) == gens.dim
-    gens = build_generators(Signature(2, 2))
+    sig = Signature(2, 2)
+    gens = build_generators(sig, find_involution_system(sig))
     assert gens.form_v.count(1) == gens.dim // 2
     assert gens.form_v.count(-1) == gens.dim // 2
 
@@ -239,7 +241,7 @@ def test_stored_system_builds_match_dimensions():
         config = reference_config(sig)
         gens = build_generators(sig, system=config.involutions)
         assert gens.dim == minimal_admissible_dimension(sig.r, sig.s)
-        assert verify_generators(gens) == []
+        assert verify_generators(sig, gens.ops, gens.form_v) == []
 
 
 def test_bad_system_is_rejected():

@@ -24,7 +24,7 @@ from dense_oracle import (
     zeros,
 )
 from htype import exactlin
-from htype.clifford_rep import build_generators
+from htype.clifford_rep import build_generators, find_involution_system
 from htype.words import Signature
 
 
@@ -202,7 +202,7 @@ def test_relation_failures_agree_with_dense_products():
         cases.append((ops, [rng.choice((1, -1)) for _ in ops]))
     for key in ((2, 1), (1, 3)):
         sig = Signature(*key)
-        cases.append((build_generators(sig).ops,
+        cases.append((build_generators(sig, find_involution_system(sig)).ops,
                       [-sig.eps(i) for i in range(1, sig.n + 1)]))
     for ops, squares in cases:
         n = len(ops[0][0])
@@ -230,7 +230,7 @@ def test_relation_failures_match_the_per_point_walk():
     cases = []
     for key in ((2, 1), (1, 3), (3, 2), (0, 7), (4, 4), (5, 3)):
         sig = Signature(*key)
-        ops = list(build_generators(sig).ops)
+        ops = list(build_generators(sig, find_involution_system(sig)).ops)
         squares = [-sig.eps(i) for i in range(1, sig.n + 1)]
         cases.append((ops, squares, True))
         cases.append((ops, [-x for x in squares], False))

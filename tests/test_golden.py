@@ -22,6 +22,8 @@ from htype.lie_algebra import (
     DIFFERENT,
     EQUAL,
     SIGN_EQUIVALENT,
+    StructureTable,
+    cell_errata,
     generate_table,
     verify_htype,
 )
@@ -114,13 +116,51 @@ def test_loader_rejects_structural_damage():
 
     data = raw_data(1, 0)
     data["cells"][0] = [1, 2, 2, 1]
-    with pytest.raises(ValueError, match="invalid value"):
+    with pytest.raises(ValueError, match="unknown central"):
         table_from_data(resign(data))
 
     data = raw_data(1, 0)
     del data["dim"]
     with pytest.raises(ValueError, match="lacks"):
         table_from_data(data)
+
+
+def test_loader_rejects_what_cell_errata_names():
+    for key in ((1, 0), (2, 2), (5, 1)):
+        base = raw_data(*key)
+        a, b, k, s = base["cells"][0]
+        n, dim = key[0] + key[1], base["dim"]
+        # (row index to replace or None to append, the new row, whether
+        # the damaged table loads)
+        damages = [
+            (0, [a, dim + 1, k, s], False),
+            (0, [0, b, k, s], False),
+            (None, [a, a, k, s], False),
+            (0, [a, b, 0, s], False),
+            (0, [a, b, n + 1, s], False),
+            (0, [a, b, k, 0], False),
+            (0, [a, b, k, -s], False),
+        ]
+        if key == (5, 1):
+            # (13, 4) is the hole: its mirror may hold anything, the hole
+            # itself must stay empty.
+            damages += [(None, [4, 13, 1, 1], True), (None, [13, 4, 1, 1], False)]
+        for idx, row, loads in damages:
+            data = raw_data(*key)
+            if idx is None:
+                data["cells"].append(row)
+            else:
+                data["cells"][idx] = row
+            cells = {(a, b): (k, s) for a, b, k, s in data["cells"]}
+            holes = frozenset(tuple(cell) for cell in data.get("missing", []))
+            errata = cell_errata(StructureTable(Signature(*key), dim, cells, holes))
+            assert (not errata) == loads, (key, row)
+            if loads:
+                assert table_from_data(resign(data)).cells == cells
+            else:
+                with pytest.raises(ValueError) as exc:
+                    table_from_data(resign(data))
+                assert str(exc.value) == errata[0], (key, row)
 
 
 def test_corrections_archive_the_printed_originals():

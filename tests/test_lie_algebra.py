@@ -43,8 +43,8 @@ def test_generate_n10_hand_table():
     assert t.sig == Signature(1, 0)
     assert t.dim == 2
     assert t.cells == {(1, 2): (1, 1), (2, 1): (1, -1)}
-    assert reconstruct_J(t) == [([1, 0], [1, -1])]
-    assert matrix(reconstruct_J(t)[0]) == [[0, -1], [1, 0]]
+    assert reconstruct_J(t, (1, 1)) == [([1, 0], [1, -1])]
+    assert matrix(reconstruct_J(t, (1, 1))[0]) == [[0, -1], [1, 0]]
     assert verify_htype(t).ok
 
 
@@ -159,10 +159,10 @@ def test_missing_pair_has_no_determined_value():
 def test_reconstructed_generators_satisfy_the_axioms():
     sig = Signature(4, 2)
     t = generate_table(sig)
-    mats = [matrix(op) for op in reconstruct_J(t)]
-    assert len(mats) == sig.n
     report = verify_htype(t)
     assert report.ok
+    mats = [matrix(op) for op in reconstruct_J(t, report.eta)]
+    assert len(mats) == sig.n
     form = list(report.eta)
     for m in mats:
         assert is_signed_permutation(m)

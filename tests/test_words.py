@@ -123,6 +123,30 @@ def test_norm_sign_multiplicative():
         assert norm_sign(sig, prod) == norm_sign(sig, u) * norm_sign(sig, v)
 
 
+def test_norm_sign_matches_the_per_letter_product_on_every_letter_tuple():
+    # Tuples up to length 3 over the letters -1 .. n + 1, repeats and any
+    # order included, so the first letter out of range is the one named.
+    for key in ((2, 1), (3, 2), (1, 4)):
+        sig = Signature(*key)
+        for size in range(4):
+            for letters in itertools.product(range(-1, sig.n + 2), repeat=size):
+                try:
+                    expect = 1
+                    for x in letters:
+                        expect *= sig.eps(x)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        norm_sign(sig, Word(1, letters))
+                else:
+                    assert norm_sign(sig, Word(1, letters)) == expect, letters
+        for mask in range(0, 2 << sig.n, 2):
+            w = Word(1, mask_letters(mask))
+            expect = 1
+            for x in w.letters:
+                expect *= sig.eps(x)
+            assert norm_sign(sig, w) == expect
+
+
 def test_words_commute_matches_products():
     rng = random.Random(47)
     for _ in range(300):
