@@ -25,7 +25,8 @@ from .basis_builder import (build_basis, configured_signatures,
 from .clifford_rep import (build_generators, clifford_type,
                            minimal_admissible_dimension)
 from .golden import build_n07, match_generated, split_blocks, verify_all_golden
-from .lie_algebra import derive_table, generate_table, verify_htype
+from .lie_algebra import (EXACT, SIGN_EQUIVALENT, derive_table, generate_table,
+                          verify_htype)
 from .words import Signature, format_word, reduce_mod_system
 
 
@@ -106,13 +107,17 @@ def _cmd_gen(parser, args):
     return 0
 
 
+def _cell_text(val):
+    if not val:  # a zero cell: None in a table, 0 as a suggestion
+        return "0"
+    k, sign = val
+    return "%sz%d" % ("-" if sign < 0 else "", k)
+
+
 def _suggestion_text(suggestion):
     if suggestion is None:
         return "no suggested value"
-    if suggestion == 0:
-        return "suggested value 0"
-    k, sign = suggestion
-    return "suggested value %sz%d" % ("-" if sign < 0 else "", k)
+    return "suggested value " + _cell_text(suggestion)
 
 
 def _report_lines(report, name):
@@ -199,16 +204,17 @@ def _cmd_match(parser, args):
     except KeyError:
         print("no embedded table for n%s" % sig, file=sys.stderr)
         return 2
-    if result.status == "exact":
+    if result.status == EXACT:
         print("n%s: exact match" % sig)
         return 0
-    if result.status == "sign-equivalent":
+    if result.status == SIGN_EQUIVALENT:
         print("n%s: matches after a diagonal sign change" % sig)
         print("signs: " + " ".join("%+d" % x for x in result.sigma))
         return 0
     print("n%s: unmatched" % sig)
-    for diff in result.diffs:
-        print("  " + diff)
+    for (a, b), generated, reference in result.diffs:
+        print("  (v%d, v%d): generated %s, reference %s"
+              % (a, b, _cell_text(generated), _cell_text(reference)))
     return 3
 
 

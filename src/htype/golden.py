@@ -3,7 +3,8 @@
 The JSON files under golden_data/ are verbatim transcriptions of the
 published commutation tables, one file per signature, checksummed so a
 corrupted copy cannot load.  Three signatures share a table with their
-mirror image and are resolved through an alias map.
+mirror image and are resolved through an alias map.  match_generated
+returns lie_algebra.compare_tables of a generated table and its reference.
 
 This module also hosts the doubled construction for the (0, 7) algebra,
 whose module is two copies of the (7, 0) module with opposite central
@@ -12,14 +13,12 @@ action.
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from importlib import resources
 
 from .basis_builder import ALIASES, build_basis, reference_config
 from .clifford_rep import build_generators, negate_generators
 from .lie_algebra import (
-    EQUAL,
-    SIGN_EQUIVALENT,
     StructureTable,
     cell_errata,
     compare_tables,
@@ -92,44 +91,11 @@ def verify_all_golden():
     return {key: verify_htype(golden_table(*key)) for key in golden_signatures()}
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    status: str
-    sigma: tuple = None
-    diffs: tuple = ()
-
-
-def _cell_diffs(generated, reference):
-    out = []
-    keys = sorted(set(generated.cells) | set(reference.cells))
-    for key in keys:
-        if key in generated.missing or key in reference.missing:
-            continue
-        g = generated.cells.get(key)
-        r = reference.cells.get(key)
-        if g != r:
-            out.append("(v%d, v%d): generated %s, reference %s"
-                       % (key[0], key[1], _fmt(g), _fmt(r)))
-    return tuple(out)
-
-
-def _fmt(val):
-    if val is None:
-        return "0"
-    k, s = val
-    return "%sz%d" % ("-" if s < 0 else "", k)
-
-
 def match_generated(r, s):
-    """Compare the generated table for (r, s) against the embedded one."""
+    """compare_tables(generated, embedded) for (r, s); the embedded table
+    loads first, so a signature without one raises KeyError at once."""
     reference = golden_table(r, s)
-    generated = generate_table(Signature(r, s))
-    cmp = compare_tables(generated, reference)
-    if cmp.status == EQUAL:
-        return MatchResult("exact", cmp.sigma)
-    if cmp.status == SIGN_EQUIVALENT:
-        return MatchResult("sign-equivalent", cmp.sigma)
-    return MatchResult("unmatched", None, _cell_diffs(generated, reference))
+    return compare_tables(generate_table(Signature(r, s)), reference)
 
 
 def build_n07():

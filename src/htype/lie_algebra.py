@@ -11,20 +11,23 @@ the norm signs of the basis by propagation, and hands the generators it
 rebuilds from the table to clifford_rep.verify_generators, the one check
 of the module axioms.  It reports every defect it can pin to specific
 cells.
+
+compare_tables is the one comparison of two tables: exact, equal after
+a diagonal sign change of the basis, or unmatched with the cells that differ.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 
 from . import exactlin
-from .basis_builder import ReferenceConfig, build_basis, reference_config
+from .basis_builder import build_basis, reference_config
 from .clifford_rep import (build_generators, find_involution_system,
                            verify_generators)
 from .words import Signature
 
-EQUAL = "equal"
+EXACT = "exact"
 SIGN_EQUIVALENT = "sign-equivalent"
-DIFFERENT = "different"
+UNMATCHED = "unmatched"
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,12 @@ def derive_table(sig):
     """Structure table for a signature without stored basis data.
 
     Searches an involution system and takes the coset words it cuts as
-    the module basis.
+    the module basis.  build_generators numbers the module by those
+    words, so their frame is e_1 ... e_N.
     """
-    system = find_involution_system(sig)
-    gens = build_generators(sig, system=system)
-    config = ReferenceConfig(involutions=system, basis_words=gens.coset_words)
-    return compute_table(gens, build_basis(gens, config), label="derived")
+    gens = build_generators(sig, system=find_involution_system(sig))
+    frame = [(a, 1) for a in range(gens.dim)]
+    return compute_table(gens, frame, label="derived")
 
 
 def _propagate_signs(values, adj):
@@ -280,48 +283,34 @@ def verify_htype(table):
 class TableComparison:
     status: str
     sigma: tuple = None
-    reason: str = ""
+    diffs: tuple = ()
 
 
 def compare_tables(left, right):
-    """Decide whether two tables agree up to signs of the module basis.
-
-    A diagonal rescale v_a -> sigma_a v_a multiplies the cell at (a, b)
-    by sigma_a sigma_b and keeps the central labels.  The comparison
-    solves for such signs; sigma_1 is fixed to +1, which loses nothing
-    because a global flip leaves every product unchanged.
+    """Decide whether two tables agree, exactly or up to a diagonal sign
+    change v_a -> sigma_a v_a, which multiplies cell (a, b) by sigma_a
+    sigma_b; sigma_1 = +1, as a global flip changes nothing.  Cells
+    missing on either side are left out.  Unmatched tables get no sigma
+    but their diffs: ((a, b), left value, right value), None for zero,
+    per differing cell, sorted.
     """
-    if left.dim != right.dim:
-        return TableComparison(DIFFERENT, reason="module dimensions differ")
-    if left.sig.n != right.sig.n:
-        return TableComparison(DIFFERENT, reason="centre dimensions differ")
-    skip = set(left.missing) | set(right.missing)
-    shared = []
-    for key, (k, s) in left.cells.items():
-        if key in skip:
-            continue
-        other = right.cells.get(key)
-        if other is None:
-            return TableComparison(
-                DIFFERENT, reason="cell (v%d, v%d) is zero on one side" % key)
-        if other[0] != k:
-            return TableComparison(
-                DIFFERENT,
-                reason="cell (v%d, v%d) carries different central elements" % key)
-        shared.append((key, s, other[1]))
-    for key in right.cells:
-        if key in skip or key in left.cells:
-            continue
-        return TableComparison(
-            DIFFERENT, reason="cell (v%d, v%d) is zero on one side" % key)
+    skip = left.missing | right.missing
+    keys = [key for key in left.cells.keys() | right.cells.keys()
+            if key not in skip]
+    matched = left.dim == right.dim and left.sig.n == right.sig.n
     adj = {a: [] for a in range(1, left.dim + 1)}
-    for (a, b), s1, s2 in shared:
-        adj[a].append((b, s1 * s2, (a, b)))
-        adj[b].append((a, s1 * s2, (b, a)))
+    for a, b in keys if matched else ():
+        mine, theirs = left.cells.get((a, b)), right.cells.get((a, b))
+        if mine is None or theirs is None or mine[0] != theirs[0]:
+            matched = False
+            break
+        adj[a].append((b, mine[1] * theirs[1], (a, b)))
+        adj[b].append((a, mine[1] * theirs[1], (b, a)))
     sigma = [None] * (left.dim + 1)
-    if next(_propagate_signs(sigma, adj), None) is not None:
-        return TableComparison(DIFFERENT, reason="no diagonal sign change matches")
-    result = tuple(sigma[1:])
-    if all(x == 1 for x in result):
-        return TableComparison(EQUAL, result)
-    return TableComparison(SIGN_EQUIVALENT, result)
+    if matched and next(_propagate_signs(sigma, adj), None) is None:
+        sigma = tuple(sigma[1:])
+        status = EXACT if all(x == 1 for x in sigma) else SIGN_EQUIVALENT
+        return TableComparison(status, sigma)
+    diffs = [(key, left.cells.get(key), right.cells.get(key))
+             for key in sorted(keys) if left.cells.get(key) != right.cells.get(key)]
+    return TableComparison(UNMATCHED, None, tuple(diffs))

@@ -38,9 +38,9 @@ from htype.golden import (
     verify_all_golden,
 )
 from htype.lie_algebra import (
-    DIFFERENT,
-    EQUAL,
+    EXACT,
     SIGN_EQUIVALENT,
+    UNMATCHED,
     compute_table,
     generate_table,
     verify_htype,
@@ -160,9 +160,9 @@ def test_6_isomorphic_pairs():
     for source, fetch in sources.items():
         results = compare_pairs(fetch)
         for pair in ISOMORPHIC_PAIRS:
-            assert results[pair].status in (EQUAL, SIGN_EQUIVALENT), \
+            assert results[pair].status in (EXACT, SIGN_EQUIVALENT), \
                 (source, pair, results[pair])
-        assert results[NON_ISOMORPHIC_PAIR].status == DIFFERENT
+        assert results[NON_ISOMORPHIC_PAIR].status == UNMATCHED
     print("PASS isomorphic pairs: four mirror pairs agree up to diagonal "
           "signs from both sources, the (2,0)/(1,1) control differs")
 

@@ -3,9 +3,11 @@ import gc
 import io
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
+from htype import golden
 from htype.basis_builder import configured_signatures
 from htype.cli import main
 from htype.lie_algebra import StructureTable, verify_htype
@@ -164,6 +166,25 @@ def test_match_sign_equivalent(capsys):
     assert code == 0
     assert "diagonal sign change" in out
     assert "signs: +1 -1 +1 +1" in out
+
+
+def test_match_unmatched_lists_the_differing_cells(monkeypatch, capsys):
+    """A damaged reference for (5,1): one sign flipped, one cell deleted,
+    one k changed.  Its hole at (v13, v4) is not reported."""
+    reference = golden.golden_table(5, 1)
+    cells = dict(reference.cells)
+    cells[(1, 2)] = (1, -1)
+    del cells[(2, 6)]
+    cells[(2, 3)] = (6, -1)
+    damaged = replace(reference, cells=cells)
+    monkeypatch.setattr(golden, "golden_table", lambda r, s: damaged)
+    code, out, err = run(capsys, "match", "5", "1")
+    assert code == 3
+    assert err == ""
+    assert out == ("n(5,1): unmatched\n"
+                   "  (v1, v2): generated z1, reference -z1\n"
+                   "  (v2, v3): generated -z5, reference -z6\n"
+                   "  (v2, v6): generated z2, reference 0\n")
 
 
 def test_match_without_reference(capsys):

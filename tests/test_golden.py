@@ -19,9 +19,9 @@ from htype.golden import (
     verify_all_golden,
 )
 from htype.lie_algebra import (
-    DIFFERENT,
-    EQUAL,
+    EXACT,
     SIGN_EQUIVALENT,
+    UNMATCHED,
     StructureTable,
     cell_errata,
     generate_table,
@@ -228,14 +228,14 @@ def test_split_blocks_rejects_coupled_halves():
 def test_isomorphic_pairs_from_the_embedded_files():
     results = compare_pairs(golden_table)
     for pair in ISOMORPHIC_PAIRS:
-        assert results[pair].status == EQUAL
-    assert results[NON_ISOMORPHIC_PAIR].status == DIFFERENT
+        assert results[pair].status == EXACT
+    assert results[NON_ISOMORPHIC_PAIR].status == UNMATCHED
 
 
 def test_isomorphic_pairs_from_generation():
     results = compare_pairs(lambda r, s: generate_table(Signature(r, s)))
     for pair in ISOMORPHIC_PAIRS:
-        assert results[pair].status in (EQUAL, SIGN_EQUIVALENT)
-    assert results[((1, 0), (0, 1))].status == EQUAL
+        assert results[pair].status in (EXACT, SIGN_EQUIVALENT)
+    assert results[((1, 0), (0, 1))].status == EXACT
     assert results[((2, 0), (0, 2))].status == SIGN_EQUIVALENT
-    assert results[NON_ISOMORPHIC_PAIR].status == DIFFERENT
+    assert results[NON_ISOMORPHIC_PAIR].status == UNMATCHED

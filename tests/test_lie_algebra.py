@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 from dense_oracle import (
@@ -14,10 +15,11 @@ from htype.basis_builder import (ReferenceConfig, has_reference_config,
                                  reference_config)
 from htype.clifford_rep import (build_generators, find_involution_system,
                                 minimal_admissible_dimension)
+from htype.golden import golden_signatures, golden_table
 from htype.lie_algebra import (
-    DIFFERENT,
-    EQUAL,
+    EXACT,
     SIGN_EQUIVALENT,
+    UNMATCHED,
     compare_tables,
     compute_table,
     derive_table,
@@ -172,7 +174,7 @@ def test_reconstructed_generators_satisfy_the_axioms():
 
 def test_compare_tables_equal_and_flipped():
     t = generate_table(Signature(2, 0))
-    assert compare_tables(t, t).status == EQUAL
+    assert compare_tables(t, t).status == EXACT
     sigma = (1, -1, 1, -1)
     flipped = {(a, b): (k, s * sigma[a - 1] * sigma[b - 1])
                for (a, b), (k, s) in t.cells.items()}
@@ -186,8 +188,8 @@ def test_compare_tables_different():
     cells = dict(t.cells)
     cells[(1, 3)] = (2, 1)
     cells[(3, 1)] = (2, -1)
-    assert compare_tables(t, replace(t, cells=cells)).status == DIFFERENT
-    assert compare_tables(generate_table(Signature(1, 0)), t).status == DIFFERENT
+    assert compare_tables(t, replace(t, cells=cells)).status == UNMATCHED
+    assert compare_tables(generate_table(Signature(1, 0)), t).status == UNMATCHED
 
 
 def test_compare_tables_skips_missing_cells():
@@ -195,7 +197,105 @@ def test_compare_tables_skips_missing_cells():
     cells = dict(t.cells)
     del cells[(1, 3)]
     partial = replace(t, cells=cells, missing=frozenset({(1, 3)}))
-    assert compare_tables(t, partial).status == EQUAL
+    assert compare_tables(t, partial).status == EXACT
+
+
+def _signed(table, sigma):
+    """The cells of table after v_a -> sigma_a v_a."""
+    return {(a, b): (k, s * sigma[a - 1] * sigma[b - 1])
+            for (a, b), (k, s) in table.cells.items()}
+
+
+def _checked_comparison(left, right):
+    """compare_tables(left, right), checked against its contract: a match
+    carries a sigma that takes left to right on every cell that is not a
+    hole, and no diffs; an unmatched result carries no sigma and exactly
+    the differing cells, sorted."""
+    cmp = compare_tables(left, right)
+    holes = left.missing | right.missing
+    keys = sorted((left.cells.keys() | right.cells.keys()) - holes)
+    if cmp.status == UNMATCHED:
+        assert cmp.sigma is None
+        assert cmp.diffs == tuple(
+            (key, left.cells.get(key), right.cells.get(key)) for key in keys
+            if left.cells.get(key) != right.cells.get(key))
+    else:
+        assert cmp.status in (EXACT, SIGN_EQUIVALENT)
+        assert cmp.diffs == ()
+        assert len(cmp.sigma) == left.dim and cmp.sigma[0] == 1
+        assert (cmp.status == EXACT) == all(x == 1 for x in cmp.sigma)
+        moved = _signed(left, cmp.sigma)
+        for key in keys:
+            assert moved.get(key) == right.cells.get(key), key
+    return cmp.status
+
+
+def test_compare_tables_on_damaged_golden_tables():
+    """Seeded damage on all 31 embedded tables: sign changes, holes on
+    one side, single-cell flips, changed k, deleted cells, random pair
+    flips, the same cells under a larger centre, and a table of another
+    signature."""
+    rng = random.Random(2029)
+    keys = golden_signatures()
+    assert len(keys) == 31
+    seen = set()
+    for index, key in enumerate(keys):
+        table = golden_table(*key)
+        n = table.sig.n
+        cells = sorted(table.cells)
+        sigma = [rng.choice((1, -1)) for _ in range(table.dim)]
+        signed = replace(table, cells=_signed(table, sigma))
+        hole = rng.choice(cells)
+        holed = dict(signed.cells)
+        del holed[hole]
+        holed = replace(signed, cells=holed, missing=table.missing | {hole})
+
+        matched = [(table, table), (table, signed), (signed, table),
+                   (table, holed), (holed, table)]
+        for left, right in matched:
+            status = _checked_comparison(left, right)
+            assert status != UNMATCHED, (key, status)
+            seen.add(status)
+
+        flipped = dict(signed.cells)
+        k, s = flipped[hole]
+        flipped[hole] = (k, -s)
+        deleted = dict(signed.cells)
+        del deleted[hole]
+        unmatched = [flipped, deleted]
+        if n > 1:
+            relabelled = dict(signed.cells)
+            relabelled[hole] = (k % n + 1, s)
+            unmatched.append(relabelled)
+        for damaged in unmatched:
+            status = _checked_comparison(table, replace(table, cells=damaged))
+            assert status == UNMATCHED, key
+            seen.add(status)
+
+        for _ in range(4):
+            shuffled = dict(signed.cells)
+            for a, b in rng.sample(cells, rng.randint(1, min(3, len(cells)))):
+                for cell in ((a, b), (b, a)):
+                    if cell in shuffled:
+                        k, s = shuffled[cell]
+                        shuffled[cell] = (k, -s)
+            _checked_comparison(table, replace(table, cells=shuffled))
+
+        wider = replace(table, sig=Signature(key[0] + 1, key[1]))
+        assert _checked_comparison(table, wider) == UNMATCHED
+        other = golden_table(*keys[(index + 1) % len(keys)])
+        assert _checked_comparison(table, other) == UNMATCHED
+        assert _checked_comparison(other, holed) == UNMATCHED
+    assert seen == {EXACT, SIGN_EQUIVALENT, UNMATCHED}
+
+    # The only cell of v_1 is a hole, so sigma_2 is reached through the
+    # mirror cell (v2, v1) alone.
+    table = golden_table(1, 0)
+    signed = _signed(table, (1, -1))
+    del signed[(1, 2)]
+    holed = replace(table, cells=signed, missing=frozenset({(1, 2)}))
+    assert _checked_comparison(table, holed) == SIGN_EQUIVALENT
+    assert compare_tables(table, holed).sigma == (1, -1)
 
 
 def test_generate_table_verifies_for_mixed_signatures():
