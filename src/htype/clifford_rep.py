@@ -104,13 +104,9 @@ def involution_count(sig):
 
 
 def _candidate_sets(sig):
-    cands = []
-    for size in (3, 4):
-        for c in combinations(range(1, sig.n + 1), size):
-            if norm_sign(sig, Word(1, c)) == 1:
-                cands.append(c)
-    cands.sort()
-    return cands
+    letters = range(1, sig.n + 1)
+    return sorted(c for size in (3, 4) for c in combinations(letters, size)
+                  if norm_sign(sig, Word(1, c)) == 1)
 
 
 def _anticommuting_sets(cands):
@@ -144,17 +140,18 @@ def find_involution_system(sig, k=None):
     letter sets A and B commute exactly when
     omega(A, B) = |A||B| + |A & B| is even, and omega is bilinear over
     GF(2) in the indicator vectors of A and B.  So the candidates that
-    anticommute with A form one bitset: the XOR over the letters x of A
-    of the candidates containing x, XOR the odd-size candidates when |A|
-    is odd.  All of them are built before the search starts.  Each node
-    carries a pool: the later candidates that commute with every chosen
-    word and lie outside the GF(2) span of their letter sets.  The pool
-    holds exactly the candidates the plain scan would accept at that
-    node, and its bits are visited in candidate order, so the search
-    meets the same systems in the same order.  A node whose pool holds
-    fewer candidates than words still missing has no completion, since
-    the pool only shrinks down the tree; cutting it off changes nothing
-    the scan would return.
+    anticommute with A form one bitset, built up front: the XOR over the
+    letters x of A of the candidates containing x, XOR the odd-size
+    candidates when |A| is odd.  Each node carries a pool: the later
+    candidates that commute with every chosen word and lie outside the
+    GF(2) span of their masks, which is kept as a set.  Choosing mask m
+    cuts the pool to the words commuting with it, by one AND; then a
+    member p leaves when p ^ m lies in the span, so a node costs its
+    pool, not its span.  The pool holds exactly the candidates the plain
+    scan would accept there, visited in candidate order, so the search
+    meets the same systems in the same order.  A pool with fewer members
+    than words still missing has no completion, as pools only shrink down
+    the tree, so the walk stops there and the choice gets no frame or span.
     """
     if k is None:
         k = involution_count(sig)
@@ -162,13 +159,11 @@ def find_involution_system(sig, k=None):
         return []
     cands = _candidate_sets(sig)
     masks = [letter_mask(c) for c in cands]
-    index = {m: idx for idx, m in enumerate(masks)}
     anti = _anticommuting_sets(cands)
-    # One frame per node on the current path: the part of its pool not
-    # yet tried and the span of the chosen letter sets; chosen[d] is the
-    # candidate that led from frame d to frame d + 1.
-    pool = (1 << len(cands)) - 1
-    frames = [[pool if pool.bit_count() >= k else 0, [0]]]
+    # One frame per live node on the path: its untried pool and the span
+    # of the chosen masks; chosen[d] led from frame d to frame d + 1.  A
+    # choice whose pool is too small never gets a frame.
+    frames = [[(1 << len(cands)) - 1, {0}]]
     chosen = []
     while frames:
         frame = frames[-1]
@@ -182,18 +177,21 @@ def find_involution_system(sig, k=None):
         rest ^= low
         frame[0] = rest
         idx = low.bit_length() - 1
-        coset = [s ^ masks[idx] for s in span]
-        drop = 0
-        for m in coset:
-            j = index.get(m)
-            if j is not None:
-                drop |= 1 << j
         chosen.append(idx)
         if len(chosen) == k:
             return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
-        pool = rest & ~anti[idx] & ~drop
-        missing = k - len(chosen)
-        frames.append([pool if pool.bit_count() >= missing else 0, span + coset])
+        missing, mask = k - len(chosen), masks[idx]
+        pool = bits = rest & ~anti[idx]
+        size = pool.bit_count()
+        while bits and size >= missing:
+            low = bits & -bits
+            bits ^= low
+            if masks[low.bit_length() - 1] ^ mask in span:
+                pool, size = pool ^ low, size - 1
+        if size < missing:
+            chosen.pop()
+        else:
+            frames.append([pool, span | {x ^ mask for x in span}])
     raise ConstructionError("no involution system of size %d for %s" % (k, sig))
 
 

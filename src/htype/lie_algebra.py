@@ -292,7 +292,7 @@ def compare_tables(left, right):
     sigma_b; sigma_1 = +1, as a global flip changes nothing.  Cells
     missing on either side are left out.  Unmatched tables get no sigma
     but their diffs: ((a, b), left value, right value), None for zero,
-    per differing cell, sorted.
+    per differing cell, sorted; a cell outside 1..dim always differs.
     """
     skip = left.missing | right.missing
     keys = [key for key in left.cells.keys() | right.cells.keys()
@@ -301,7 +301,8 @@ def compare_tables(left, right):
     adj = {a: [] for a in range(1, left.dim + 1)}
     for a, b in keys if matched else ():
         mine, theirs = left.cells.get((a, b)), right.cells.get((a, b))
-        if mine is None or theirs is None or mine[0] != theirs[0]:
+        if mine is None or theirs is None or mine[0] != theirs[0] \
+                or a not in adj or b not in adj:
             matched = False
             break
         adj[a].append((b, mine[1] * theirs[1], (a, b)))
@@ -312,5 +313,6 @@ def compare_tables(left, right):
         status = EXACT if all(x == 1 for x in sigma) else SIGN_EQUIVALENT
         return TableComparison(status, sigma)
     diffs = [(key, left.cells.get(key), right.cells.get(key))
-             for key in sorted(keys) if left.cells.get(key) != right.cells.get(key)]
+             for key in sorted(keys) if left.cells.get(key) != right.cells.get(key)
+             or key[0] not in adj or key[1] not in adj]
     return TableComparison(UNMATCHED, None, tuple(diffs))

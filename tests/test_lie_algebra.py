@@ -210,15 +210,17 @@ def _checked_comparison(left, right):
     """compare_tables(left, right), checked against its contract: a match
     carries a sigma that takes left to right on every cell that is not a
     hole, and no diffs; an unmatched result carries no sigma and exactly
-    the differing cells, sorted."""
+    the differing cells, sorted, counting every cell outside 1..dim."""
     cmp = compare_tables(left, right)
     holes = left.missing | right.missing
     keys = sorted((left.cells.keys() | right.cells.keys()) - holes)
+    inside = range(1, left.dim + 1)
     if cmp.status == UNMATCHED:
         assert cmp.sigma is None
         assert cmp.diffs == tuple(
             (key, left.cells.get(key), right.cells.get(key)) for key in keys
-            if left.cells.get(key) != right.cells.get(key))
+            if left.cells.get(key) != right.cells.get(key)
+            or key[0] not in inside or key[1] not in inside)
     else:
         assert cmp.status in (EXACT, SIGN_EQUIVALENT)
         assert cmp.diffs == ()
@@ -296,6 +298,19 @@ def test_compare_tables_on_damaged_golden_tables():
     holed = replace(table, cells=signed, missing=frozenset({(1, 2)}))
     assert _checked_comparison(table, holed) == SIGN_EQUIVALENT
     assert compare_tables(table, holed).sigma == (1, -1)
+
+
+def test_compare_tables_flags_cells_outside_the_table():
+    """A cell past dim is a difference, whether both tables hold it or
+    only one does."""
+    table = golden_table(1, 0)
+    assert table.dim == 2
+    stray = replace(table, cells={**table.cells, (1, 3): (1, 1)})
+    for left, right in ((stray, stray), (table, stray), (stray, table)):
+        cmp = compare_tables(left, right)
+        assert cmp.status == UNMATCHED
+        assert cmp.diffs == (((1, 3), left.cells.get((1, 3)), right.cells.get((1, 3))),)
+        assert _checked_comparison(left, right) == UNMATCHED
 
 
 def test_generate_table_verifies_for_mixed_signatures():
