@@ -120,81 +120,64 @@ def _suggestion_text(suggestion):
     return "suggested value " + _cell_text(suggestion)
 
 
-def _report_lines(report, name):
+def _verdict(report, name):
+    """Text lines and JSON entry of one report."""
     lines = ["n%s %s: %s" % (report.sig, name, "ok" if report.ok else "FAIL")]
+    missing = []
     for miss in report.missing:
         lines.append("  missing cell (v%d, v%d): %s"
                      % (miss.cell[0], miss.cell[1],
                         _suggestion_text(miss.suggestion)))
+        missing.append({"cell": miss.cell, "suggestion": miss.suggestion})
     for erratum in report.errata:
         lines.append("  erratum: %s" % erratum)
-    return lines
+    return lines, {"label": report.label, "ok": report.ok,
+                   "errata": report.errata, "missing": missing}
 
 
-def _report_json(report):
-    missing = []
-    for miss in report.missing:
-        suggestion = miss.suggestion
-        if isinstance(suggestion, tuple):
-            suggestion = list(suggestion)
-        missing.append({"cell": list(miss.cell), "suggestion": suggestion})
-    return {"label": report.label, "ok": report.ok,
-            "errata": list(report.errata), "missing": missing}
+def _doubled_verdict():
+    """Text lines and JSON entry for the (0,7) table: it must split into
+    two blocks with no cross brackets, each verifying as (7,0)."""
+    doubled = build_n07()
+    try:
+        blocks = split_blocks(doubled, Signature(7, 0))
+    except ValueError as exc:
+        errata, detail = [str(exc)], str(exc)
+    else:
+        errata = [e for block in blocks for e in verify_htype(block).errata]
+        detail = "blocks checked as (7,0), cross brackets zero"
+    ok = not errata
+    line = "n(0,7) %s: %s (%s)" % (doubled.label, "ok" if ok else "FAIL", detail)
+    return [line], {"label": doubled.label, "ok": ok, "errata": errata,
+                    "missing": []}
 
 
 def _cmd_verify(parser, args):
-    do_golden = args.scope in ("golden", "all")
-    do_generated = args.scope in ("generated", "all")
-    failed = False
-    lines = []
-    payload = {}
-
-    if do_golden:
-        reports = verify_all_golden()
-        section = {}
-        for key in sorted(reports):
-            report = reports[key]
-            failed = failed or not report.ok
-            lines += _report_lines(report, report.label)
-            section["%d,%d" % key] = _report_json(report)
-        lines.append("%d embedded tables checked" % len(reports))
-        payload["golden"] = section
-
-    if do_generated:
-        section = {}
+    sections = {}  # section -> {"r,s": (text lines, JSON entry)}
+    if args.scope in ("golden", "all"):
+        reports = sorted(verify_all_golden().items())
+        sections["golden"] = {"%d,%d" % key: _verdict(report, report.label)
+                              for key, report in reports}
+    if args.scope in ("generated", "all"):
+        section = sections["generated"] = {}
         for key in configured_signatures():
             report = verify_htype(generate_table(Signature(*key)))
-            failed = failed or not report.ok
-            lines += _report_lines(report, "generated")
-            section["%d,%d" % key] = _report_json(report)
-        doubled = build_n07()
-        try:
-            first, second = split_blocks(doubled, Signature(7, 0))
-        except ValueError as exc:
-            failed = True
-            lines.append("n(0,7) %s: FAIL (%s)" % (doubled.label, exc))
-            section["0,7"] = {"label": doubled.label, "ok": False,
-                              "errata": [str(exc)], "missing": []}
-        else:
-            rep1 = verify_htype(first)
-            rep2 = verify_htype(second)
-            ok = rep1.ok and rep2.ok
-            failed = failed or not ok
-            lines.append("n(0,7) %s: %s (blocks checked as (7,0), "
-                         "cross brackets zero)"
-                         % (doubled.label, "ok" if ok else "FAIL"))
-            section["0,7"] = {"label": doubled.label, "ok": ok,
-                              "errata": list(rep1.errata) + list(rep2.errata),
-                              "missing": []}
-        payload["generated"] = section
+            section["%d,%d" % key] = _verdict(report, "generated")
+        section["0,7"] = _doubled_verdict()
 
     if args.json:
+        payload = {name: {key: entry for key, (_lines, entry) in section.items()}
+                   for name, section in sections.items()}
         sys.stdout.write(json.dumps(payload, sort_keys=True,
                                     separators=(",", ":")) + "\n")
     else:
-        for line in lines:
-            print(line)
-    return 3 if failed else 0
+        for name, section in sections.items():
+            for lines, _entry in section.values():
+                print("\n".join(lines))
+            if name == "golden":
+                print("%d embedded tables checked" % len(section))
+    return 0 if all(entry["ok"] for section in sections.values()
+                    for _lines, entry in section.values()) else 3
 
 
 def _cmd_match(parser, args):

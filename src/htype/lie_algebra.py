@@ -74,37 +74,28 @@ def compute_table(gens, frame, label=""):
     """Read the bracket table off where each J_k sends each frame point.
 
     The frame is a list of signed points (see exactlin), one per module
-    basis vector.  Every J_k v_a must hit exactly one frame vector,
-    otherwise the frame does not present the algebra and a ValueError
-    is raised.
+    basis vector; one that does not hit each module point exactly once
+    raises ValueError.  gens needs no check: build_generators proves the
+    module axioms and negate_generators keeps them.  So each J_k is a
+    skew signed permutation, and J_k v_a is one frame vector.  As
+    <x, J_k x> = <x, J_l J_k x> = 0 for anticommuting J_k, J_l, no
+    J_k v_a is +-v_a or +-J_l v_a, so no cell is diagonal or doubled;
+    as <J_k v_b, v_a> = -<v_b, J_k v_a>, the table is antisymmetric.
     """
     sig = gens.sig
-    n_vec = len(frame)
-    if n_vec != gens.dim:
-        raise ValueError("expected %d basis vectors, got %d" % (gens.dim, n_vec))
+    if sorted(point for point, _s in frame) != list(range(gens.dim)):
+        raise ValueError("the frame does not hit each module point once")
     eps = _eps_by_k(sig)
-    where = {}
-    for b, (point, _s) in enumerate(frame):
-        where.setdefault(point, []).append(b)
+    where = {point: b for b, (point, _s) in enumerate(frame)}
     cells = {}
     for k in range(1, sig.n + 1):
         for a, v in enumerate(frame):
             point, sign = exactlin.act(gens.ops[k - 1], v)
-            hits = where.get(point, [])
-            if len(hits) != 1:
-                raise ValueError(
-                    "J_%d v_%d does not map to a single frame vector" % (k, a + 1))
-            b = hits[0]
+            b = where[point]
             # <J_k v_a, v_b> for v_b = s e_point is sign * s * form[point].
             pairing = sign * frame[b][1] * gens.form_v[point]
-            key = (a + 1, b + 1)
-            if key in cells:
-                raise ValueError("two central directions on pair (%d, %d)" % key)
-            cells[key] = (k, eps[k] * pairing)
-    for (a, b), (k, s) in cells.items():
-        if cells.get((b, a)) != (k, -s):
-            raise ValueError("computed table is not antisymmetric at (%d, %d)" % (a, b))
-    return StructureTable(sig, n_vec, cells, frozenset(), label)
+            cells[(a + 1, b + 1)] = (k, eps[k] * pairing)
+    return StructureTable(sig, gens.dim, cells, frozenset(), label)
 
 
 def generate_table(sig):
@@ -292,17 +283,19 @@ def compare_tables(left, right):
     sigma_b; sigma_1 = +1, as a global flip changes nothing.  Cells
     missing on either side are left out.  Unmatched tables get no sigma
     but their diffs: ((a, b), left value, right value), None for zero,
-    per differing cell, sorted; a cell outside 1..dim always differs.
+    per differing cell, sorted; a cell outside 1..dim, or holding z_k
+    for k outside 1..n, always differs.
     """
     skip = left.missing | right.missing
     keys = [key for key in left.cells.keys() | right.cells.keys()
             if key not in skip]
     matched = left.dim == right.dim and left.sig.n == right.sig.n
+    central = range(1, left.sig.n + 1)
     adj = {a: [] for a in range(1, left.dim + 1)}
     for a, b in keys if matched else ():
         mine, theirs = left.cells.get((a, b)), right.cells.get((a, b))
         if mine is None or theirs is None or mine[0] != theirs[0] \
-                or a not in adj or b not in adj:
+                or mine[0] not in central or a not in adj or b not in adj:
             matched = False
             break
         adj[a].append((b, mine[1] * theirs[1], (a, b)))
@@ -312,7 +305,9 @@ def compare_tables(left, right):
         sigma = tuple(sigma[1:])
         status = EXACT if all(x == 1 for x in sigma) else SIGN_EQUIVALENT
         return TableComparison(status, sigma)
+    # The last test meets only a cell held, equally, on both sides.
     diffs = [(key, left.cells.get(key), right.cells.get(key))
              for key in sorted(keys) if left.cells.get(key) != right.cells.get(key)
-             or key[0] not in adj or key[1] not in adj]
+             or key[0] not in adj or key[1] not in adj
+             or left.cells[key][0] not in central]
     return TableComparison(UNMATCHED, None, tuple(diffs))

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from htype import golden
+from htype import cli, golden
 from htype.basis_builder import configured_signatures
 from htype.cli import main
 from htype.lie_algebra import StructureTable, verify_htype
@@ -153,6 +153,51 @@ def test_verify_generated_json_is_deterministic(capsys):
     data = json.loads(first[1])
     assert data["generated"]["0,7"]["ok"] is True
     assert len(data["generated"]) == 35
+
+
+def _damaged_n07(edit):
+    table = golden.build_n07()
+    cells = dict(table.cells)
+    edit(cells)
+    return replace(table, cells=cells)
+
+
+def _flip_first_cell(cells):
+    k, s = cells[(1, 2)]
+    cells[(1, 2)] = (k, -s)
+
+
+N07_FAILURES = [
+    (lambda cells: cells.update({(1, 9): (1, 1)}),
+     "n(0,7) doubled construction: FAIL "
+     "(cell (v1, v9) couples the two halves)",
+     ["cell (v1, v9) couples the two halves"]),
+    (_flip_first_cell,
+     "n(0,7) doubled construction: FAIL "
+     "(blocks checked as (7,0), cross brackets zero)",
+     ["cells (v1, v2) and (v2, v1) break antisymmetry",
+      "cells (v2, v1) and (v1, v2) break antisymmetry"]),
+]
+
+
+@pytest.mark.parametrize("edit, line, errata", N07_FAILURES,
+                         ids=["cross-block cell", "sign flipped in block 1"])
+def test_verify_reports_a_broken_doubled_table(edit, line, errata,
+                                               monkeypatch, capsys):
+    """A cell coupling the halves fails the split; a sign flipped inside
+    block 1 fails that block's axiom check.  Either way the (0,7) line,
+    its JSON entry and the exit code say so."""
+    damaged = _damaged_n07(edit)
+    monkeypatch.setattr(cli, "build_n07", lambda: damaged)
+    code, out, err = run(capsys, "verify", "--generated")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-1] == line
+    assert out.count("FAIL") == 1
+    code, out, err = run(capsys, "verify", "--generated", "--json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["generated"]["0,7"] == {
+        "label": "doubled construction", "ok": False,
+        "errata": errata, "missing": []}
 
 
 def test_match_exact(capsys):

@@ -3,6 +3,8 @@ import json
 import random
 from dataclasses import replace
 
+import pytest
+
 from dense_oracle import (
     clifford_failures,
     dense_pipeline,
@@ -82,6 +84,20 @@ def test_compute_table_from_parts():
     t = compute_table(gens, vectors, label="by hand")
     assert t.label == "by hand"
     assert t == replace(generate_table(sig), label="by hand")
+
+
+def test_compute_table_rejects_a_frame_not_onto_the_module():
+    """A frame of the right length with one point repeated or one point
+    past the module, and a frame one vector short, all fail to hit every
+    module point once."""
+    sig = Signature(3, 0)
+    gens = build_generators(sig, system=reference_config(sig).involutions)
+    frame = [(a, 1) for a in range(gens.dim)]
+    assert compute_table(gens, frame).dim == gens.dim
+    for bad in (frame[:-1] + [frame[0]], frame[:-1] + [(gens.dim, 1)],
+                frame[:-1]):
+        with pytest.raises(ValueError):
+            compute_table(gens, bad)
 
 
 def test_verify_rejects_zeroed_pair():
@@ -210,17 +226,21 @@ def _checked_comparison(left, right):
     """compare_tables(left, right), checked against its contract: a match
     carries a sigma that takes left to right on every cell that is not a
     hole, and no diffs; an unmatched result carries no sigma and exactly
-    the differing cells, sorted, counting every cell outside 1..dim."""
+    the differing cells, sorted, counting every cell outside 1..dim and
+    every cell holding a z_k with k outside 1..n."""
     cmp = compare_tables(left, right)
     holes = left.missing | right.missing
     keys = sorted((left.cells.keys() | right.cells.keys()) - holes)
     inside = range(1, left.dim + 1)
+    central = range(1, left.sig.n + 1)
     if cmp.status == UNMATCHED:
         assert cmp.sigma is None
         assert cmp.diffs == tuple(
             (key, left.cells.get(key), right.cells.get(key)) for key in keys
             if left.cells.get(key) != right.cells.get(key)
-            or key[0] not in inside or key[1] not in inside)
+            or key[0] not in inside or key[1] not in inside
+            or any(val is not None and val[0] not in central
+                   for val in (left.cells.get(key), right.cells.get(key))))
     else:
         assert cmp.status in (EXACT, SIGN_EQUIVALENT)
         assert cmp.diffs == ()
@@ -301,15 +321,22 @@ def test_compare_tables_on_damaged_golden_tables():
 
 
 def test_compare_tables_flags_cells_outside_the_table():
-    """A cell past dim is a difference, whether both tables hold it or
-    only one does."""
+    """A cell past dim, or one holding a z_k past n, is a difference,
+    whether both tables hold it or only one does."""
     table = golden_table(1, 0)
-    assert table.dim == 2
+    assert table.dim == 2 and table.sig.n == 1
     stray = replace(table, cells={**table.cells, (1, 3): (1, 1)})
     for left, right in ((stray, stray), (table, stray), (stray, table)):
         cmp = compare_tables(left, right)
         assert cmp.status == UNMATCHED
         assert cmp.diffs == (((1, 3), left.cells.get((1, 3)), right.cells.get((1, 3))),)
+        assert _checked_comparison(left, right) == UNMATCHED
+    unknown = replace(table, cells={(1, 2): (5, 1), (2, 1): (5, -1)})
+    for left, right in ((unknown, unknown), (table, unknown), (unknown, table)):
+        cmp = compare_tables(left, right)
+        assert cmp.status == UNMATCHED
+        assert cmp.diffs == tuple((key, left.cells[key], right.cells[key])
+                                  for key in ((1, 2), (2, 1)))
         assert _checked_comparison(left, right) == UNMATCHED
 
 
