@@ -32,6 +32,7 @@ from .words import (
     Signature,
     Word,
     letter_mask,
+    letters_above,
     mask_letters,
     mul_sign,
     norm_sign,
@@ -250,21 +251,29 @@ def build_generators(sig, system):
         raise ConstructionError(
             "coset count %d does not match minimal dimension %d" % (dim, expected))
 
-    # J_i e_a = J_i J_(R_a) v = mul_sign(i, R_a) J_L v for L = R_a xor i.
-    # The signed point of L: with coset[L] = (b, P), J_L equals
-    # mul_sign(R_b, P) J_(R_b) J_P, and J_P v = span[P] v.
+    # J_i e_a = J_i J_(R_a) v = mul_sign(i, R_a) J_L v for L = R_a xor i,
+    # and with coset[L] = (b, P), J_L v = mul_sign(R_b, P) span[P] e_b.
+    # mul_sign(A, B) is -1 to the power |f(A) & B| for the GF(2)-linear
+    # f(A) = letters_above(A) xor (A & {1..r}).  As R_b = L xor P and
+    # f(L) = f(R_a) xor f(i), the sign is -1 to the power |f(i) & R_a| +
+    # |(f(R_a) xor f(i)) & P|, times own[P] = mul_sign(P, P) span[P].
+    positive = (2 << sig.r) - 2
+    own = {p: mul_sign(sig, p, p) * c for p, c in span.items()}
+    f_reps = [letters_above(rep) ^ (rep & positive) for rep in reps]
     ops = []
     for i in range(1, sig.n + 1):
+        bit = 1 << i
+        f_i = (bit - 1) ^ (bit & positive)
         perm, signs = [], []
-        for rep in reps:
-            b, p = coset[rep ^ 1 << i]
+        for rep, f_rep in zip(reps, f_reps):
+            b, p = coset[rep ^ bit]
             perm.append(b)
-            sign = mul_sign(sig, reps[b], p) * span[p]
-            signs.append(mul_sign(sig, 1 << i, rep) * sign)
+            odd = ((f_i & rep) ^ ((f_rep ^ f_i) & p)).bit_count() & 1
+            signs.append(-own[p] if odd else own[p])
         ops.append((perm, signs))
 
+    form_v = tuple((-1) ** (rep >> sig.r + 1).bit_count() for rep in reps)
     rep_words = tuple(Word(1, mask_letters(rep)) for rep in reps)
-    form_v = tuple(norm_sign(sig, w) for w in rep_words)
     problems = verify_generators(sig, ops, form_v)
     if problems:
         raise ConstructionError("; ".join(problems))

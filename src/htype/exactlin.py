@@ -7,12 +7,15 @@ e_perm[j].  A partial operator, as rebuilt from a table with an empty
 cell, holds None in perm where it does not act.  A signed point (p, s)
 stands for the vector s e_p, so every frame vector is one signed point.
 
-relation_failures checks each Clifford relation on whole lists: for two
-total operators, A_i A_j = -A_j A_i and A_i^2 = squares[i] Id are
-equalities of composed (perm, signs) lists.  Only a pair that fails
-there, or holds a partial operator, falls back to a walk over its
-points, which names the points that break the relation.
+relation_failures checks each Clifford relation as one gather over the
+2N signed points: s e_p sits at index 2p + (s < 0), and an undefined
+image goes to the extra index end = 2N, which every map fixes.  Then
+A_i A_j = -A_j A_i and A_i^2 = squares[i] Id are equalities of tuples
+composed in C, and the points that break a relation are read off the
+same tuples.
 """
+
+from operator import itemgetter
 
 
 def identity(n):
@@ -57,39 +60,39 @@ def is_skew(op, form):
                for j in range(len(perm)))
 
 
-def _twice(a, b, p):
-    v = act(b, (p, 1))
-    return None if v is None else act(a, v)
-
-
-def _cancel(x, y):
-    """True when the signed points (or Nones) x and y sum to zero."""
-    if x is None or y is None:
-        return x is y
-    return x == (y[0], -y[1])
-
-
 def relation_failures(ops, squares):
     """Where partial signed permutations break the Clifford relations.
 
     The relations are A_i A_j + A_j A_i = 0 for i != j and
     A_i^2 = squares[i] Id.  Yields (i, j, points) for each pair i <= j
-    that fails, with the points whose images break it, in order.
+    that fails, with the points whose images break it, in order.  Each
+    operator becomes a tuple over the signed points, s e_p at index
+    2p + (s < 0) and an undefined image at end = 2N, which it fixes.
+    A_i A_j is the gather itemgetter(*A_j)(A_i), and -A gathers A by the
+    sign swap x -> x ^ 1, so a pair holds when two tuples are equal.
+    Point p breaks it when the images of e_p, at index 2p, differ; two
+    undefined images agree, as both are end.
     """
-    total = [None not in op[0] for op in ops]
-    for i, a in enumerate(ops):
-        points = range(len(a[0]))
-        for j in range(i, len(ops)):
-            b = ops[j]
+    if not ops or not ops[0][0]:
+        return  # no point to break, and one index gathers no tuple
+    end = 2 * len(ops[0][0])
+    same = tuple(range(end + 1))
+    swap = tuple(x ^ 1 for x in range(end)) + (end,)
+    maps = []
+    for op in ops:
+        images = []
+        for q, s in zip(*op):
+            x = end if q is None else 2 * q + (s < 0)
+            images += (x, swap[x])
+        maps.append(tuple(images) + (end,))
+    negated = [itemgetter(*swap)(m) for m in maps]
+    for i, a in enumerate(maps):
+        for j in range(i, len(maps)):
+            left = itemgetter(*maps[j])(a)
             if i == j:
-                square = (list(points), [squares[i]] * len(points))
-                if total[i] and compose(a, a) == square:
-                    continue
-                bad = [p for p in points if _twice(a, a, p) != (p, squares[i])]
+                right = same if squares[i] == 1 else swap
             else:
-                if total[i] and total[j] and compose(a, b) == negate(compose(b, a)):
-                    continue
-                bad = [p for p in points
-                       if not _cancel(_twice(a, b, p), _twice(b, a, p))]
-            if bad:
-                yield i, j, bad
+                right = itemgetter(*a)(negated[j])
+            if left != right:
+                yield i, j, [x >> 1 for x in range(0, end, 2)
+                             if left[x] != right[x]]

@@ -19,7 +19,6 @@ a diagonal sign change of the basis, or unmatched with the cells that differ.
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import exactlin
 from .basis_builder import build_basis, reference_config
 from .clifford_rep import (build_generators, find_involution_system,
                            verify_generators)
@@ -89,11 +88,12 @@ def compute_table(gens, frame, label=""):
     where = {point: b for b, (point, _s) in enumerate(frame)}
     cells = {}
     for k in range(1, sig.n + 1):
-        for a, v in enumerate(frame):
-            point, sign = exactlin.act(gens.ops[k - 1], v)
+        perm, signs = gens.ops[k - 1]
+        for a, (p, s) in enumerate(frame):
+            point = perm[p]
             b = where[point]
-            # <J_k v_a, v_b> for v_b = s e_point is sign * s * form[point].
-            pairing = sign * frame[b][1] * gens.form_v[point]
+            # <J_k v_a, v_b> for v_b = t e_point is s signs[p] t form[point].
+            pairing = s * signs[p] * frame[b][1] * gens.form_v[point]
             cells[(a + 1, b + 1)] = (k, eps[k] * pairing)
     return StructureTable(sig, gens.dim, cells, frozenset(), label)
 

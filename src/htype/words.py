@@ -71,23 +71,29 @@ def mul_sign(sig, a, b):
 
     Each letter x of B moves left past the letters of A above x, one
     sign flip each, and then either is inserted or meets its twin, and
-    J_x^2 = -eps_x is -1 for the letters 1..r.  Bit x of `above` is set
-    when an odd number of A's letters lie above x, so the sign is -1 to
-    the power |above & B| + |A & B & {1..r}|.  Masks are nonnegative;
-    a letter outside 1..n in both raises ValueError.
+    J_x^2 = -eps_x is -1 for the letters 1..r.  So the sign is -1 to
+    the power |letters_above(A) & B| + |A & B & {1..r}|, which is
+    bilinear over GF(2) in A and B.  Masks are nonnegative; a letter
+    outside 1..n in both raises ValueError.
     """
     common = a & b
     bad = common & ~((2 << sig.r + sig.s) - 2)
     if bad:
         x = (bad & -bad).bit_length() - 1
         raise ValueError("letter %r out of range for %r" % (x, sig))
-    above, rest = 0, a
-    while rest > 0:
-        low = rest & -rest
-        rest ^= low
-        above ^= low - 1
-    flips = (above & b) ^ (common & ((2 << sig.r) - 2))
+    flips = (letters_above(a) & b) ^ (common & ((2 << sig.r) - 2))
     return -1 if flips.bit_count() & 1 else 1
+
+
+def letters_above(a):
+    """Bit x is set when an odd number of the letters of mask a lie
+    above x; linear over GF(2) in a, and a must be nonnegative."""
+    above = 0
+    while a > 0:
+        low = a & -a
+        a ^= low
+        above ^= low - 1
+    return above
 
 
 def word_square_sign(sig, w):

@@ -27,6 +27,10 @@ from htype.words import (
     Signature,
     Word,
     check_involution_system,
+    letter_mask,
+    mul_sign,
+    norm_sign,
+    span_products,
     words_commute,
 )
 
@@ -186,6 +190,46 @@ def test_build_generators_every_signature():
         assert len(gens.coset_words) == gens.dim
         assert gens.coset_words[0].letters == ()
         assert verify_generators(sig, gens.ops, gens.form_v) == []
+
+
+def two_mul_sign_ops(sig, system, reps):
+    """J_1 ... J_n on the coset module with representatives reps, each
+    cell sign from two mul_sign calls: J_i e_a = mul_sign(i, R_a) J_L v
+    for L = R_a xor i, and J_L v = mul_sign(R_b, P) span[P] e_b for
+    L = R_b xor P."""
+    span = span_products(sig, system)
+    coset = {rep ^ p: (b, p) for b, rep in enumerate(reps) for p in span}
+    ops = []
+    for i in range(1, sig.n + 1):
+        perm, signs = [], []
+        for rep in reps:
+            b, p = coset[rep ^ 1 << i]
+            perm.append(b)
+            signs.append(mul_sign(sig, 1 << i, rep)
+                         * mul_sign(sig, reps[b], p) * span[p])
+        ops.append((perm, signs))
+    return ops
+
+
+def test_build_generators_matches_two_mul_sign_cells():
+    """The popcount cell signs and norm signs against the two-mul_sign
+    formula, on all 80 grid signatures and every configured system; the
+    slow searches take their pinned systems."""
+    cases = []
+    for key in ((r, s) for r in range(9) for s in range(9) if r + s):
+        system = ([Involution(Word(1, c), 1) for c in PINNED_SYSTEMS[key]]
+                  if key in PINNED_SYSTEMS else None)
+        cases.append((Signature(*key), system))
+    cases += [(Signature(*key), reference_config(Signature(*key)).involutions)
+              for key in configured_signatures()]
+    assert len(cases) == 80 + 34
+    for sig, system in cases:
+        if system is None:
+            system = find_involution_system(sig)
+        gens = build_generators(sig, system)
+        reps = [letter_mask(w.letters) for w in gens.coset_words]
+        assert list(gens.ops) == two_mul_sign_ops(sig, system, reps), sig
+        assert gens.form_v == tuple(norm_sign(sig, w) for w in gens.coset_words)
 
 
 def test_negate_generators_still_valid():

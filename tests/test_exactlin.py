@@ -254,6 +254,70 @@ def test_relation_failures_match_the_per_point_walk():
         assert (want == []) == intact
 
 
+def rand_partial_op(rng, n):
+    """A signed map on n points with some images undefined and some
+    repeated."""
+    perm, signs = rand_op(rng, n)
+    for p in range(n):
+        roll = rng.random()
+        if roll < 0.15:
+            perm[p], signs[p] = None, 0
+        elif roll < 0.3:
+            perm[p] = rng.randrange(n)
+    return perm, signs
+
+
+def test_relation_failures_match_the_walk_on_random_maps():
+    """The gather against the oracle's per-point walk on 2,400 seeded
+    cases: random maps of dims 1-16 with undefined and repeated images,
+    built generators of dim up to 16 with a few entries damaged, squares
+    +-1 flipped at random, a repeated operator and the empty list."""
+    rng = random.Random(47)
+    built = []
+    for sig in (Signature(r, n - r) for n in range(1, 6) for r in range(n + 1)):
+        gens = build_generators(sig, find_involution_system(sig))
+        if gens.dim <= 16:
+            built.append((gens.ops, [-sig.eps(i) for i in range(1, sig.n + 1)]))
+    seen = set()
+    for case in range(2400):
+        if case % 2:
+            ops, squares = rng.choice(built)
+            ops = [(list(perm), list(signs)) for perm, signs in ops]
+            squares = list(squares)
+            for _ in range(rng.randint(0, 2)):
+                perm, signs = rng.choice(ops)
+                p = rng.randrange(len(perm))
+                damage = rng.choice(("sign", "copy", "none"))
+                if damage == "sign":
+                    signs[p] = -signs[p]
+                elif damage == "copy":
+                    perm[p] = rng.randrange(len(perm))
+                    signs[p] = rng.choice((1, -1))
+                else:
+                    perm[p], signs[p] = None, 0
+        else:
+            n = case // 2 % 16 + 1
+            ops = [rand_partial_op(rng, n) for _ in range(rng.randint(0, 4))]
+            squares = [rng.choice((1, -1)) for _ in ops]
+            seen.add(("dim", n))
+        if ops and rng.random() < 0.2:
+            k = rng.randrange(len(ops))
+            ops.append(ops[k])
+            squares.append(squares[k])
+        if ops and rng.random() < 0.2:
+            k = rng.randrange(len(ops))
+            squares[k] = -squares[k]
+        want = list(dense_oracle.relation_failures(ops, squares))
+        assert list(exactlin.relation_failures(ops, squares)) == want
+        seen.add("fails" if want else "holds" if ops else "empty")
+        if any(None in perm for perm, _signs in ops):
+            seen.add("undefined")
+    assert {("dim", n) for n in range(1, 17)} <= seen
+    assert {"fails", "holds", "empty", "undefined"} <= seen
+    # Operators on no points break nothing.
+    assert list(exactlin.relation_failures([([], [])] * 2, [1, -1])) == []
+
+
 def test_column_space_basis_simple():
     assert column_space_basis([[2, 4], [4, 8]]) == [[1, 2]]
     assert column_space_basis(zeros(3)) == []
