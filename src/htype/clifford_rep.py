@@ -33,7 +33,6 @@ from .words import (
     Word,
     letter_mask,
     letters_above,
-    mask_letters,
     mul_sign,
     norm_sign,
     span_products,
@@ -200,23 +199,21 @@ def find_involution_system(sig, k=None):
 class GeneratorSet:
     """Generators J_1 ... J_n on a module with a diagonal +-1 form.
 
-    ops[i - 1] is J_i as a signed permutation (see exactlin).
+    sig is the signature (r, s), dim the module dimension, ops[i - 1]
+    is J_i as a signed permutation (see exactlin) and form_v[a] is the
+    form's sign on basis vector e_a.
     """
 
     sig: Signature
     dim: int
     ops: tuple
     form_v: tuple
-    coset_words: tuple
 
     def apply_word(self, w):
-        """The word w in these generators, as a signed permutation."""
-        op = exactlin.identity(self.dim)
-        for i in w.letters:
-            op = exactlin.compose(op, self.ops[i - 1])
-        if w.sign == -1:
-            op = exactlin.negate(op)
-        return op
+        """The word w in these generators, as a signed permutation: the
+        image of every point under act_word."""
+        images = [self.act_word(w, (p, 1)) for p in range(self.dim)]
+        return [q for q, _ in images], [s for _, s in images]
 
     def act_word(self, w, v):
         """Image of the signed point v under the word w, letter by letter."""
@@ -273,17 +270,16 @@ def build_generators(sig, system):
         ops.append((perm, signs))
 
     form_v = tuple((-1) ** (rep >> sig.r + 1).bit_count() for rep in reps)
-    rep_words = tuple(Word(1, mask_letters(rep)) for rep in reps)
     problems = verify_generators(sig, ops, form_v)
     if problems:
         raise ConstructionError("; ".join(problems))
-    return GeneratorSet(sig, dim, tuple(ops), form_v, rep_words)
+    return GeneratorSet(sig, dim, tuple(ops), form_v)
 
 
 def negate_generators(gens):
     """The same module with every generator replaced by its negative."""
     ops = tuple(exactlin.negate(op) for op in gens.ops)
-    return GeneratorSet(gens.sig, gens.dim, ops, gens.form_v, gens.coset_words)
+    return GeneratorSet(gens.sig, gens.dim, ops, gens.form_v)
 
 
 def verify_generators(sig, ops, form):

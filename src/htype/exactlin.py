@@ -11,23 +11,11 @@ relation_failures checks each Clifford relation as one gather over the
 2N signed points: s e_p sits at index 2p + (s < 0), and an undefined
 image goes to the extra index end = 2N, which every map fixes.  Then
 A_i A_j = -A_j A_i and A_i^2 = squares[i] Id are equalities of tuples
-composed in C, and the points that break a relation are read off the
+gathered in C, and the points that break a relation are read off the
 same tuples.
 """
 
 from operator import itemgetter
-
-
-def identity(n):
-    return list(range(n)), [1] * n
-
-
-def compose(a, b):
-    """The operator a b, which applies b first; both must act everywhere."""
-    perm_a, signs_a = a
-    perm_b, signs_b = b
-    return ([perm_a[j] for j in perm_b],
-            [signs_a[j] * s for j, s in zip(perm_b, signs_b)])
 
 
 def negate(op):

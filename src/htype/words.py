@@ -61,11 +61,6 @@ def letter_mask(letters):
     return mask
 
 
-def mask_letters(mask):
-    """The letters of a mask, increasing."""
-    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
-
-
 def mul_sign(sig, a, b):
     """The sign s in J_A J_B = s J_(A xor B), for letter masks a and b.
 
@@ -96,12 +91,6 @@ def letters_above(a):
     return above
 
 
-def word_square_sign(sig, w):
-    """The scalar w * w, always +1 or -1."""
-    m = letter_mask(w.letters)
-    return mul_sign(sig, m, m)
-
-
 def norm_sign(sig, w):
     """Product of eps over the letters, -1 to the number above r: the
     squared norm J_W v picks up.  A letter outside 1..n raises ValueError."""
@@ -112,16 +101,6 @@ def norm_sign(sig, w):
             raise ValueError("letter %r out of range for %r" % (x, sig))
         above += x > r
     return -1 if above & 1 else 1
-
-
-def words_commute(a, b):
-    """Whether the two words commute as algebra elements.
-
-    Moving the letters of b through those of a costs |A||B| - |A and B|
-    transposition signs.
-    """
-    common = (letter_mask(a.letters) & letter_mask(b.letters)).bit_count()
-    return (len(a.letters) * len(b.letters) - common) % 2 == 0
 
 
 def format_word(w):
@@ -143,18 +122,21 @@ def check_involution_system(sig, system):
 
     Required: every word squares to +1, the words commute pairwise and
     their letter masks are independent over GF(2), so the 2^k subset
-    products are distinct and themselves involutions.
+    products are distinct and themselves involutions.  Both sign tests
+    read mul_sign: J_M J_M = mul_sign(M, M), and J_M J_O = J_O J_M
+    exactly when mul_sign(M, O) = mul_sign(O, M).
     """
     span = {0}
     for idx, (w, sgn) in enumerate(system):
         if sgn not in (1, -1):
             raise ValueError("eigensign must be +-1")
-        if word_square_sign(sig, w) != 1:
+        m = letter_mask(w.letters)
+        if mul_sign(sig, m, m) != 1:
             raise ValueError("word %s does not square to +1" % (w,))
         for other, _ in system[idx + 1:]:
-            if not words_commute(w, other):
+            o = letter_mask(other.letters)
+            if mul_sign(sig, m, o) != mul_sign(sig, o, m):
                 raise ValueError("words %s and %s do not commute" % (w, other))
-        m = letter_mask(w.letters)
         if m in span:
             raise ValueError("letter set of %s lies in the span of the others" % (w,))
         span |= {p ^ m for p in span}

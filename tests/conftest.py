@@ -3,15 +3,18 @@
 The slow word product below is an independent oracle: it multiplies by
 concatenating the letter strings and then sorting with explicit
 transposition signs, collapsing equal neighbours with the square rule.
-It shares no code with the fast implementation.
+It shares no code with the fast implementation.  coset_reps numbers the
+module basis of build_generators the same way, from sorted letter
+tuples instead of the builder's mask order.
 """
 
 import hashlib
 import json
 from importlib import resources
+from itertools import combinations
 
 from htype.lie_algebra import compare_tables
-from htype.words import Signature, Word
+from htype.words import Signature, Word, letter_mask, span_products
 
 # Mirror signature pairs whose algebras agree, and a control pair that
 # differs.
@@ -45,6 +48,27 @@ def slow_word_mul(sig, u, v):
             else:
                 i += 1
     return Word(sign, tuple(letters))
+
+
+def mask_letters(mask):
+    """The letters of a mask, increasing."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def coset_reps(sig, system):
+    """The smallest member of each coset of letter masks modulo the span
+    of the system, as masks, in the order of their letter tuples: every
+    tuple of letters 1..n, sorted, keeps its mask when no kept mask lies
+    in its coset."""
+    span = span_products(sig, system)
+    letters = range(1, sig.n + 1)
+    reps, covered = [], set()
+    for c in sorted(c for k in range(sig.n + 1) for c in combinations(letters, k)):
+        m = letter_mask(c)
+        if m not in covered:
+            reps.append(m)
+            covered.update(m ^ p for p in span)
+    return reps
 
 
 def random_signature(rng, max_n=8):

@@ -14,6 +14,7 @@ from conftest import (
     ISOMORPHIC_PAIRS,
     NON_ISOMORPHIC_PAIR,
     compare_pairs,
+    mask_letters,
     random_canonical_word,
     random_signature,
     raw_data,
@@ -49,7 +50,6 @@ from htype.words import (
     Signature,
     Word,
     letter_mask,
-    mask_letters,
     mul_sign,
     norm_sign,
     reduce_mod_system,

@@ -5,7 +5,8 @@ import pytest
 
 import grid_oracle
 import search_oracle
-from conftest import random_canonical_word, slow_word_mul
+from search_oracle import words_commute
+from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_mul
 from dense_oracle import clifford_failures, matrix, mat_mul, mat_neg, word_matrix
 from htype import exactlin
 from htype.clifford_rep import (
@@ -31,7 +32,6 @@ from htype.words import (
     mul_sign,
     norm_sign,
     span_products,
-    words_commute,
 )
 
 # Grid cells where the oracle's plain scan takes seconds to minutes.
@@ -155,6 +155,71 @@ def test_search_matches_the_oracle_for_every_size():
             assert want == "no involution system of size %d for %s" % (k, sig)
 
 
+def test_check_involution_system_matches_the_old_check():
+    """The mul_sign check against the words_commute and word_square_sign
+    one of search_oracle, on 2,400 seeded systems: every searched and
+    stored system, and copies with an eigensign 0, 2 or -1, an extra word
+    that may square to -1 or anticommute, a repeated or dependent mask,
+    or a letter 0, n + 1 or -1 in the first or a later word.  Both accept,
+    or both raise the same exception with the same message."""
+    def outcome(check, sig, system):
+        try:
+            check(sig, system)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return "accepted"
+
+    bases = []
+    for key in ((r, s) for r in range(9) for s in range(9) if r + s):
+        sig = Signature(*key)
+        bases.append((sig, [Involution(Word(1, c), 1) for c in PINNED_SYSTEMS[key]]
+                      if key in PINNED_SYSTEMS else find_involution_system(sig)))
+    bases += [(Signature(*key), reference_config(Signature(*key)).involutions)
+              for key in configured_signatures()]
+    assert len(bases) == 80 + 34
+    kinds = ("eigensign", "square", "commute", "span", "out of range", "negative")
+    rng = random.Random(83)
+    cases = list(bases)
+    seen = set()
+    while len(cases) < 2400:
+        sig, system = rng.choice(bases)
+        system = list(system)
+        for _ in range(rng.randint(1, 2)):
+            if not system:
+                system.append(Involution(random_canonical_word(rng, sig.n), 1))
+            k = rng.randrange(len(system))
+            w, sgn = system[k]
+            damage = rng.choice(("eigensign", "word", "repeat", "dependent", "letter"))
+            if damage == "eigensign":
+                system[k] = Involution(w, rng.choice((0, 2, -1)))
+            elif damage == "word":
+                word = random_canonical_word(rng, sig.n, allow_empty=False)
+                system.insert(rng.randrange(len(system) + 1),
+                              Involution(word, rng.choice((1, -1))))
+            elif damage == "repeat":
+                system.insert(rng.randrange(len(system) + 1), system[k])
+            elif damage == "dependent":
+                other = rng.choice(system).word
+                if min(w.letters + other.letters, default=0) >= 0:
+                    m = letter_mask(w.letters) ^ letter_mask(other.letters)
+                    system.append(Involution(Word(1, mask_letters(m)), 1))
+            else:
+                k = rng.choice((0, k))
+                w, sgn = system[k]
+                x = rng.choice((0, sig.n + 1, -1))
+                if x not in w.letters:
+                    system[k] = Involution(w._replace(letters=tuple(sorted(w.letters + (x,)))), sgn)
+                    seen.add(("letter", min(x, 1), k == 0))
+        cases.append((sig, system))
+    for sig, system in cases:
+        want = outcome(search_oracle.check_involution_system, sig, system)
+        assert outcome(check_involution_system, sig, system) == want, (sig, system)
+        seen.add(want if want == "accepted" else
+                 next(kind for kind in kinds if kind in want[1]))
+    assert {("letter", x, first) for x in (-1, 0, 1) for first in (True, False)} <= seen
+    assert {"accepted"} | set(kinds) <= seen
+
+
 def test_a_warm_search_leaves_no_cyclic_garbage():
     sig = Signature(6, 7)
     for _ in range(2):
@@ -184,11 +249,13 @@ def test_impossible_system_size_raises():
 
 def test_build_generators_every_signature():
     for sig in all_signatures():
-        gens = build_generators(sig, find_involution_system(sig))
+        system = find_involution_system(sig)
+        gens = build_generators(sig, system)
         assert gens.dim == minimal_admissible_dimension(sig.r, sig.s)
         assert len(gens.ops) == sig.n
-        assert len(gens.coset_words) == gens.dim
-        assert gens.coset_words[0].letters == ()
+        reps = coset_reps(sig, system)
+        assert len(reps) == gens.dim
+        assert reps[0] == 0
         assert verify_generators(sig, gens.ops, gens.form_v) == []
 
 
@@ -227,19 +294,22 @@ def test_build_generators_matches_two_mul_sign_cells():
         if system is None:
             system = find_involution_system(sig)
         gens = build_generators(sig, system)
-        reps = [letter_mask(w.letters) for w in gens.coset_words]
+        reps = coset_reps(sig, system)
         assert list(gens.ops) == two_mul_sign_ops(sig, system, reps), sig
-        assert gens.form_v == tuple(norm_sign(sig, w) for w in gens.coset_words)
+        assert gens.form_v == tuple(norm_sign(sig, Word(1, mask_letters(rep)))
+                                    for rep in reps)
 
 
 def test_negate_generators_still_valid():
     sig = Signature(3, 2)
-    gens = build_generators(sig, find_involution_system(sig))
+    system = find_involution_system(sig)
+    gens = build_generators(sig, system)
     neg = negate_generators(gens)
     for op, nop in zip(gens.ops, neg.ops):
         assert matrix(nop) == mat_neg(matrix(op))
     assert neg.form_v == gens.form_v
-    assert neg.coset_words == gens.coset_words
+    assert list(neg.ops) == [exactlin.negate(op) for op in
+                             two_mul_sign_ops(sig, system, coset_reps(sig, system))]
     assert verify_generators(sig, neg.ops, neg.form_v) == []
     for g in (gens, neg):
         assert clifford_failures([matrix(op) for op in g.ops], sig) == []
@@ -253,12 +323,11 @@ def test_apply_word_is_a_homomorphism():
         for _ in range(60):
             u = random_canonical_word(rng, sig.n)
             v = random_canonical_word(rng, sig.n)
-            lhs = exactlin.compose(gens.apply_word(u), gens.apply_word(v))
+            lhs = mat_mul(matrix(gens.apply_word(u)), matrix(gens.apply_word(v)))
             rhs = gens.apply_word(slow_word_mul(sig, u, v))
-            assert lhs == rhs
+            assert lhs == matrix(rhs)
             assert matrix(rhs) == word_matrix(gens, slow_word_mul(sig, u, v))
-            assert matrix(lhs) == mat_mul(word_matrix(gens, u),
-                                          word_matrix(gens, v))
+            assert lhs == mat_mul(word_matrix(gens, u), word_matrix(gens, v))
 
 
 def test_apply_word_respects_signs():

@@ -53,8 +53,6 @@ def rand_skew_op(rng, form):
 
 
 def test_identity_and_zeros_shapes():
-    assert exactlin.identity(3) == ([0, 1, 2], [1, 1, 1])
-    assert matrix(exactlin.identity(3)) == identity(3)
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert zeros(2) == [[0, 0], [0, 0]]
     assert zeros(2, 3) == [[0, 0, 0], [0, 0, 0]]
@@ -72,13 +70,7 @@ def test_mul_identity_and_associativity():
     rng = random.Random(11)
     for _ in range(50):
         n = rng.randint(1, 6)
-        a, b, c = rand_op(rng, n), rand_op(rng, n), rand_op(rng, n)
-        one = exactlin.identity(n)
-        assert exactlin.compose(a, one) == a
-        assert exactlin.compose(one, a) == a
-        assert (exactlin.compose(exactlin.compose(a, b), c)
-                == exactlin.compose(a, exactlin.compose(b, c)))
-        assert matrix(exactlin.compose(a, b)) == mat_mul(matrix(a), matrix(b))
+        a, b = rand_op(rng, n), rand_op(rng, n)
         m = rand_matrix(rng, n)
         assert mat_mul(m, identity(n)) == m
         assert mat_mul(mat_mul(m, matrix(a)), matrix(b)) == \
@@ -165,7 +157,7 @@ def test_dot_form_and_gram():
 
 def test_is_signed_permutation():
     assert exactlin.is_permutation(([1, 0], [1, -1]))
-    assert exactlin.is_permutation(exactlin.identity(4))
+    assert exactlin.is_permutation(([0, 1, 2, 3], [1, 1, 1, 1]))
     assert not exactlin.is_permutation(([1, 1], [1, 1]))
     assert not exactlin.is_permutation(([None, 1], [0, 1]))
     assert is_signed_permutation([[0, 1], [-1, 0]])

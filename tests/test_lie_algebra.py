@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import coset_reps, mask_letters
 from dense_oracle import (
     clifford_failures,
     dense_pipeline,
@@ -29,7 +30,7 @@ from htype.lie_algebra import (
     reconstruct_J,
     verify_htype,
 )
-from htype.words import Signature
+from htype.words import Signature, Word
 
 # sha256 of json [dim, sorted cells] for the scale ladder's derived
 # tables past the CLI cap, where tests/cli_digests.json stops.  A
@@ -367,8 +368,9 @@ def test_fast_tables_match_the_dense_oracle():
             fast = generate_table(sig)
         else:
             system = find_involution_system(sig)
-            coset_words = build_generators(sig, system=system).coset_words
-            config = ReferenceConfig(involutions=system, basis_words=coset_words)
+            basis_words = tuple(Word(1, mask_letters(rep))
+                                for rep in coset_reps(sig, system))
+            config = ReferenceConfig(involutions=system, basis_words=basis_words)
             fast = derive_table(sig)
         gens = build_generators(sig, system=config.involutions)
         v, _vectors, dense = dense_pipeline(gens, config)
