@@ -34,7 +34,6 @@ from .words import (
     letter_mask,
     letters_above,
     mul_sign,
-    norm_sign,
     span_products,
 )
 
@@ -106,7 +105,7 @@ def involution_count(sig):
 def _candidate_sets(sig):
     letters = range(1, sig.n + 1)
     return sorted(c for size in (3, 4) for c in combinations(letters, size)
-                  if norm_sign(sig, Word(1, c)) == 1)
+                  if not (letter_mask(c) >> sig.r + 1).bit_count() & 1)
 
 
 def _anticommuting_sets(cands):
@@ -131,10 +130,10 @@ def _anticommuting_sets(cands):
 def find_involution_system(sig, k=None):
     """Deterministic search for k commuting independent involution words.
 
-    Candidates are the length 3 and 4 letter sets whose eps product is
-    +1 (so the word squares to +1), scanned in tuple order with
-    backtracking.  All eigensigns are +1.  The first system found is
-    returned, so the result is stable.
+    Candidates are the length 3 and 4 letter sets with an even number of
+    letters above r, so their eps product is +1 and the word squares to
+    +1, scanned in tuple order with backtracking.  All eigensigns are
+    +1.  The first system found is returned, so the result is stable.
 
     The search runs on bitsets over the candidate list.  Words on the
     letter sets A and B commute exactly when
@@ -142,16 +141,20 @@ def find_involution_system(sig, k=None):
     GF(2) in the indicator vectors of A and B.  So the candidates that
     anticommute with A form one bitset, built up front: the XOR over the
     letters x of A of the candidates containing x, XOR the odd-size
-    candidates when |A| is odd.  Each node carries a pool: the later
-    candidates that commute with every chosen word and lie outside the
-    GF(2) span of their masks, which is kept as a set.  Choosing mask m
-    cuts the pool to the words commuting with it, by one AND; then a
-    member p leaves when p ^ m lies in the span, so a node costs its
-    pool, not its span.  The pool holds exactly the candidates the plain
-    scan would accept there, visited in candidate order, so the search
-    meets the same systems in the same order.  A pool with fewer members
-    than words still missing has no completion, as pools only shrink down
-    the tree, so the walk stops there and the choice gets no frame or span.
+    candidates when |A| is odd.  Each node carries a pool, the later
+    candidates that commute with every chosen word (one AND per
+    choice), each with a key for its coset modulo the GF(2) span of the
+    chosen masks; the root's keys are the masks.  Choosing key K, with
+    lowest bit h, maps each key k to k ^ K if k & h, else k: a linear
+    map whose kernel is the span with the new mask added.  A member
+    whose new key an earlier one has leaves: a later coset-mate q of p
+    has J_q = +-J_p J_x, x in the span, so every pool word commutes with
+    J_p exactly when with J_q, and p in place of q gives a system that
+    sorts earlier.  As keys stay distinct, none turns 0, so no member
+    lies in the span.  So the search meets the plain scan's first
+    system, or exhausts when it does.  A pool smaller than the words
+    still missing has no completion, as pools only shrink down the tree,
+    so the walk stops there and the choice gets no frame.
     """
     if k is None:
         k = involution_count(sig)
@@ -160,14 +163,13 @@ def find_involution_system(sig, k=None):
     cands = _candidate_sets(sig)
     masks = [letter_mask(c) for c in cands]
     anti = _anticommuting_sets(cands)
-    # One frame per live node on the path: its untried pool and the span
-    # of the chosen masks; chosen[d] led from frame d to frame d + 1.  A
-    # choice whose pool is too small never gets a frame.
-    frames = [[(1 << len(cands)) - 1, {0}]]
+    # One frame per live node on the path: its untried pool and the keys
+    # of its pool; chosen[d] led from frame d to frame d + 1.
+    frames = [[(1 << len(cands)) - 1, masks]]
     chosen = []
     while frames:
         frame = frames[-1]
-        rest, span = frame
+        rest, keys = frame
         if not rest:
             frames.pop()
             if chosen:
@@ -180,18 +182,26 @@ def find_involution_system(sig, k=None):
         chosen.append(idx)
         if len(chosen) == k:
             return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
-        missing, mask = k - len(chosen), masks[idx]
+        missing, key = k - len(chosen), keys[idx]
+        pivot = key & -key
         pool = bits = rest & ~anti[idx]
         size = pool.bit_count()
+        child, seen = {}, set()
         while bits and size >= missing:
             low = bits & -bits
             bits ^= low
-            if masks[low.bit_length() - 1] ^ mask in span:
+            j = low.bit_length() - 1
+            x = keys[j]
+            x ^= key if x & pivot else 0
+            if x in seen:
                 pool, size = pool ^ low, size - 1
+            else:
+                seen.add(x)
+                child[j] = x
         if size < missing:
             chosen.pop()
         else:
-            frames.append([pool, span | {x ^ mask for x in span}])
+            frames.append([pool, child])
     raise ConstructionError("no involution system of size %d for %s" % (k, sig))
 
 

@@ -135,13 +135,17 @@ def test_search_keeps_the_oracle_systems_past_the_cap():
 def test_search_matches_the_oracle_for_every_size():
     """Sizes up to one past the needed count, so the searches that
     exhaust the tree and raise are compared too; on the whole n = 7 row,
-    the size one past, where every search exhausts a deeper tree."""
+    the size one past, where every search exhausts a deeper tree.  On
+    the n = 7 and n = 8 rows, every size up to the needed count."""
     cases = [(sig, k) for sig in all_signatures(max_n=6)
              for k in range(1, involution_count(sig) + 2)]
+    rows = [(sig, k) for sig in all_signatures() if sig.n >= 7
+            for k in range(1, involution_count(sig) + 1)]
+    assert len(rows) == 58
     row = [(sig, involution_count(sig) + 1) for sig in all_signatures(max_n=7)
            if sig.n == 7]
     assert len(row) == 8
-    for sig, k in cases + row:
+    for sig, k in cases + rows + row:
         try:
             want = search_oracle.find_involution_system(sig, k)
         except ConstructionError as exc:
@@ -153,6 +157,19 @@ def test_search_matches_the_oracle_for_every_size():
         assert got == want, (sig, k)
         if (sig, k) in row:
             assert want == "no involution system of size %d for %s" % (k, sig)
+
+
+def test_search_exhausts_one_past_the_count_on_the_n8_row():
+    """No system has one word more than needed.  The oracle agrees, but
+    on (8,0) its plain scan walks a tree too large for a quick suite, so
+    the message alone is pinned here."""
+    row = [sig for sig in all_signatures() if sig.n == 8]
+    assert len(row) == 9
+    for sig in row:
+        k = involution_count(sig) + 1
+        with pytest.raises(ConstructionError) as info:
+            find_involution_system(sig, k)
+        assert str(info.value) == "no involution system of size %d for %s" % (k, sig)
 
 
 def test_check_involution_system_matches_the_old_check():
