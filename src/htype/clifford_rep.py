@@ -32,8 +32,8 @@ from .words import (
     Signature,
     Word,
     letter_mask,
-    letters_above,
     mul_sign,
+    sign_form,
     span_products,
 )
 
@@ -102,29 +102,32 @@ def involution_count(sig):
     return k
 
 
-def _candidate_sets(sig):
-    letters = range(1, sig.n + 1)
-    return sorted(c for size in (3, 4) for c in combinations(letters, size)
-                  if not (letter_mask(c) >> sig.r + 1).bit_count() & 1)
-
-
-def _anticommuting_sets(cands):
-    """anti[idx]: bitset of the candidates whose words anticommute with
-    that of cands[idx] (see find_involution_system)."""
-    containing = {}
-    odd = 0
-    for idx, c in enumerate(cands):
-        for x in c:
-            containing[x] = containing.get(x, 0) | 1 << idx
-        if len(c) % 2:
-            odd |= 1 << idx
+def _candidates(sig):
+    """The candidates of find_involution_system in tuple order, their
+    masks, and anti[idx], the bitset of the candidates whose words
+    anticommute with that of cands[idx]."""
+    n = sig.n
+    cands, masks, containing, odd = [], [], [0] * (n + 1), 0
+    for t in combinations(range(1, n + 1), 3):
+        m = letter_mask(t)
+        # In tuple order t comes first, then each t + (y,).
+        for c, mask in [(t, m)] + [(t + (y,), m | 1 << y)
+                                   for y in range(t[2] + 1, n + 1)]:
+            if not (mask >> sig.r + 1).bit_count() & 1:
+                bit = 1 << len(cands)
+                for x in c:
+                    containing[x] |= bit
+                if len(c) == 3:
+                    odd |= bit
+                cands.append(c)
+                masks.append(mask)
     anti = []
     for c in cands:
-        bits = odd if len(c) % 2 else 0
+        bits = odd if len(c) == 3 else 0
         for x in c:
             bits ^= containing[x]
         anti.append(bits)
-    return anti
+    return cands, masks, anti
 
 
 def find_involution_system(sig, k=None):
@@ -160,9 +163,7 @@ def find_involution_system(sig, k=None):
         k = involution_count(sig)
     if k == 0:
         return []
-    cands = _candidate_sets(sig)
-    masks = [letter_mask(c) for c in cands]
-    anti = _anticommuting_sets(cands)
+    cands, masks, anti = _candidates(sig)
     # One frame per live node on the path: its untried pool and the keys
     # of its pool; chosen[d] led from frame d to frame d + 1.
     frames = [[(1 << len(cands)) - 1, masks]]
@@ -260,17 +261,16 @@ def build_generators(sig, system):
 
     # J_i e_a = J_i J_(R_a) v = mul_sign(i, R_a) J_L v for L = R_a xor i,
     # and with coset[L] = (b, P), J_L v = mul_sign(R_b, P) span[P] e_b.
-    # mul_sign(A, B) is -1 to the power |f(A) & B| for the GF(2)-linear
-    # f(A) = letters_above(A) xor (A & {1..r}).  As R_b = L xor P and
-    # f(L) = f(R_a) xor f(i), the sign is -1 to the power |f(i) & R_a| +
-    # |(f(R_a) xor f(i)) & P|, times own[P] = mul_sign(P, P) span[P].
-    positive = (2 << sig.r) - 2
+    # mul_sign(A, B) is -1 to the power |f(A) & B| for f = sign_form,
+    # linear over GF(2).  As R_b = L xor P and f(L) = f(R_a) xor f(i),
+    # the sign is -1 to the power |f(i) & R_a| + |(f(R_a) xor f(i)) & P|,
+    # times own[P] = mul_sign(P, P) span[P].
     own = {p: mul_sign(sig, p, p) * c for p, c in span.items()}
-    f_reps = [letters_above(rep) ^ (rep & positive) for rep in reps]
+    f_reps = [sign_form(sig, rep) for rep in reps]
     ops = []
     for i in range(1, sig.n + 1):
         bit = 1 << i
-        f_i = (bit - 1) ^ (bit & positive)
+        f_i = sign_form(sig, bit)
         perm, signs = [], []
         for rep, f_rep in zip(reps, f_reps):
             b, p = coset[rep ^ bit]
@@ -284,12 +284,6 @@ def build_generators(sig, system):
     if problems:
         raise ConstructionError("; ".join(problems))
     return GeneratorSet(sig, dim, tuple(ops), form_v)
-
-
-def negate_generators(gens):
-    """The same module with every generator replaced by its negative."""
-    ops = tuple(exactlin.negate(op) for op in gens.ops)
-    return GeneratorSet(gens.sig, gens.dim, ops, gens.form_v)
 
 
 def verify_generators(sig, ops, form):

@@ -18,11 +18,6 @@ same tuples.
 from operator import itemgetter
 
 
-def negate(op):
-    perm, signs = op
-    return list(perm), [-s for s in signs]
-
-
 def act(op, v):
     """Image of the signed point v, or None where op does not act."""
     p, s = v

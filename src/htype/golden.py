@@ -13,20 +13,17 @@ action.
 
 import hashlib
 import json
-from dataclasses import replace
 from importlib import resources
 
-from .basis_builder import ALIASES, build_basis, reference_config
-from .clifford_rep import build_generators, negate_generators
+from .basis_builder import ALIASES, reference_config
 from .lie_algebra import (
     StructureTable,
     cell_errata,
     compare_tables,
-    compute_table,
     generate_table,
     verify_htype,
 )
-from .words import Involution, Signature
+from .words import Signature
 
 
 def _data_dir():
@@ -98,29 +95,32 @@ def match_generated(r, s):
     return compare_tables(generate_table(Signature(r, s)), reference)
 
 
+def _twin_cells(table, words):
+    """The cells of table in the twin module, every J_k negated, on the
+    frame of the same basis words W_a.
+
+    Negating every J_k negates each odd-length frame vector W_a e_1, and
+    e_1 stays fixed once the eigensign of each odd-length involution
+    flips.  So each pairing <J_k v_a, v_b>, and with it cell (a, b),
+    gains the factor -(-1)^(|W_a| + |W_b|).
+    """
+    odd = [len(w.letters) % 2 for w in words]
+    return {(a, b): (k, sign if odd[a - 1] ^ odd[b - 1] else -sign)
+            for (a, b), (k, sign) in table.cells.items()}
+
+
 def build_n07():
     """The 16-dimensional table for the (0, 7) algebra.
 
     The module doubles the (7, 0) one: the second half carries the same
-    generators with flipped sign, which flips the eigensign of the one
-    odd involution in the system, and the two halves never bracket into
-    each other.
+    generators with flipped sign, so its block is _twin_cells of the
+    (7, 0) table, and the two halves never bracket into each other.
     """
     sig = Signature(7, 0)
-    config = reference_config(sig)
-    gens = build_generators(sig, system=config.involutions)
-    plus = compute_table(gens, build_basis(gens, config))
-
-    gens_neg = negate_generators(gens)
-    flipped = tuple(
-        Involution(p.word, -p.eigensign if len(p.word.letters) % 2 else p.eigensign)
-        for p in config.involutions)
-    config_neg = replace(config, involutions=flipped)
-    minus = compute_table(gens_neg, build_basis(gens_neg, config_neg))
-
+    plus = generate_table(sig)
     half = plus.dim
     cells = dict(plus.cells)
-    for (a, b), val in minus.cells.items():
+    for (a, b), val in _twin_cells(plus, reference_config(sig).basis_words).items():
         cells[(a + half, b + half)] = val
     return StructureTable(Signature(0, 7), 2 * half, cells, frozenset(),
                           "doubled construction")

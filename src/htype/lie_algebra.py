@@ -75,11 +75,11 @@ def compute_table(gens, frame, label=""):
     The frame is a list of signed points (see exactlin), one per module
     basis vector; one that does not hit each module point exactly once
     raises ValueError.  gens needs no check: build_generators proves the
-    module axioms and negate_generators keeps them.  So each J_k is a
-    skew signed permutation, and J_k v_a is one frame vector.  As
-    <x, J_k x> = <x, J_l J_k x> = 0 for anticommuting J_k, J_l, no
-    J_k v_a is +-v_a or +-J_l v_a, so no cell is diagonal or doubled;
-    as <J_k v_b, v_a> = -<v_b, J_k v_a>, the table is antisymmetric.
+    module axioms.  So each J_k is a skew signed permutation, and J_k v_a
+    is one frame vector.  As <x, J_k x> = <x, J_l J_k x> = 0 for
+    anticommuting J_k, J_l, no J_k v_a is +-v_a or +-J_l v_a, so no cell
+    is diagonal or doubled; as <J_k v_b, v_a> = -<v_b, J_k v_a>, the
+    table is antisymmetric.
     """
     sig = gens.sig
     if sorted(point for point, _s in frame) != list(range(gens.dim)):

@@ -67,28 +67,27 @@ def mul_sign(sig, a, b):
     Each letter x of B moves left past the letters of A above x, one
     sign flip each, and then either is inserted or meets its twin, and
     J_x^2 = -eps_x is -1 for the letters 1..r.  So the sign is -1 to
-    the power |letters_above(A) & B| + |A & B & {1..r}|, which is
-    bilinear over GF(2) in A and B.  Masks are nonnegative; a letter
-    outside 1..n in both raises ValueError.
+    the power |sign_form(A) & B|, which is bilinear over GF(2) in A and
+    B.  Masks are nonnegative; a letter outside 1..n in both raises
+    ValueError.
     """
-    common = a & b
-    bad = common & ~((2 << sig.r + sig.s) - 2)
+    bad = a & b & ~((2 << sig.r + sig.s) - 2)
     if bad:
         x = (bad & -bad).bit_length() - 1
         raise ValueError("letter %r out of range for %r" % (x, sig))
-    flips = (letters_above(a) & b) ^ (common & ((2 << sig.r) - 2))
-    return -1 if flips.bit_count() & 1 else 1
+    return -1 if (sign_form(sig, a) & b).bit_count() & 1 else 1
 
 
-def letters_above(a):
-    """Bit x is set when an odd number of the letters of mask a lie
-    above x; linear over GF(2) in a, and a must be nonnegative."""
-    above = 0
+def sign_form(sig, a):
+    """The GF(2)-linear f(A) of mul_sign: bit x is set when an odd number
+    of the letters of mask a lie above x, xor when x is in a & {1..r}.
+    The mask a must be nonnegative."""
+    form = a & ((2 << sig.r) - 2)
     while a > 0:
         low = a & -a
         a ^= low
-        above ^= low - 1
-    return above
+        form ^= low - 1
+    return form
 
 
 def norm_sign(sig, w):

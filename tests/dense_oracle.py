@@ -13,6 +13,7 @@ Everything stays in integer arithmetic; no floats ever appear.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations, product
 
 from htype.lie_algebra import StructureTable
@@ -51,6 +52,17 @@ def mat_mul(a, b):
                 for j in range(m):
                     oi[j] += f * bt[j]
     return out
+
+
+def negated_op(op):
+    """-op for a signed permutation op = (perm, signs)."""
+    perm, signs = op
+    return list(perm), [-s for s in signs]
+
+
+def negated(gens):
+    """The same module with every generator replaced by its negative."""
+    return replace(gens, ops=tuple(negated_op(op) for op in gens.ops))
 
 
 def mat_add(a, b):

@@ -8,6 +8,7 @@ from dense_oracle import (
     gram,
     initial_vector_candidates,
     is_valid_initial_vector,
+    negated,
     vector,
 )
 from htype.basis_builder import (
@@ -22,7 +23,6 @@ from htype.clifford_rep import (
     ConstructionError,
     build_generators,
     minimal_admissible_dimension,
-    negate_generators,
 )
 from htype.golden import golden_signatures
 from htype.words import (
@@ -132,7 +132,7 @@ def test_build_basis_is_the_frame_of_e1():
 def test_negated_module_hint():
     sig = Signature(7, 0)
     config = reference_config(sig)
-    gens = negate_generators(build_generators(sig, system=config.involutions))
+    gens = negated(build_generators(sig, system=config.involutions))
     with pytest.raises(ConstructionError, match="negated"):
         build_basis(gens, config)
 

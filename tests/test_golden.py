@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,11 @@ from conftest import (
     raw_data,
     resign,
 )
+from dense_oracle import negated
+from htype.basis_builder import build_basis, configured_signatures, reference_config
+from htype.clifford_rep import build_generators
 from htype.golden import (
+    _twin_cells,
     build_n07,
     golden_signatures,
     golden_table,
@@ -24,6 +30,7 @@ from htype.lie_algebra import (
     UNMATCHED,
     StructureTable,
     cell_errata,
+    compute_table,
     generate_table,
     verify_htype,
 )
@@ -35,6 +42,10 @@ EXPECTED_CORRECTIONS = {
     (3, 5): [[16, 15, 3, 1]],
     (7, 1): [[7, 2, 3, 1]],
 }
+
+# sha256 of json [dim, sorted cells] of build_n07(), taken from the
+# construction that built the twin module's frame and table afresh.
+N07_DIGEST = "427b0f1069e68cada6fb87bfb5f6c5e747e4a1030ead15bb8bbabe262164c97d"
 
 
 def test_golden_signatures():
@@ -209,6 +220,27 @@ def test_build_n07_blocks_verify_as_the_positive_twin():
     for (a, b), (k, s) in first.cells.items():
         expect = (k, -s) if a >= 2 and b >= 2 else (k, s)
         assert second.cells[(a, b)] == expect
+
+
+def test_build_n07_matches_the_pinned_digest():
+    t = build_n07()
+    payload = json.dumps([t.dim, t.sorted_cells()], separators=(",", ":"))
+    assert hashlib.sha256(payload.encode()).hexdigest() == N07_DIGEST
+
+
+def test_twin_cells_match_the_negated_module():
+    """The sign rule against the twin built afresh: negated generators,
+    the eigensign of each odd-length involution flipped, and the frame
+    and table of the same basis words."""
+    for key in configured_signatures():
+        sig = Signature(*key)
+        config = reference_config(sig)
+        gens = negated(build_generators(sig, system=config.involutions))
+        flipped = tuple(p._replace(eigensign=-p.eigensign) if len(p.word.letters) % 2
+                        else p for p in config.involutions)
+        frame = build_basis(gens, replace(config, involutions=flipped))
+        assert compute_table(gens, frame).cells == _twin_cells(
+            generate_table(sig), config.basis_words), key
 
 
 def test_build_n07_works_under_the_definite_form_too():
