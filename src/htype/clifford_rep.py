@@ -12,7 +12,8 @@ from the one sign rule of the words module.  J_i e_a = J_i J_(R_a) v is
 read off that signed-point map, and the diagonal form with entries
 eta(W) = prod eps over the representative letters makes every J_i skew.
 verify_generators is the one check of the module axioms, here and for
-the operators lie_algebra.verify_htype rebuilds from a table.
+the operators lie_algebra.verify_htype rebuilds from a table.  Each
+operator is a signed-point map (see exactlin).
 
 The minimal dimensions follow from the classification of the real
 Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
@@ -211,8 +212,10 @@ class GeneratorSet:
     """Generators J_1 ... J_n on a module with a diagonal +-1 form.
 
     sig is the signature (r, s), dim the module dimension, ops[i - 1]
-    is J_i as a signed permutation (see exactlin) and form_v[a] is the
-    form's sign on basis vector e_a.
+    is J_i as a signed-point map (see exactlin) and form_v[a] is the
+    form's sign on basis vector e_a.  apply_word alone hands out an
+    operator in another shape, the lists (perm, signs) with e_p going
+    to signs[p] e_perm[p].
     """
 
     sig: Signature
@@ -221,8 +224,8 @@ class GeneratorSet:
     form_v: tuple
 
     def apply_word(self, w):
-        """The word w in these generators, as a signed permutation: the
-        image of every point under act_word."""
+        """The word w in these generators, as the lists (perm, signs):
+        the image of every point under act_word."""
         images = [self.act_word(w, (p, 1)) for p in range(self.dim)]
         return [q for q, _ in images], [s for _, s in images]
 
@@ -234,7 +237,7 @@ class GeneratorSet:
 
 
 def build_generators(sig, system):
-    """Minimal admissible Clifford module for sig, as signed permutations.
+    """Minimal admissible Clifford module for sig, as signed-point maps.
 
     The result is checked by verify_generators before being returned.
     """
@@ -264,20 +267,21 @@ def build_generators(sig, system):
     # mul_sign(A, B) is -1 to the power |f(A) & B| for f = sign_form,
     # linear over GF(2).  As R_b = L xor P and f(L) = f(R_a) xor f(i),
     # the sign is -1 to the power |f(i) & R_a| + |(f(R_a) xor f(i)) & P|,
-    # times own[P] = mul_sign(P, P) span[P].
-    own = {p: mul_sign(sig, p, p) * c for p, c in span.items()}
+    # times mul_sign(P, P) span[P], which is -1 where neg[P].  The image
+    # of e_a sits at index 2b + (sign < 0), that of -e_a at its swap.
+    neg = {p: mul_sign(sig, p, p) * c < 0 for p, c in span.items()}
     f_reps = [sign_form(sig, rep) for rep in reps]
     ops = []
     for i in range(1, sig.n + 1):
         bit = 1 << i
         f_i = sign_form(sig, bit)
-        perm, signs = [], []
+        images = []
         for rep, f_rep in zip(reps, f_reps):
             b, p = coset[rep ^ bit]
-            perm.append(b)
             odd = ((f_i & rep) ^ ((f_rep ^ f_i) & p)).bit_count() & 1
-            signs.append(-own[p] if odd else own[p])
-        ops.append((perm, signs))
+            x = 2 * b + (odd ^ neg[p])
+            images += (x, x ^ 1)
+        ops.append(tuple(images) + (2 * dim,))
 
     form_v = tuple((-1) ** (rep >> sig.r + 1).bit_count() for rep in reps)
     problems = verify_generators(sig, ops, form_v)
@@ -297,20 +301,22 @@ def verify_generators(sig, ops, form):
     if (pos, dim - pos) != want:
         out.append("solved norms have signature (%d, %d), expected (%d, %d)"
                    % (pos, dim - pos, want[0], want[1]))
-    total = [exactlin.is_permutation(op) for op in ops]
-    for k, op in enumerate(ops, start=1):
-        if not total[k - 1]:
+    total = [exactlin.is_permutation(m) for m in ops]
+    skew = exactlin.skew_flags(ops, form)
+    for k, (whole, skewed) in enumerate(zip(total, skew), start=1):
+        if not whole:
             out.append("z%d does not act by a signed permutation" % k)
-        elif not exactlin.is_skew(op, form):
+        elif not skewed:
             out.append("z%d is not skew for the solved norms" % k)
     squares = [-sig.eps(k) for k in range(1, sig.n + 1)]
     for i, j, points in exactlin.relation_failures(ops, squares):
         if i == j and total[i]:
-            pi = ops[i][0]
+            m = ops[i]
             for a in points:
+                b = m[2 * a] >> 1  # pi(a), the point J_i e_a lands on
                 out.append(
                     "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
-                    % (i + 1, a + 1, pi[a] + 1, pi[a] + 1, pi[pi[a]] + 1))
+                    % (i + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1))
         else:
             out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
     return out

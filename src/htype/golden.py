@@ -14,6 +14,7 @@ action.
 import hashlib
 import json
 from importlib import resources
+from itertools import chain
 
 from .basis_builder import ALIASES, reference_config
 from .lie_algebra import (
@@ -43,9 +44,10 @@ def golden_signatures():
 def table_from_data(data):
     """Validate a raw table dict and build the StructureTable.
 
-    Rejects missing keys, bad checksums, duplicate cells and every break
-    of the cell rules of lie_algebra.cell_errata, so a damaged file never
-    loads quietly.
+    Rejects missing keys, bad checksums, a sig, dim or cell entry that
+    is not an int (1.0 and True included), duplicate cells and every
+    break of the cell rules of lie_algebra.cell_errata, so a damaged
+    file never loads quietly.
     """
     required = {"table", "sig", "dim", "cells", "sha256"}
     missing_keys = required - set(data)
@@ -57,6 +59,14 @@ def table_from_data(data):
     ).hexdigest()
     if digest != data["sha256"]:
         raise ValueError("table data fails its checksum")
+    entries = {"sig": data["sig"], "dim": [data["dim"]],
+               "cell": list(chain.from_iterable(data["cells"])),
+               "missing cell": list(chain.from_iterable(data.get("missing", [])))}
+    for name, values in entries.items():
+        if not set(map(type, values)) <= {int}:
+            bad = next(x for x in values if type(x) is not int)
+            raise ValueError("table data has %s entry %r, not an int"
+                             % (name, bad))
     cells = {}
     for a, b, k, sign in data["cells"]:
         if (a, b) in cells:

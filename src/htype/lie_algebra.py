@@ -8,8 +8,11 @@ is stored as (k, sign) under the key (a, b), with zero cells omitted.
 cell_errata is the one check of the cell rules, shared with the golden
 loader.  verify_htype adds the row and column counts of each z_k, solves
 the norm signs of the basis by propagation, and hands the generators it
-rebuilds from the table to clifford_rep.verify_generators, the one check
-of the module axioms.  It reports every defect it can pin to specific
+rebuilds from the table, as signed-point maps, to
+clifford_rep.verify_generators, the one check of the module axioms.  A
+well formed table passes the cell, row and column rules by a few
+comparisons of whole collections; only a table that breaks one is
+walked cell by cell, to name every defect it can pin to specific
 cells.
 
 compare_tables is the one comparison of two tables: exact, equal after
@@ -18,6 +21,7 @@ a diagonal sign change of the basis, or unmatched with the cells that differ.
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .basis_builder import build_basis, reference_config
 from .clifford_rep import (build_generators, find_involution_system,
@@ -88,13 +92,16 @@ def compute_table(gens, frame, label=""):
     where = {point: b for b, (point, _s) in enumerate(frame)}
     cells = {}
     for k in range(1, sig.n + 1):
-        perm, signs = gens.ops[k - 1]
+        m = gens.ops[k - 1]
         for a, (p, s) in enumerate(frame):
-            point = perm[p]
+            x = m[2 * p + (s < 0)]
+            point = x >> 1
             b = where[point]
-            # <J_k v_a, v_b> for v_b = t e_point is s signs[p] t form[point].
-            pairing = s * signs[p] * frame[b][1] * gens.form_v[point]
-            cells[(a + 1, b + 1)] = (k, eps[k] * pairing)
+            # J_k v_a = u e_point, u = -1 for odd x; for v_b = t e_point,
+            # <J_k v_a, v_b> is u t form[point].
+            pairing = frame[b][1] * gens.form_v[point]
+            cells[(a + 1, b + 1)] = (k, -eps[k] * pairing if x & 1
+                                     else eps[k] * pairing)
     return StructureTable(sig, gens.dim, cells, frozenset(), label)
 
 
@@ -161,17 +168,22 @@ def _solve_eta(table):
 def reconstruct_J(table, eta):
     """Generators implied by the table: J_k v_a = eps_k c eta_b v_b.
 
-    They are partial signed permutations, with None where an empty cell
-    leaves J_k undefined.
+    They come as signed-point maps (see exactlin), filled in one pass
+    over the cells; where an empty cell leaves J_k undefined, the map
+    holds end = 2N.
     """
-    n_vec = table.dim
+    end = 2 * table.dim
     eps = _eps_by_k(table.sig)
-    ops = [([None] * n_vec, [0] * n_vec) for _ in range(table.sig.n)]
+    # eta_b v_b sits at at[b]; the coefficient eps_k c is -1 where c
+    # differs from eps_k, and then the image is at its swap.
+    at = [None] + [2 * b + (e < 0) for b, e in enumerate(eta)]
+    maps = [[end] * (end + 1) for _ in range(table.sig.n)]
     for (a, b), (k, s) in table.cells.items():
-        perm, signs = ops[k - 1]
-        perm[a - 1] = b - 1
-        signs[a - 1] = eps[k] * s * eta[b - 1]
-    return ops
+        x = at[b] ^ (eps[k] != s)
+        m = maps[k - 1]
+        m[2 * a - 2] = x
+        m[2 * a - 1] = x ^ 1
+    return [tuple(m) for m in maps]
 
 
 def cell_errata(table):
@@ -203,9 +215,52 @@ def cell_errata(table):
     return [erratum for _cell, erratum in found]
 
 
+@lru_cache(maxsize=128)
+def _complete_shape(n, n_vec):
+    """The cell values (k, +-1) and the pairs (a, k) of a complete
+    table with n central and n_vec module directions."""
+    return (frozenset((k, s) for k in range(1, n + 1) for s in (1, -1)),
+            frozenset((a, k) for a in range(1, n_vec + 1)
+                      for k in range(1, n + 1)))
+
+
+def _whole_table_holds(table):
+    """True when the table meets every structural rule, by comparing
+    whole collections: no cell is missing and there are n N cells, the
+    values lie in {(k, +-1) : 1 <= k <= n}, the mirrored cells
+    {(b, a): (k, -s)} equal the cells, and the pairs (a, k) are
+    {1..N} x {1..n}.
+
+    The pairs, n N of them from n N cells, say that row a holds each
+    z_k once and every a lies in 1..N; through the mirror, so do the
+    columns and every b, and (a, a) = (k, s) would need s = -s.  So no
+    rule of cell_errata or of the row and column counts breaks.
+    """
+    cells = table.cells
+    n = table.sig.n
+    if table.missing or len(cells) != n * table.dim:
+        return False
+    values, pairs = _complete_shape(n, table.dim)
+    return (values.issuperset(cells.values())
+            and {(b, a): (k, -s) for (a, b), (k, s) in cells.items()} == cells
+            and {(a, k) for (a, _b), (k, _s) in cells.items()} == pairs)
+
+
 def _structural_errata(table):
+    """Errata of the table's shape: a dimension that is not positive on
+    its own, else nothing when _whole_table_holds, else those of
+    _walk_errata, which runs only on a table that breaks a rule."""
+    if table.dim < 1:
+        return ["table dimension %d is not positive" % table.dim]
+    if _whole_table_holds(table):
+        return []
+    return _walk_errata(table)
+
+
+def _walk_errata(table):
     """cell_errata, then the rows and columns of each z_k, which can be
-    counted only when every cell is well formed."""
+    counted only when every cell is well formed: the only author of the
+    text of a shape erratum."""
     n = table.sig.n
     n_vec = table.dim
     errata = cell_errata(table)

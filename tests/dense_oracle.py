@@ -1,4 +1,4 @@
-"""Dense integer matrix oracle for the signed-permutation core.
+"""Dense integer matrix oracle for the signed-point core.
 
 An independent implementation of the table pipeline on dense matrices:
 generators become integer matrices, words are O(N^3) matrix products,
@@ -6,7 +6,9 @@ the joint eigenspace of the involution system comes from fraction-free
 column elimination, initial vectors are searched among small integer
 combinations of its basis, and the table is read off with the metric
 form.  It shares no arithmetic with htype.exactlin, so the tests hold
-the fast path against it.
+the fast path against it.  The per-point rules at the end read the
+signed-point maps one point at a time, as referees for exactlin's
+whole-tuple checks.
 
 Matrices are plain lists of lists of Python ints, indexed [row][col].
 Everything stays in integer arithmetic; no floats ever appear.
@@ -54,10 +56,10 @@ def mat_mul(a, b):
     return out
 
 
-def negated_op(op):
-    """-op for a signed permutation op = (perm, signs)."""
-    perm, signs = op
-    return list(perm), [-s for s in signs]
+def negated_op(m):
+    """-m for a signed-point map m: each defined image changes sign."""
+    end = len(m) - 1
+    return tuple(x if x == end else x ^ 1 for x in m)
 
 
 def negated(gens):
@@ -152,14 +154,29 @@ def column_space_basis(mat):
 
 # --- the package's objects as dense matrices and vectors -----------------
 
-def matrix(op):
-    """Dense matrix of a signed permutation; None leaves a zero column."""
-    perm, signs = op
-    out = zeros(len(perm))
-    for j, (i, s) in enumerate(zip(perm, signs)):
-        if i is not None:
-            out[i][j] = s
+def matrix(m):
+    """Dense matrix of a signed-point map; an undefined image leaves a
+    zero column."""
+    n = len(m) // 2
+    out = zeros(n)
+    for j in range(n):
+        x = m[2 * j]
+        if x != 2 * n:
+            out[x >> 1][j] = -1 if x & 1 else 1
     return out
+
+
+def as_map(op):
+    """The signed-point map of the lists (perm, signs), e_p going to
+    signs[p] e_perm[p] or, where perm holds None, nowhere: the shape
+    GeneratorSet.apply_word returns."""
+    perm, signs = op
+    end = 2 * len(perm)
+    images = []
+    for q, s in zip(perm, signs):
+        x = end if q is None else 2 * q + (s < 0)
+        images += (x, x if x == end else x ^ 1)
+    return tuple(images) + (end,)
 
 
 def vector(v, n):
@@ -320,12 +337,34 @@ def clifford_failures(mats, sig):
     return out
 
 
-# --- the per-point Clifford relation walk --------------------------------
+# --- per-point rules for the signed-point maps ---------------------------
 
-def _act(op, v):
+def _act(m, v):
+    """Image of the signed point v, read off the image of e_p alone."""
     p, s = v
-    q = op[0][p]
-    return None if q is None else (q, s * op[1][p])
+    x = m[2 * p]
+    if x == len(m) - 1:
+        return None
+    return x >> 1, -s if x & 1 else s
+
+
+def is_permutation(m):
+    """exactlin.is_permutation point by point: every e_p has an image,
+    and no two land on the same point."""
+    images = [_act(m, (p, 1)) for p in range(len(m) // 2)]
+    return None not in images and len({q for q, _s in images}) == len(images)
+
+
+def is_skew(m, form):
+    """exactlin.skew_flags for one map, point by point: m swaps the
+    points in pairs, and the two signs of a pair differ by the form's
+    signs of its points."""
+    for j in range(len(m) // 2):
+        v = _act(m, (j, 1))
+        w = None if v is None else _act(m, (v[0], 1))
+        if w is None or w[0] != j or w[1] != -form[j] * form[v[0]] * v[1]:
+            return False
+    return True
 
 
 def _twice(a, b, p):
@@ -342,9 +381,9 @@ def _cancel(x, y):
 
 def relation_failures(ops, squares):
     """exactlin.relation_failures as a walk over every point of every
-    pair: four single-point images per point, no whole-list shortcut."""
+    pair: four single-point images per point, no whole-tuple shortcut."""
     for i, a in enumerate(ops):
-        points = range(len(a[0]))
+        points = range(len(a) // 2)
         for j in range(i, len(ops)):
             b = ops[j]
             if i == j:

@@ -21,7 +21,8 @@ from conftest import (
     resign,
     slow_word_mul,
 )
-from dense_oracle import initial_vector_candidates, metric_adjoint, signed_point
+from dense_oracle import (as_map, initial_vector_candidates, metric_adjoint,
+                          signed_point)
 from htype.basis_builder import (
     build_basis,
     configured_signatures,
@@ -175,13 +176,13 @@ def test_7_stored_relations_hold():
         for inv in config.involutions:
             assert reduce_mod_system(
                 sig, config.involutions, inv.word) == inv.eigensign
-            acted = act(gens.apply_word(inv.word), v)
+            acted = act(as_map(gens.apply_word(inv.word)), v)
             assert acted == (v[0], inv.eigensign * v[1]), (key, inv)
             involutions += 1
         for rel in config.relations:
             assert reduce_mod_system(sig, config.involutions, rel) == 1, \
                 (key, rel)
-            assert act(gens.apply_word(rel), v) == v, (key, rel)
+            assert act(as_map(gens.apply_word(rel)), v) == v, (key, rel)
             relations += 1
     assert relations == 50
     print("PASS stored relations: %d involution actions and %d word "

@@ -7,8 +7,8 @@ import grid_oracle
 import search_oracle
 from search_oracle import words_commute
 from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_mul
-from dense_oracle import (clifford_failures, matrix, mat_mul, mat_neg, negated,
-                          negated_op, word_matrix)
+from dense_oracle import (as_map, clifford_failures, matrix, mat_mul, mat_neg,
+                          negated, negated_op, word_matrix)
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
@@ -294,7 +294,7 @@ def two_mul_sign_ops(sig, system, reps):
             perm.append(b)
             signs.append(mul_sign(sig, 1 << i, rep)
                          * mul_sign(sig, reps[b], p) * span[p])
-        ops.append((perm, signs))
+        ops.append(as_map((perm, signs)))
     return ops
 
 
@@ -343,8 +343,9 @@ def test_apply_word_is_a_homomorphism():
         for _ in range(60):
             u = random_canonical_word(rng, sig.n)
             v = random_canonical_word(rng, sig.n)
-            lhs = mat_mul(matrix(gens.apply_word(u)), matrix(gens.apply_word(v)))
-            rhs = gens.apply_word(slow_word_mul(sig, u, v))
+            lhs = mat_mul(matrix(as_map(gens.apply_word(u))),
+                          matrix(as_map(gens.apply_word(v))))
+            rhs = as_map(gens.apply_word(slow_word_mul(sig, u, v)))
             assert lhs == matrix(rhs)
             assert matrix(rhs) == word_matrix(gens, slow_word_mul(sig, u, v))
             assert lhs == mat_mul(word_matrix(gens, u), word_matrix(gens, v))
@@ -357,7 +358,8 @@ def test_apply_word_respects_signs():
     for _ in range(40):
         w = random_canonical_word(rng, sig.n)
         flipped = w._replace(sign=-w.sign)
-        assert gens.apply_word(flipped) == negated_op(gens.apply_word(w))
+        assert as_map(gens.apply_word(flipped)) == \
+            negated_op(as_map(gens.apply_word(w)))
 
 
 def test_act_word_agrees_with_apply_word():
@@ -368,7 +370,8 @@ def test_act_word_agrees_with_apply_word():
         for _ in range(60):
             w = random_canonical_word(rng, sig.n)
             v = (rng.randrange(gens.dim), rng.choice((1, -1)))
-            assert gens.act_word(w, v) == exactlin.act(gens.apply_word(w), v)
+            assert gens.act_word(w, v) == \
+                exactlin.act(as_map(gens.apply_word(w)), v)
 
 
 def test_form_signature_split():

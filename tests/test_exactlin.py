@@ -1,11 +1,12 @@
-"""The signed-permutation core, held against the dense matrix oracle,
-and the oracle's own matrix arithmetic."""
+"""The signed-point core, held against the dense matrix oracle and the
+oracle's per-point rules, and the oracle's own matrix arithmetic."""
 
 import math
 import random
 
 import dense_oracle
 from dense_oracle import (
+    as_map,
     column_space_basis,
     diagonal,
     dot_form,
@@ -35,10 +36,15 @@ def rand_matrix(rng, n, m=None, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
-def rand_op(rng, n):
+def rand_perm_signs(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm, [rng.choice((1, -1)) for _ in range(n)]
+
+
+def rand_op(rng, n):
+    """A random signed permutation of n points, as a map."""
+    return as_map(rand_perm_signs(rng, n))
 
 
 def rand_skew_op(rng, form):
@@ -50,7 +56,20 @@ def rand_skew_op(rng, form):
         s = rng.choice((1, -1))
         perm[a], signs[a] = b, s
         perm[b], signs[b] = a, -form[a] * form[b] * s
-    return perm, signs
+    return as_map((perm, signs))
+
+
+def rand_partial_op(rng, n):
+    """A signed map on n points with some images undefined and some
+    repeated."""
+    perm, signs = rand_perm_signs(rng, n)
+    for p in range(n):
+        roll = rng.random()
+        if roll < 0.15:
+            perm[p], signs[p] = None, 0
+        elif roll < 0.3:
+            perm[p] = rng.randrange(n)
+    return as_map((perm, signs))
 
 
 def test_identity_and_zeros_shapes():
@@ -99,7 +118,7 @@ def test_transpose_and_apply():
         op = rand_op(rng, n)
         v = (rng.randrange(n), rng.choice((1, -1)))
         assert vector(exactlin.act(op, v), n) == mat_apply(matrix(op), vector(v, n))
-    partial = ([None, 0], [0, -1])
+    partial = as_map(([None, 0], [0, -1]))
     assert exactlin.act(partial, (0, 1)) is None
     assert exactlin.act(partial, (1, -1)) == (0, 1)
 
@@ -145,8 +164,33 @@ def test_is_skew_agrees_with_the_metric_adjoint():
         form = [rng.choice((1, -1)) for _ in range(n)]
         op = rand_skew_op(rng, form) if rng.random() < 0.5 else rand_op(rng, n)
         dense = matrix(op)
-        assert exactlin.is_skew(op, form) == \
-            (metric_adjoint(dense, form) == mat_neg(dense))
+        assert exactlin.skew_flags([op], form) == \
+            [metric_adjoint(dense, form) == mat_neg(dense)]
+
+
+def test_skew_flags_match_the_per_point_rule():
+    """The two gathers of skew_flags against the oracle's per-point rule
+    on 200 seeded lists of skew, total and partial maps, with the form's
+    gather shared across each list."""
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        form = [rng.choice((1, -1)) for _ in range(n)]
+        ops = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(("skew", "total", "partial"))
+            if kind == "skew" and n % 2 == 0:
+                ops.append(rand_skew_op(rng, form))
+            elif kind == "partial":
+                ops.append(rand_partial_op(rng, n))
+            else:
+                ops.append(rand_op(rng, n))
+        want = [dense_oracle.is_skew(m, form) for m in ops]
+        assert exactlin.skew_flags(ops, form) == want
+        seen.update(want)
+    assert seen == {True, False}
+    assert exactlin.skew_flags([], [1]) == []
 
 
 def test_dot_form_and_gram():
@@ -157,10 +201,10 @@ def test_dot_form_and_gram():
 
 
 def test_is_signed_permutation():
-    assert exactlin.is_permutation(([1, 0], [1, -1]))
-    assert exactlin.is_permutation(([0, 1, 2, 3], [1, 1, 1, 1]))
-    assert not exactlin.is_permutation(([1, 1], [1, 1]))
-    assert not exactlin.is_permutation(([None, 1], [0, 1]))
+    assert exactlin.is_permutation(as_map(([1, 0], [1, -1])))
+    assert exactlin.is_permutation(as_map(([0, 1, 2, 3], [1, 1, 1, 1])))
+    assert not exactlin.is_permutation(as_map(([1, 1], [1, 1])))
+    assert not exactlin.is_permutation(as_map(([None, 1], [0, 1])))
     assert is_signed_permutation([[0, 1], [-1, 0]])
     assert not is_signed_permutation([[1, 1], [0, 1]])
     assert not is_signed_permutation([[2, 0], [0, 1]])
@@ -169,6 +213,21 @@ def test_is_signed_permutation():
     for _ in range(50):
         op = rand_op(rng, rng.randint(1, 6))
         assert is_signed_permutation(matrix(op))
+
+
+def test_is_permutation_matches_the_per_point_rule():
+    """set(m[:-1]) == set(range(2N)) against the oracle's per-point rule
+    and the dense matrix on 50 seeded total and partial maps."""
+    rng = random.Random(53)
+    seen = set()
+    for _ in range(50):
+        n = rng.randint(1, 6)
+        op = rand_op(rng, n) if rng.random() < 0.3 else rand_partial_op(rng, n)
+        want = dense_oracle.is_permutation(op)
+        assert exactlin.is_permutation(op) == want
+        assert is_signed_permutation(matrix(op)) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_signed_perm_parts_round_trip():
@@ -190,15 +249,14 @@ def test_relation_failures_agree_with_dense_products():
         form = [rng.choice((1, -1)) for _ in range(n)]
         ops = [rand_skew_op(rng, form) for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.3:
-            perm, signs = ops[0]
-            ops[0] = ([None] + perm[1:], [0] + signs[1:])
+            ops[0] = (2 * n, 2 * n) + ops[0][2:]  # e_0 goes nowhere
         cases.append((ops, [rng.choice((1, -1)) for _ in ops]))
     for key in ((2, 1), (1, 3)):
         sig = Signature(*key)
         cases.append((build_generators(sig, find_involution_system(sig)).ops,
                       [-sig.eps(i) for i in range(1, sig.n + 1)]))
     for ops, squares in cases:
-        n = len(ops[0][0])
+        n = len(ops[0]) // 2
         dense = {}
         for i in range(len(ops)):
             for j in range(i, len(ops)):
@@ -229,35 +287,24 @@ def test_relation_failures_match_the_per_point_walk():
         cases.append((ops, [-x for x in squares], False))
         cases.append((ops + ops[:1], squares + squares[:1], False))
         for damage in ("sign", "swap", "copy", "none") * 4:
-            copy = [(list(perm), list(signs)) for perm, signs in ops]
-            perm, signs = rng.choice(copy)
-            p, q = rng.sample(range(len(perm)), 2)
+            copy = [list(m) for m in ops]
+            m = rng.choice(copy)
+            p, q = rng.sample(range(len(m) // 2), 2)
             if damage == "sign":
-                signs[p] = -signs[p]
+                m[2 * p] ^= 1
+                m[2 * p + 1] ^= 1
             elif damage == "swap":
-                perm[p], perm[q] = perm[q], perm[p]
+                m[2 * p:2 * p + 2], m[2 * q:2 * q + 2] = \
+                    m[2 * q:2 * q + 2], m[2 * p:2 * p + 2]
             elif damage == "copy":
-                perm[p] = perm[q]
+                m[2 * p:2 * p + 2] = m[2 * q:2 * q + 2]
             else:
-                perm[p] = None
-            cases.append((copy, squares, False))
+                m[2 * p] = m[2 * p + 1] = len(m) - 1
+            cases.append(([tuple(m) for m in copy], squares, False))
     for ops, squares, intact in cases:
         want = list(dense_oracle.relation_failures(ops, squares))
         assert list(exactlin.relation_failures(ops, squares)) == want
         assert (want == []) == intact
-
-
-def rand_partial_op(rng, n):
-    """A signed map on n points with some images undefined and some
-    repeated."""
-    perm, signs = rand_op(rng, n)
-    for p in range(n):
-        roll = rng.random()
-        if roll < 0.15:
-            perm[p], signs[p] = None, 0
-        elif roll < 0.3:
-            perm[p] = rng.randrange(n)
-    return perm, signs
 
 
 def test_relation_failures_match_the_walk_on_random_maps():
@@ -275,19 +322,22 @@ def test_relation_failures_match_the_walk_on_random_maps():
     for case in range(2400):
         if case % 2:
             ops, squares = rng.choice(built)
-            ops = [(list(perm), list(signs)) for perm, signs in ops]
+            ops = [list(m) for m in ops]
             squares = list(squares)
             for _ in range(rng.randint(0, 2)):
-                perm, signs = rng.choice(ops)
-                p = rng.randrange(len(perm))
+                m = rng.choice(ops)
+                end = len(m) - 1
+                p = rng.randrange(end // 2)
                 damage = rng.choice(("sign", "copy", "none"))
-                if damage == "sign":
-                    signs[p] = -signs[p]
+                if damage == "sign" and m[2 * p] != end:
+                    m[2 * p] ^= 1
+                    m[2 * p + 1] ^= 1
                 elif damage == "copy":
-                    perm[p] = rng.randrange(len(perm))
-                    signs[p] = rng.choice((1, -1))
-                else:
-                    perm[p], signs[p] = None, 0
+                    x = 2 * rng.randrange(end // 2) + (rng.choice((1, -1)) < 0)
+                    m[2 * p:2 * p + 2] = x, x ^ 1
+                elif damage == "none":
+                    m[2 * p] = m[2 * p + 1] = end
+            ops = [tuple(m) for m in ops]
         else:
             n = case // 2 % 16 + 1
             ops = [rand_partial_op(rng, n) for _ in range(rng.randint(0, 4))]
@@ -303,12 +353,12 @@ def test_relation_failures_match_the_walk_on_random_maps():
         want = list(dense_oracle.relation_failures(ops, squares))
         assert list(exactlin.relation_failures(ops, squares)) == want
         seen.add("fails" if want else "holds" if ops else "empty")
-        if any(None in perm for perm, _signs in ops):
+        if any(len(m) - 1 in m[:-1] for m in ops):
             seen.add("undefined")
     assert {("dim", n) for n in range(1, 17)} <= seen
     assert {"fails", "holds", "empty", "undefined"} <= seen
     # Operators on no points break nothing.
-    assert list(exactlin.relation_failures([([], [])] * 2, [1, -1])) == []
+    assert list(exactlin.relation_failures([(0,)] * 2, [1, -1])) == []
 
 
 def test_column_space_basis_simple():

@@ -136,6 +136,28 @@ def test_loader_rejects_structural_damage():
         table_from_data(data)
 
 
+def test_loader_rejects_non_integer_entries():
+    """A re-checksummed copy of n10.json with a float or a bool where an
+    int belongs does not load.  1.0 as a cell's z index or row once
+    passed cell_errata, as 1 <= 1.0 <= n, and then made verify_htype
+    raise TypeError."""
+    def cell(i, value):
+        return lambda data: data["cells"][0].__setitem__(i, value)
+
+    edits = [cell(0, 1.0), cell(1, 2.0), cell(2, 1.5), cell(2, 1.0),
+             cell(3, 1.0), cell(3, True),
+             lambda data: data["sig"].__setitem__(0, 1.0),
+             lambda data: data["sig"].__setitem__(1, False),
+             lambda data: data.__setitem__("dim", 2.0),
+             lambda data: data.__setitem__("missing", [[1, 1.0]])]
+    table_from_data(resign(raw_data(1, 0)))
+    for edit in edits:
+        data = raw_data(1, 0)
+        edit(data)
+        with pytest.raises(ValueError, match="not an int"):
+            table_from_data(resign(data))
+
+
 def test_loader_rejects_what_cell_errata_names():
     for key in ((1, 0), (2, 2), (5, 1)):
         base = raw_data(*key)

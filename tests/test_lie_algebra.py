@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -23,6 +24,9 @@ from htype.lie_algebra import (
     EXACT,
     SIGN_EQUIVALENT,
     UNMATCHED,
+    StructureTable,
+    _walk_errata,
+    _whole_table_holds,
     compare_tables,
     compute_table,
     derive_table,
@@ -31,6 +35,7 @@ from htype.lie_algebra import (
     verify_htype,
 )
 from htype.words import Signature, Word
+from verify_oracle import is_htype, referee_cases
 
 # sha256 of json [dim, sorted cells] for the scale ladder's derived
 # tables past the CLI cap, where tests/cli_digests.json stops.  A
@@ -48,7 +53,8 @@ def test_generate_n10_hand_table():
     assert t.sig == Signature(1, 0)
     assert t.dim == 2
     assert t.cells == {(1, 2): (1, 1), (2, 1): (1, -1)}
-    assert reconstruct_J(t, (1, 1)) == [([1, 0], [1, -1])]
+    # e_0 goes to e_1 at index 2, -e_0 to -e_1 at 3, e_1 to -e_0 at 1.
+    assert reconstruct_J(t, (1, 1)) == [(2, 3, 1, 0, 4)]
     assert matrix(reconstruct_J(t, (1, 1))[0]) == [[0, -1], [1, 0]]
     assert verify_htype(t).ok
 
@@ -173,6 +179,39 @@ def test_missing_pair_has_no_determined_value():
     assert [(m.cell, m.suggestion) for m in report.missing] == [
         ((1, 3), None), ((3, 1), None)]
     assert not report.ok
+
+
+def test_verify_rejects_a_dimension_that_is_not_positive():
+    for dim in (0, -1):
+        for cells in ({}, {(1, 2): (1, 1), (2, 1): (1, -1)}):
+            report = verify_htype(StructureTable(Signature(1, 0), dim, cells))
+            assert not report.ok
+            assert report.errata == ["table dimension %d is not positive" % dim]
+
+
+def test_verify_htype_agrees_with_the_brute_force_referee():
+    """verify_htype's verdict against verify_oracle.is_htype on 1,164
+    tables: the 44 configured and golden tables of dim <= 8, each with
+    two rounds of seeded damage, and the (0, 7) blocks as (7, 0) and
+    (0, 7).  The
+    whole-table check holds exactly when the walk over the cells finds
+    nothing, on every table with a positive dim and no missing cell."""
+    cases = referee_cases()
+    assert len(cases) == 1164
+    seen = Counter()
+    for name, table in cases:
+        ok = verify_htype(table).ok
+        assert ok == is_htype(table), name
+        holds = table.dim >= 1 and _whole_table_holds(table)
+        if holds:
+            assert _walk_errata(table) == [], name
+        elif table.dim >= 1 and not table.missing:
+            assert _walk_errata(table) != [], name
+        seen[ok, holds] += 1
+    # (verdict, whole-table check) counts; a valid table with a missing
+    # zero cell fails the whole-table check and passes the walk.
+    assert seen == {(True, True): 88, (True, False): 66,
+                    (False, True): 136, (False, False): 874}
 
 
 def test_reconstructed_generators_satisfy_the_axioms():
