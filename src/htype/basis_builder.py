@@ -1,21 +1,18 @@
-"""Reference basis data and the initial vector.
+"""Reference basis data.
 
 For each signature with a published table there is a ReferenceConfig
-recording the involution system, the words whose action on a suitable
-unit vector v produces the orthogonal module basis, any extra relations
-the source states, and pairings required to vanish when picking v.
-
-The initial vector v must be fixed by the involution system with its
-eigensigns, satisfy <v, v> = 1 and make the frame {M(W_a) v} orthogonal
-with the expected norm signs.  In the coset module the system words act
-by their eigensigns on the empty-set coset, so v is the first basis
-vector e_1, and the frame vectors are signed basis vectors.
+recording the involution system, the words W_a whose action on the
+system's common eigenvector v gives the orthogonal module basis
+v_a = W_a v, and any extra relations the source states, each a word
+expected to fix v.  The first basis word is the empty one, so v_1 = v.
+lie_algebra.generate_table writes the table in this basis; it needs the
+words to hit each coset of letter masks modulo the span of the system
+once, which also makes every pairing <W_a v, W_b v> with a != b vanish.
 """
 
 from dataclasses import dataclass
 
-from .clifford_rep import ConstructionError
-from .words import Involution, Word, norm_sign
+from .words import Involution, Word
 
 
 def _w(sign, *letters):
@@ -31,7 +28,6 @@ class ReferenceConfig:
     involutions: tuple = ()
     basis_words: tuple = ()
     relations: tuple = ()
-    zero_pairings: tuple = ()
 
 
 _CONFIGS = {
@@ -51,7 +47,6 @@ _CONFIGS = {
     (2, 1): ReferenceConfig(
         basis_words=(_w(1), _w(-1, 1, 2), _w(1, 1, 3), _w(1, 2, 3),
                      _w(1, 1), _w(1, 2), _w(1, 3), _w(1, 1, 2, 3)),
-        zero_pairings=(_w(1, 1, 2, 3),),
     ),
     (1, 2): ReferenceConfig(
         involutions=(_p(1, 2, 3),),
@@ -60,7 +55,6 @@ _CONFIGS = {
     (0, 3): ReferenceConfig(
         basis_words=(_w(1), _w(1, 1, 2), _w(1, 1, 3), _w(1, 2, 3),
                      _w(1, 1), _w(1, 2), _w(1, 3), _w(1, 1, 2, 3)),
-        zero_pairings=(_w(1, 1, 2, 3),),
     ),
     (4, 0): ReferenceConfig(
         involutions=(_p(1, 2, 3, 4),),
@@ -246,29 +240,3 @@ def has_reference_config(sig):
 def configured_signatures():
     """Every signature with stored basis data, aliases included."""
     return sorted(set(_CONFIGS) | set(ALIASES))
-
-
-def build_basis(gens, config):
-    """The frame M(W_a) e_1 as signed points, in word order.
-
-    Each word acts on the signed point e_1 = (0, 1) letter by letter,
-    and the frame is checked on the way: ConstructionError is raised
-    when the involution system does not fix e_1 with its eigensigns,
-    or when the frame is not orthogonal with the expected norms or
-    breaks a zero pairing.  For signed basis vectors, orthogonality
-    means distinct points.
-    """
-    v = (0, 1)
-    for p in config.involutions:
-        if gens.act_word(p.word, v) != (0, p.eigensign):
-            raise ConstructionError(
-                "the involution system does not fix e_1; the twin module "
-                "with negated generators may carry this basis instead")
-    frame = [gens.act_word(w, v) for w in config.basis_words]
-    norms_ok = all(gens.form_v[point] == norm_sign(gens.sig, w)
-                   for (point, _s), w in zip(frame, config.basis_words))
-    points = {point for point, _s in frame}
-    pairs_ok = all(gens.act_word(w, v)[0] != 0 for w in config.zero_pairings)
-    if not (norms_ok and len(points) == len(frame) and pairs_ok):
-        raise ConstructionError("e_1 is not a valid initial vector")
-    return frame

@@ -20,13 +20,13 @@ import json
 import sys
 
 from . import __version__
-from .basis_builder import (build_basis, configured_signatures,
-                            has_reference_config, reference_config)
-from .clifford_rep import (build_generators, clifford_type,
+from .basis_builder import (configured_signatures, has_reference_config,
+                            reference_config)
+from .clifford_rep import (ConstructionError, GeneratorSet, clifford_type,
                            minimal_admissible_dimension)
 from .golden import build_n07, match_generated, split_blocks, verify_all_golden
 from .lie_algebra import (EXACT, SIGN_EQUIVALENT, derive_table, generate_table,
-                          verify_htype)
+                          reconstruct_J, verify_htype)
 from .words import Signature, format_word, reduce_mod_system
 
 
@@ -228,8 +228,20 @@ def _cmd_relations(parser, args):
         print("no stored basis data for n%s" % sig, file=sys.stderr)
         return 2
     config = reference_config(sig)
-    gens = build_generators(sig, system=config.involutions)
-    build_basis(gens, config)
+    # The words act through the generators rebuilt from the emitted
+    # table, in its basis v_a = W_a v, so the initial vector is v_1.
+    try:
+        table = generate_table(sig)
+    except ConstructionError as exc:
+        print("n%s: %s" % (sig, exc), file=sys.stderr)
+        return 3
+    report = verify_htype(table)
+    if not report.ok:
+        print("n%s: the generated table fails verification: %s"
+              % (sig, "; ".join(report.errata)), file=sys.stderr)
+        return 3
+    gens = GeneratorSet(sig, table.dim, reconstruct_J(table, report.eta),
+                        report.eta)
     v = (0, 1)
     bad = False
     print("n%s involution system, acting on the initial vector:" % sig)

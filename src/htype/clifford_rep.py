@@ -1,19 +1,20 @@
-"""Clifford module generators as exact signed permutations.
+"""The Clifford modules behind the tables: their size, the involution
+search, and the one check of the module axioms.
 
-The entry point is build_generators, which realises the Clifford
-relations J_i J_j + J_j J_i = -2 <z_i, z_j> Id on a module of the
-minimal admissible dimension.  The construction is combinatorial: fix a
-system of k commuting involution words with independent letter sets,
-declare them to act as +1 on a vector v, and take as module basis the
-vectors e_a = J_(R_a) v, one per coset of letter masks modulo the span
-of the system, R_a its smallest member.  Every word maps v to a signed
-point, J_L v = sign * e_a for the coset a of its mask L, with the sign
-from the one sign rule of the words module.  J_i e_a = J_i J_(R_a) v is
-read off that signed-point map, and the diagonal form with entries
-eta(W) = prod eps over the representative letters makes every J_i skew.
-verify_generators is the one check of the module axioms, here and for
-the operators lie_algebra.verify_htype rebuilds from a table.  Each
-operator is a signed-point map (see exactlin).
+A table's module realises the Clifford relations
+J_i J_j + J_j J_i = -2 <z_i, z_j> Id in the minimal admissible
+dimension.  It is fixed by a system of k commuting involution words with
+independent letter sets, declared to act by their eigensigns on a
+vector v; the vectors J_R v, R one member of each coset of letter masks
+modulo the span of the system, form its basis, so the coset count
+2^(n-k) must be that dimension.  involution_count gives k, and find_involution_system
+searches a system; lie_algebra writes the table of such a module
+straight from the sign rule of the words module, without building it.
+
+verify_generators is the one check of the module axioms, on the
+operators lie_algebra.verify_htype rebuilds from a table, each a
+signed-point map (see exactlin).  A GeneratorSet holds such operators
+and acts with words on signed points.
 
 The minimal dimensions follow from the classification of the real
 Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
@@ -28,15 +29,7 @@ from itertools import combinations
 from math import isqrt
 
 from . import exactlin
-from .words import (
-    Involution,
-    Signature,
-    Word,
-    letter_mask,
-    mul_sign,
-    sign_form,
-    span_products,
-)
+from .words import Involution, Signature, Word, letter_mask
 
 
 class ConstructionError(Exception):
@@ -234,60 +227,6 @@ class GeneratorSet:
         for i in reversed(w.letters):
             v = exactlin.act(self.ops[i - 1], v)
         return v if w.sign == 1 else (v[0], -v[1])
-
-
-def build_generators(sig, system):
-    """Minimal admissible Clifford module for sig, as signed-point maps.
-
-    The result is checked by verify_generators before being returned.
-    """
-    span = span_products(sig, system)
-
-    # Masks in tuple order of their letters (the empty set, then those
-    # with least letter x, then the rest), so the first member met of each
-    # coset is its smallest representative R_a; coset[R_a xor P] = (a, P).
-    ordered = [0]
-    for x in range(sig.n, 0, -1):
-        ordered = [0] + [1 << x | m for m in ordered] + ordered[1:]
-    reps, coset = [], {}
-    for rep in ordered:
-        if rep not in coset:
-            for p in span:
-                coset[rep ^ p] = (len(reps), p)
-            reps.append(rep)
-
-    dim = len(reps)
-    expected = minimal_admissible_dimension(sig.r, sig.s)
-    if dim != expected:
-        raise ConstructionError(
-            "coset count %d does not match minimal dimension %d" % (dim, expected))
-
-    # J_i e_a = J_i J_(R_a) v = mul_sign(i, R_a) J_L v for L = R_a xor i,
-    # and with coset[L] = (b, P), J_L v = mul_sign(R_b, P) span[P] e_b.
-    # mul_sign(A, B) is -1 to the power |f(A) & B| for f = sign_form,
-    # linear over GF(2).  As R_b = L xor P and f(L) = f(R_a) xor f(i),
-    # the sign is -1 to the power |f(i) & R_a| + |(f(R_a) xor f(i)) & P|,
-    # times mul_sign(P, P) span[P], which is -1 where neg[P].  The image
-    # of e_a sits at index 2b + (sign < 0), that of -e_a at its swap.
-    neg = {p: mul_sign(sig, p, p) * c < 0 for p, c in span.items()}
-    f_reps = [sign_form(sig, rep) for rep in reps]
-    ops = []
-    for i in range(1, sig.n + 1):
-        bit = 1 << i
-        f_i = sign_form(sig, bit)
-        images = []
-        for rep, f_rep in zip(reps, f_reps):
-            b, p = coset[rep ^ bit]
-            odd = ((f_i & rep) ^ ((f_rep ^ f_i) & p)).bit_count() & 1
-            x = 2 * b + (odd ^ neg[p])
-            images += (x, x ^ 1)
-        ops.append(tuple(images) + (2 * dim,))
-
-    form_v = tuple((-1) ** (rep >> sig.r + 1).bit_count() for rep in reps)
-    problems = verify_generators(sig, ops, form_v)
-    if problems:
-        raise ConstructionError("; ".join(problems))
-    return GeneratorSet(sig, dim, tuple(ops), form_v)
 
 
 def verify_generators(sig, ops, form):

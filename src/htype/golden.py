@@ -109,8 +109,8 @@ def _twin_cells(table, words):
     """The cells of table in the twin module, every J_k negated, on the
     frame of the same basis words W_a.
 
-    Negating every J_k negates each odd-length frame vector W_a e_1, and
-    e_1 stays fixed once the eigensign of each odd-length involution
+    Negating every J_k negates each odd-length frame vector W_a v, and
+    v stays fixed once the eigensign of each odd-length involution
     flips.  So each pairing <J_k v_a, v_b>, and with it cell (a, b),
     gains the factor -(-1)^(|W_a| + |W_b|).
     """

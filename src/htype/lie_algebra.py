@@ -1,9 +1,32 @@
-"""Structure constant tables, their verification and comparison.
+"""Structure constant tables: their construction, verification and comparison.
 
 A StructureTable records the brackets of a 2-step nilpotent algebra
 with centre z_1 ... z_n and module basis v_1 ... v_N.  Every bracket
 [v_a, v_b] is either zero or a single signed central element, so a cell
 is stored as (k, sign) under the key (a, b), with zero cells omitted.
+
+Every table is written straight from the sign rule of the words module.
+Its basis is v_a = W_a v for basis words W_a = sigma_a J_(M_a), M_a a
+letter mask, where v is a unit vector on which each word of an
+involution system acts by its eigensign.  So J_P v = span[P] v for every
+mask P of the GF(2) span S of the system masks (words.span_products).
+Let key be reduction modulo S by an echelon basis; key is linear.  The
+words must hit each coset of S once; then the frame {W_a v} is the
+coset module's basis up to order and signs, orthogonal with
+<v_a, v_a> = norm_sign(W_a).  For a generator J_k:
+
+    J_k W_a v = sigma_a mul_sign(k, M_a) J_L v,    L = {k} xor M_a.
+
+Let b be the word with key(M_b) = key(L) = key(k) xor key(M_a), and
+P = L xor M_b, which lies in S.  As J_(M_b) J_P = mul_sign(M_b, P) J_L,
+
+    J_L v = mul_sign(M_b, P) span[P] J_(M_b) v = mul_sign(M_b, P) span[P] sigma_b v_b.
+
+So J_k v_a = c v_b with c = sigma_a sigma_b span[P] (-1)^(|f(k) & M_a|
++ |f(M_b) & P|), f = words.sign_form, since mul_sign(A, B) is -1 to the
+power |f(A) & B|.  As <J_k x, y> = <z_k, [x, y]> and <z_k, z_k> = eps_k,
+the cell (a, b) is (k, eps_k c norm_sign(W_b)), and J_k puts nothing
+else in row a.
 
 cell_errata is the one check of the cell rules, shared with the golden
 loader.  verify_htype adds the row and column counts of each z_k, solves
@@ -23,10 +46,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .basis_builder import build_basis, reference_config
-from .clifford_rep import (build_generators, find_involution_system,
-                           verify_generators)
-from .words import Signature
+from .basis_builder import reference_config
+from .clifford_rep import (ConstructionError, find_involution_system,
+                           minimal_admissible_dimension, verify_generators)
+from .words import Signature, Word, letter_mask, norm_sign, sign_form, span_products
 
 EXACT = "exact"
 SIGN_EQUIVALENT = "sign-equivalent"
@@ -73,55 +96,80 @@ def _eps_by_k(sig):
     return (None,) + tuple(sig.eps(k) for k in range(1, sig.n + 1))
 
 
-def compute_table(gens, frame, label=""):
-    """Read the bracket table off where each J_k sends each frame point.
+def _reduced(basis, mask):
+    """mask modulo the span of basis, an echelon list with decreasing
+    leading bits: the key of its coset, linear in mask."""
+    for row in basis:
+        mask = min(mask, mask ^ row)
+    return mask
 
-    The frame is a list of signed points (see exactlin), one per module
-    basis vector; one that does not hit each module point exactly once
-    raises ValueError.  gens needs no check: build_generators proves the
-    module axioms.  So each J_k is a skew signed permutation, and J_k v_a
-    is one frame vector.  As <x, J_k x> = <x, J_l J_k x> = 0 for
-    anticommuting J_k, J_l, no J_k v_a is +-v_a or +-J_l v_a, so no cell
-    is diagonal or doubled; as <J_k v_b, v_a> = -<v_b, J_k v_a>, the
-    table is antisymmetric.
+
+def _table_from_words(sig, system, words, label=""):
+    """The table in the basis v_a = W_a v, each cell from the identity
+    of the module docstring.
+
+    ConstructionError is raised when the cosets of the system's span are
+    not as many as the minimal admissible dimension, or when the words
+    miss or repeat a coset.
     """
-    sig = gens.sig
-    if sorted(point for point, _s in frame) != list(range(gens.dim)):
-        raise ValueError("the frame does not hit each module point once")
-    eps = _eps_by_k(sig)
-    where = {point: b for b, (point, _s) in enumerate(frame)}
+    span = span_products(sig, system)
+    dim = 2 ** sig.n // len(span)
+    expected = minimal_admissible_dimension(sig.r, sig.s)
+    if dim != expected:
+        raise ConstructionError(
+            "coset count %d does not match minimal dimension %d" % (dim, expected))
+    basis = []
+    for inv in system:
+        basis = sorted(basis + [_reduced(basis, letter_mask(inv.word.letters))],
+                       reverse=True)
+    masks = [letter_mask(w.letters) for w in words]
+    keys = [_reduced(basis, m) for m in masks]
+    where = {key: b for b, key in enumerate(keys)}
+    if not len(where) == len(words) == dim:
+        raise ConstructionError(
+            "the basis words miss or repeat a coset of the involution system")
+    # sigma_b norm_sign(W_b) and f(M_b), per word b.
+    scale = [w.sign * norm_sign(sig, w) for w in words]
+    forms = [sign_form(sig, m) for m in masks]
     cells = {}
     for k in range(1, sig.n + 1):
-        m = gens.ops[k - 1]
-        for a, (p, s) in enumerate(frame):
-            x = m[2 * p + (s < 0)]
-            point = x >> 1
-            b = where[point]
-            # J_k v_a = u e_point, u = -1 for odd x; for v_b = t e_point,
-            # <J_k v_a, v_b> is u t form[point].
-            pairing = frame[b][1] * gens.form_v[point]
-            cells[(a + 1, b + 1)] = (k, -eps[k] * pairing if x & 1
-                                     else eps[k] * pairing)
-    return StructureTable(sig, gens.dim, cells, frozenset(), label)
+        bit = 1 << k
+        f_k, key_k, eps_k = sign_form(sig, bit), _reduced(basis, bit), sig.eps(k)
+        for a, (w, m_a, key_a) in enumerate(zip(words, masks, keys)):
+            b = where[key_a ^ key_k]
+            p = bit ^ m_a ^ masks[b]
+            c = eps_k * w.sign * scale[b] * span[p]
+            cells[(a + 1, b + 1)] = (
+                k, -c if ((f_k & m_a) ^ (forms[b] & p)).bit_count() & 1 else c)
+    return StructureTable(sig, dim, cells, frozenset(), label)
 
 
 def generate_table(sig):
-    """Full pipeline from a signature to its structure table."""
+    """The table of a signature in its stored basis words."""
     config = reference_config(sig)
-    gens = build_generators(sig, system=config.involutions)
-    return compute_table(gens, build_basis(gens, config))
+    return _table_from_words(sig, config.involutions, config.basis_words)
 
 
 def derive_table(sig):
     """Structure table for a signature without stored basis data.
 
-    Searches an involution system and takes the coset words it cuts as
-    the module basis.  build_generators numbers the module by those
-    words, so their frame is e_1 ... e_N.
+    Searches an involution system and takes as basis words the smallest
+    member of each coset of letter masks modulo its span, in the tuple
+    order of their letters: the first member met of each coset in a walk
+    over all 2^n masks in that order (the empty set, then those with
+    least letter 1, and so on).
     """
-    gens = build_generators(sig, system=find_involution_system(sig))
-    frame = [(a, 1) for a in range(gens.dim)]
-    return compute_table(gens, frame, label="derived")
+    system = find_involution_system(sig)
+    span = span_products(sig, system)
+    ordered = [0]
+    for x in range(sig.n, 0, -1):
+        ordered = [0] + [1 << x | m for m in ordered] + ordered[1:]
+    words, covered = [], set()
+    for rep in ordered:
+        if rep not in covered:
+            covered.update(rep ^ p for p in span)
+            words.append(Word(1, tuple(x for x in range(1, sig.n + 1) if rep >> x & 1)))
+    return _table_from_words(sig, system, words, label="derived")
 
 
 def _propagate_signs(values, adj):
@@ -153,10 +201,11 @@ def _solve_eta(table):
 
     Every cell (a, b) = (k, s) forces eta_b = eps_k eta_a because J_k
     scales square norms by eps_k.  Components not reachable from v_1
-    start at +1 as well.
+    start at +1 as well.  A key or z index such as 1.0, equal to an int
+    without being one, raises TypeError, as all three index lists.
     """
     eps = _eps_by_k(table.sig)
-    adj = {a: [] for a in range(1, table.dim + 1)}
+    adj = [[] for _ in range(table.dim + 1)]
     for (a, b), (k, _s) in table.cells.items():
         adj[a].append((b, eps[k], (a, b)))
     eta = [None] * (table.dim + 1)
@@ -187,7 +236,8 @@ def reconstruct_J(table, eta):
 
 
 def cell_errata(table):
-    """Errata of the cell rules, in cell order: each cell lies inside the
+    """Errata of the cell rules, in cell order: each cell's key and z
+    index are ints (1.0, equal to 1, indexes no list), it lies inside the
     table, off the diagonal, and holds a known z_k with coefficient +-1;
     once all do, each is antisymmetric unless its mirror cell is missing."""
     n = table.sig.n
@@ -195,6 +245,10 @@ def cell_errata(table):
     found = []  # (cell, erratum); a stable sort by cell keeps each cell's order
     for cell, (k, s) in table.cells.items():
         a, b = cell
+        if not (isinstance(a, int) and isinstance(b, int) and isinstance(k, int)):
+            found.append((cell, "cell (v%s, v%s) has a key or z index that is "
+                                "not an int" % cell))
+            continue
         if not (1 <= a <= n_vec and 1 <= b <= n_vec):
             found.append((cell, "cell (v%d, v%d) outside the table" % cell))
             continue
@@ -234,7 +288,10 @@ def _whole_table_holds(table):
     The pairs, n N of them from n N cells, say that row a holds each
     z_k once and every a lies in 1..N; through the mirror, so do the
     columns and every b, and (a, a) = (k, s) would need s = -s.  So no
-    rule of cell_errata or of the row and column counts breaks.
+    rule of cell_errata or of the row and column counts breaks, except
+    that a key or z index equal to an int without being one, such as
+    1.0, passes every comparison; _solve_eta, which indexes lists by
+    them, stops it.
     """
     cells = table.cells
     n = table.sig.n
@@ -247,9 +304,11 @@ def _whole_table_holds(table):
 
 
 def _structural_errata(table):
-    """Errata of the table's shape: a dimension that is not positive on
-    its own, else nothing when _whole_table_holds, else those of
-    _walk_errata, which runs only on a table that breaks a rule."""
+    """Errata of the table's shape: a dimension that is not an int or not
+    positive on its own, else nothing when _whole_table_holds, else those
+    of _walk_errata, which runs only on a table that breaks a rule."""
+    if not isinstance(table.dim, int):
+        return ["table dimension %r is not an int" % (table.dim,)]
     if table.dim < 1:
         return ["table dimension %d is not positive" % table.dim]
     if _whole_table_holds(table):
@@ -319,7 +378,12 @@ def verify_htype(table):
     missing = _missing_reports(table)
     if errata:
         return VerifyReport(sig, table.label, errata, None, missing)
-    eta, errata = _solve_eta(table)
+    try:
+        eta, errata = _solve_eta(table)
+    except TypeError:
+        # A key or z index equal to an int without being one passes
+        # _whole_table_holds; cell_errata names its cells.
+        return VerifyReport(sig, table.label, cell_errata(table), None, missing)
     if not errata:
         errata = verify_generators(sig, reconstruct_J(table, eta), eta)
     return VerifyReport(sig, table.label, errata, eta, missing)

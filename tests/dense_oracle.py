@@ -1,4 +1,5 @@
-"""Dense integer matrix oracle for the signed-point core.
+"""Dense integer matrix oracle for the signed-point core, and the
+module route to the tables.
 
 An independent implementation of the table pipeline on dense matrices:
 generators become integer matrices, words are O(N^3) matrix products,
@@ -10,6 +11,13 @@ the fast path against it.  The per-point rules at the end read the
 signed-point maps one point at a time, as referees for exactlin's
 whole-tuple checks.
 
+The module route is the referee of lie_algebra's tables, which are
+written straight from the sign rule: build_generators builds the coset
+module as signed-point maps and checks them with
+clifford_rep.verify_generators, build_basis acts the basis words on
+e_1 with its checks, and compute_table reads the cells back off the
+maps.
+
 Matrices are plain lists of lists of Python ints, indexed [row][col].
 Everything stays in integer arithmetic; no floats ever appear.
 """
@@ -18,8 +26,10 @@ import math
 from dataclasses import replace
 from itertools import combinations, product
 
+from htype.clifford_rep import (ConstructionError, GeneratorSet,
+                                minimal_admissible_dimension, verify_generators)
 from htype.lie_algebra import StructureTable
-from htype.words import norm_sign
+from htype.words import mul_sign, norm_sign, sign_form, span_products
 
 
 def identity(n):
@@ -231,12 +241,11 @@ def _coeff_patterns(d):
 
 def _search_data(gens, config):
     return ([word_matrix(gens, w) for w in config.basis_words],
-            [word_matrix(gens, w) for w in config.zero_pairings],
             [norm_sign(gens.sig, w) for w in config.basis_words])
 
 
 def _is_valid(data, form, v):
-    frames, pairings, norms = data
+    frames, norms = data
     frame = []
     for m, want in zip(frames, norms):
         u = mat_apply(m, v)
@@ -247,7 +256,7 @@ def _is_valid(data, form, v):
         for b in range(a + 1, len(frame)):
             if dot_form(frame[a], frame[b], form) != 0:
                 return False
-    return all(dot_form(mat_apply(m, v), v, form) == 0 for m in pairings)
+    return True
 
 
 def is_valid_initial_vector(gens, config, v):
@@ -274,7 +283,7 @@ def initial_vector_candidates(gens, config):
 
 # --- the table -----------------------------------------------------------
 
-def compute_table(gens, vectors, label=""):
+def dense_table(gens, vectors, label=""):
     """Expand J_k v_a over a frame of dense vectors and collect the table.
 
     The frame must consist of exact unit vectors for the module form and
@@ -319,7 +328,7 @@ def dense_pipeline(gens, config):
     """(initial vector, frame, table) from the first searched candidate."""
     v = next(initial_vector_candidates(gens, config))
     vectors = [mat_apply(word_matrix(gens, w), v) for w in config.basis_words]
-    return v, vectors, compute_table(gens, vectors)
+    return v, vectors, dense_table(gens, vectors)
 
 
 def clifford_failures(mats, sig):
@@ -335,6 +344,120 @@ def clifford_failures(mats, sig):
             if anti != want:
                 out.append((i, j))
     return out
+
+
+# --- the module route ------------------------------------------------------
+
+def build_generators(sig, system):
+    """Minimal admissible Clifford module for sig, as signed-point maps.
+
+    The result is checked by verify_generators before being returned.
+    """
+    span = span_products(sig, system)
+
+    # Masks in tuple order of their letters (the empty set, then those
+    # with least letter x, then the rest), so the first member met of each
+    # coset is its smallest representative R_a; coset[R_a xor P] = (a, P).
+    ordered = [0]
+    for x in range(sig.n, 0, -1):
+        ordered = [0] + [1 << x | m for m in ordered] + ordered[1:]
+    reps, coset = [], {}
+    for rep in ordered:
+        if rep not in coset:
+            for p in span:
+                coset[rep ^ p] = (len(reps), p)
+            reps.append(rep)
+
+    dim = len(reps)
+    expected = minimal_admissible_dimension(sig.r, sig.s)
+    if dim != expected:
+        raise ConstructionError(
+            "coset count %d does not match minimal dimension %d" % (dim, expected))
+
+    # J_i e_a = J_i J_(R_a) v = mul_sign(i, R_a) J_L v for L = R_a xor i,
+    # and with coset[L] = (b, P), J_L v = mul_sign(R_b, P) span[P] e_b.
+    # mul_sign(A, B) is -1 to the power |f(A) & B| for f = sign_form,
+    # linear over GF(2).  As R_b = L xor P and f(L) = f(R_a) xor f(i),
+    # the sign is -1 to the power |f(i) & R_a| + |(f(R_a) xor f(i)) & P|,
+    # times mul_sign(P, P) span[P], which is -1 where neg[P].  The image
+    # of e_a sits at index 2b + (sign < 0), that of -e_a at its swap.
+    neg = {p: mul_sign(sig, p, p) * c < 0 for p, c in span.items()}
+    f_reps = [sign_form(sig, rep) for rep in reps]
+    ops = []
+    for i in range(1, sig.n + 1):
+        bit = 1 << i
+        f_i = sign_form(sig, bit)
+        images = []
+        for rep, f_rep in zip(reps, f_reps):
+            b, p = coset[rep ^ bit]
+            odd = ((f_i & rep) ^ ((f_rep ^ f_i) & p)).bit_count() & 1
+            x = 2 * b + (odd ^ neg[p])
+            images += (x, x ^ 1)
+        ops.append(tuple(images) + (2 * dim,))
+
+    form_v = tuple((-1) ** (rep >> sig.r + 1).bit_count() for rep in reps)
+    problems = verify_generators(sig, ops, form_v)
+    if problems:
+        raise ConstructionError("; ".join(problems))
+    return GeneratorSet(sig, dim, tuple(ops), form_v)
+
+
+def build_basis(gens, config, zero_pairings=()):
+    """The frame M(W_a) e_1 as signed points, in word order.
+
+    Each word acts on the signed point e_1 = (0, 1) letter by letter,
+    and the frame is checked on the way: ConstructionError is raised
+    when the involution system does not fix e_1 with its eigensigns,
+    or when the frame is not orthogonal with the expected norms or
+    breaks a zero pairing <W e_1, e_1> = 0, one for each word W of
+    zero_pairings.  For signed basis vectors, orthogonality means
+    distinct points.
+    """
+    v = (0, 1)
+    for p in config.involutions:
+        if gens.act_word(p.word, v) != (0, p.eigensign):
+            raise ConstructionError(
+                "the involution system does not fix e_1; the twin module "
+                "with negated generators may carry this basis instead")
+    frame = [gens.act_word(w, v) for w in config.basis_words]
+    norms_ok = all(gens.form_v[point] == norm_sign(gens.sig, w)
+                   for (point, _s), w in zip(frame, config.basis_words))
+    points = {point for point, _s in frame}
+    pairs_ok = all(gens.act_word(w, v)[0] != 0 for w in zero_pairings)
+    if not (norms_ok and len(points) == len(frame) and pairs_ok):
+        raise ConstructionError("e_1 is not a valid initial vector")
+    return frame
+
+
+def compute_table(gens, frame, label=""):
+    """Read the bracket table off where each J_k sends each frame point.
+
+    The frame is a list of signed points, one per module basis vector;
+    one that does not hit each module point exactly once raises
+    ValueError.  gens needs no check: build_generators proves the module
+    axioms.  So each J_k is a skew signed permutation, and J_k v_a is
+    one frame vector.  As <x, J_k x> = <x, J_l J_k x> = 0 for
+    anticommuting J_k, J_l, no J_k v_a is +-v_a or +-J_l v_a, so no cell
+    is diagonal or doubled; as <J_k v_b, v_a> = -<v_b, J_k v_a>, the
+    table is antisymmetric.
+    """
+    sig = gens.sig
+    if sorted(point for point, _s in frame) != list(range(gens.dim)):
+        raise ValueError("the frame does not hit each module point once")
+    where = {point: b for b, (point, _s) in enumerate(frame)}
+    cells = {}
+    for k in range(1, sig.n + 1):
+        m = gens.ops[k - 1]
+        eps = sig.eps(k)
+        for a, (p, s) in enumerate(frame):
+            x = m[2 * p + (s < 0)]
+            point = x >> 1
+            b = where[point]
+            # J_k v_a = u e_point, u = -1 for odd x; for v_b = t e_point,
+            # <J_k v_a, v_b> is u t form[point].
+            pairing = frame[b][1] * gens.form_v[point]
+            cells[(a + 1, b + 1)] = (k, -eps * pairing if x & 1 else eps * pairing)
+    return StructureTable(sig, gens.dim, cells, frozenset(), label)
 
 
 # --- per-point rules for the signed-point maps ---------------------------

@@ -21,14 +21,11 @@ from conftest import (
     resign,
     slow_word_mul,
 )
-from dense_oracle import (as_map, initial_vector_candidates, metric_adjoint,
+from dense_oracle import (as_map, build_basis, build_generators, compute_table,
+                          initial_vector_candidates, metric_adjoint,
                           signed_point)
-from htype.basis_builder import (
-    build_basis,
-    configured_signatures,
-    reference_config,
-)
-from htype.clifford_rep import build_generators, minimal_admissible_dimension
+from htype.basis_builder import configured_signatures, reference_config
+from htype.clifford_rep import minimal_admissible_dimension
 from htype.exactlin import act
 from htype.golden import (
     build_n07,
@@ -43,7 +40,6 @@ from htype.lie_algebra import (
     EXACT,
     SIGN_EQUIVALENT,
     UNMATCHED,
-    compute_table,
     generate_table,
     verify_htype,
 )
@@ -61,7 +57,8 @@ EXTRA_SIGNATURES = {(0, 4), (0, 2), (0, 1), (0, 8)}
 
 
 def build_pipeline(key):
-    """The full pipeline for one signature, returning every stage."""
+    """The module route for one signature (dense_oracle), returning
+    every stage."""
     sig = Signature(*key)
     config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
@@ -109,6 +106,7 @@ def test_3_generation_soundness():
     assert set(golden_signatures()) <= set(keys)
     for key in keys:
         sig, config, gens, v, vectors, table = build_pipeline(key)
+        assert generate_table(sig) == table, key
         report = verify_htype(table)
         assert report.ok, (key, report.errata)
         assert table.dim == minimal_admissible_dimension(*key)

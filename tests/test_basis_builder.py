@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from dense_oracle import (
+    build_basis,
+    build_generators,
     diagonal,
     fixed_subspace,
     gram,
@@ -14,17 +16,13 @@ from dense_oracle import (
 from htype.basis_builder import (
     ALIASES,
     ReferenceConfig,
-    build_basis,
     configured_signatures,
     has_reference_config,
     reference_config,
 )
-from htype.clifford_rep import (
-    ConstructionError,
-    build_generators,
-    minimal_admissible_dimension,
-)
+from htype.clifford_rep import ConstructionError, minimal_admissible_dimension
 from htype.golden import golden_signatures
+from htype.lie_algebra import _table_from_words
 from htype.words import (
     Signature,
     Word,
@@ -65,8 +63,16 @@ def test_every_config_is_well_formed():
         assert len(letter_sets) == dim
         for rel in config.relations:
             assert reduce_mod_system(sig, config.involutions, rel) == 1
-        for w in config.zero_pairings:
-            assert all(1 <= i <= sig.n for i in w.letters)
+
+
+def test_the_old_zero_pairing_is_a_basis_word():
+    """(2,1) and (0,3) once also required <J1J2J3 v, v> = 0.  J1J2J3 is
+    one of their basis words and the empty word another, so distinct
+    cosets, which the table builder requires, already imply it."""
+    for key in ((2, 1), (0, 3)):
+        config = reference_config(Signature(*key))
+        assert config.basis_words[0] == Word(1, ())
+        assert Word(1, (1, 2, 3)) in config.basis_words
 
 
 def test_initial_vector_is_first_coordinate():
@@ -138,18 +144,24 @@ def test_negated_module_hint():
 
 
 def test_unsatisfiable_config_raises():
+    """A zero pairing that the frame breaks, a basis word repeated in
+    place of the last, and one repeated on top of the full list: the
+    module route's build_basis rejects each, and the table builder
+    rejects both repeats."""
     sig = Signature(6, 0)
     config = reference_config(sig)
-    bad = ReferenceConfig(
-        involutions=config.involutions,
-        basis_words=config.basis_words,
-        zero_pairings=(Word(1, ()),),
-    )
     repeated = ReferenceConfig(
         involutions=config.involutions,
         basis_words=(Word(1, ()),) + config.basis_words[:-1],
     )
+    extra = ReferenceConfig(
+        involutions=config.involutions,
+        basis_words=config.basis_words + (Word(1, ()),),
+    )
     gens = build_generators(sig, system=config.involutions)
-    for broken in (bad, repeated):
+    for broken, pairings in ((config, (Word(1, ()),)), (repeated, ()), (extra, ())):
         with pytest.raises(ConstructionError, match="not a valid initial"):
-            build_basis(gens, broken)
+            build_basis(gens, broken, pairings)
+    for broken in (repeated, extra):
+        with pytest.raises(ConstructionError, match="miss or repeat a coset"):
+            _table_from_words(sig, broken.involutions, broken.basis_words)

@@ -7,11 +7,11 @@ from dataclasses import replace
 
 import pytest
 
-from htype import cli, golden
+from htype import basis_builder, cli, golden
 from htype.basis_builder import configured_signatures
 from htype.cli import main
-from htype.lie_algebra import StructureTable, verify_htype
-from htype.words import Signature
+from htype.lie_algebra import StructureTable, generate_table, verify_htype
+from htype.words import Signature, Word
 
 
 def run(capsys, *argv):
@@ -257,6 +257,37 @@ def test_relations_without_stored_words(capsys):
     code, out, _ = run(capsys, "relations", "1", "0")
     assert code == 0
     assert "no stored relations" in out
+
+
+def test_relations_reports_a_rejected_config_in_one_line(monkeypatch, capsys):
+    """A stored (6,0) config with its first basis word repeated in place
+    of the last misses a coset: one line on stderr, exit 3."""
+    config = basis_builder.reference_config(Signature(6, 0))
+    repeated = replace(config, basis_words=(Word(1, ()),) + config.basis_words[:-1])
+    monkeypatch.setitem(basis_builder._CONFIGS, (6, 0), repeated)
+    code, out, err = run(capsys, "relations", "6", "0")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == ("n(6,0): the basis words miss or repeat a coset of the "
+                   "involution system\n")
+
+
+def test_relations_reports_a_failing_table_in_one_line(monkeypatch, capsys):
+    """A generated (3,0) table with one pair of cells negated fails
+    verify_htype: one line on stderr naming the failure, exit 3."""
+    table = generate_table(Signature(3, 0))
+    cells = dict(table.cells)
+    for key in ((1, 2), (2, 1)):
+        k, s = cells[key]
+        cells[key] = (k, -s)
+    monkeypatch.setattr(cli, "generate_table", lambda sig: replace(table, cells=cells))
+    code, out, err = run(capsys, "relations", "3", "0")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("n(3,0): the generated table fails verification: ")
+    assert err.count("\n") == 1
 
 
 def test_dims_grid(capsys):

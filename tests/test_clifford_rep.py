@@ -7,13 +7,13 @@ import grid_oracle
 import search_oracle
 from search_oracle import words_commute
 from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_mul
-from dense_oracle import (as_map, clifford_failures, matrix, mat_mul, mat_neg,
-                          negated, negated_op, word_matrix)
+from dense_oracle import (as_map, build_generators, clifford_failures, matrix,
+                          mat_mul, mat_neg, negated, negated_op, word_matrix)
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
+    GeneratorSet,
     _candidates,
-    build_generators,
     clifford_type,
     find_involution_system,
     involution_count,
@@ -22,6 +22,8 @@ from htype.clifford_rep import (
 )
 from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import golden_signatures, golden_table
+from htype.lie_algebra import (_table_from_words, generate_table, reconstruct_J,
+                               verify_htype)
 from htype.words import (
     Involution,
     Signature,
@@ -393,9 +395,36 @@ def test_stored_system_builds_match_dimensions():
         assert verify_generators(sig, gens.ops, gens.form_v) == []
 
 
+def test_generators_rebuilt_from_a_table_carry_its_frame():
+    """The route of htype relations: the GeneratorSet over reconstruct_J
+    of generate_table, with verify_htype's norm signs, sends v = v_1 to
+    v_a = W_a v for every basis word, and sends v where the module route
+    does under every stored involution and relation."""
+    words = 0
+    for key in configured_signatures():
+        sig = Signature(*key)
+        config = reference_config(sig)
+        table = generate_table(sig)
+        report = verify_htype(table)
+        rebuilt = GeneratorSet(sig, table.dim, reconstruct_J(table, report.eta),
+                               report.eta)
+        for a, w in enumerate(config.basis_words):
+            assert rebuilt.act_word(w, (0, 1)) == (a, 1), (key, w)
+        module = build_generators(sig, system=config.involutions)
+        for w in [p.word for p in config.involutions] + list(config.relations):
+            assert rebuilt.act_word(w, (0, 1)) == module.act_word(w, (0, 1)), (key, w)
+            words += 1
+    assert words == 112
+
+
 def test_bad_system_is_rejected():
+    """A system one word short leaves 32 cosets where (6,0) needs 8: the
+    module route and the table builder both refuse it."""
     sig = Signature(6, 0)
     config = reference_config(sig)
     short = config.involutions[:1]
-    with pytest.raises(ConstructionError):
+    message = "coset count 32 does not match minimal dimension 8"
+    with pytest.raises(ConstructionError, match=message):
         build_generators(sig, system=short)
+    with pytest.raises(ConstructionError, match=message):
+        _table_from_words(sig, short, config.basis_words)

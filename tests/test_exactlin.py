@@ -7,6 +7,7 @@ import random
 import dense_oracle
 from dense_oracle import (
     as_map,
+    build_generators,
     column_space_basis,
     diagonal,
     dot_form,
@@ -26,7 +27,7 @@ from dense_oracle import (
     zeros,
 )
 from htype import exactlin
-from htype.clifford_rep import build_generators, find_involution_system
+from htype.clifford_rep import find_involution_system
 from htype.words import Signature
 
 

@@ -11,9 +11,8 @@ from conftest import (
     raw_data,
     resign,
 )
-from dense_oracle import negated
-from htype.basis_builder import build_basis, configured_signatures, reference_config
-from htype.clifford_rep import build_generators
+from dense_oracle import build_basis, build_generators, compute_table, negated
+from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import (
     _twin_cells,
     build_n07,
@@ -30,7 +29,6 @@ from htype.lie_algebra import (
     UNMATCHED,
     StructureTable,
     cell_errata,
-    compute_table,
     generate_table,
     verify_htype,
 )

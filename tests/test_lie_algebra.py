@@ -8,27 +8,30 @@ import pytest
 
 from conftest import coset_reps, mask_letters
 from dense_oracle import (
+    build_basis,
+    build_generators,
     clifford_failures,
+    compute_table,
     dense_pipeline,
     is_signed_permutation,
     matrix,
     mat_neg,
     metric_adjoint,
 )
-from htype.basis_builder import (ReferenceConfig, has_reference_config,
-                                 reference_config)
-from htype.clifford_rep import (build_generators, find_involution_system,
-                                minimal_admissible_dimension)
+from htype.basis_builder import (ReferenceConfig, configured_signatures,
+                                 has_reference_config, reference_config)
+from htype.clifford_rep import find_involution_system, minimal_admissible_dimension
 from htype.golden import golden_signatures, golden_table
 from htype.lie_algebra import (
     EXACT,
     SIGN_EQUIVALENT,
     UNMATCHED,
     StructureTable,
+    _table_from_words,
     _walk_errata,
     _whole_table_holds,
+    cell_errata,
     compare_tables,
-    compute_table,
     derive_table,
     generate_table,
     reconstruct_J,
@@ -86,7 +89,6 @@ def test_compute_table_from_parts():
     sig = Signature(3, 0)
     config = reference_config(sig)
     gens = build_generators(sig, system=config.involutions)
-    from htype.basis_builder import build_basis
     vectors = build_basis(gens, config)
     t = compute_table(gens, vectors, label="by hand")
     assert t.label == "by hand"
@@ -187,6 +189,26 @@ def test_verify_rejects_a_dimension_that_is_not_positive():
             report = verify_htype(StructureTable(Signature(1, 0), dim, cells))
             assert not report.ok
             assert report.errata == ["table dimension %d is not positive" % dim]
+
+
+def test_verify_names_a_cell_whose_index_is_not_an_int():
+    """A float equal to an int, as the z index or either index of the
+    cell key, gets an erratum naming its cell, where it used to reach an index of
+    reconstruct_J and raise TypeError; as the dimension, it gets one
+    erratum of its own, where it used to reach a range."""
+    sig = Signature(1, 0)
+    report = verify_htype(StructureTable(sig, 2.0, {(1, 2): (1, 1), (2, 1): (1, -1)}))
+    assert report.errata == ["table dimension 2.0 is not an int"]
+    for cells, cited in (({(1, 2): (1.0, 1), (2, 1): (1.0, -1)}, ["v1, v2", "v2, v1"]),
+                         ({(1.0, 2): (1, 1), (2, 1): (1, -1)}, ["v1.0, v2"]),
+                         ({(1, 2.0): (1, 1), (2, 1): (1, -1)}, ["v1, v2.0"])):
+        table = StructureTable(sig, 2, cells)
+        errata = ["cell (%s) has a key or z index that is not an int" % c
+                  for c in cited]
+        assert cell_errata(table) == errata
+        report = verify_htype(table)
+        assert not report.ok
+        assert report.errata == errata
 
 
 def test_verify_htype_agrees_with_the_brute_force_referee():
@@ -416,6 +438,44 @@ def test_fast_tables_match_the_dense_oracle():
         e1 = [1] + [0] * (gens.dim - 1)
         assert v == e1, key
         assert dense.cells == fast.cells, key
+
+
+def test_tables_equal_the_module_route_on_every_input():
+    """generate_table and derive_table accept only the 34 configured and
+    the 80 grid signatures, as clifford_type stops at r, s = 8.  On each,
+    the table written from the sign rule equals the one the module route
+    reads off generators that verify_generators has passed, and it
+    passes verify_htype."""
+    configured = configured_signatures()
+    grid = [(r, s) for r in range(9) for s in range(9) if r + s]
+    assert (len(configured), len(grid)) == (34, 80)
+    for key in configured:
+        sig = Signature(*key)
+        config = reference_config(sig)
+        gens = build_generators(sig, system=config.involutions)
+        table = generate_table(sig)
+        assert table == compute_table(gens, build_basis(gens, config)), key
+        assert verify_htype(table).ok, key
+    for key in grid:
+        sig = Signature(*key)
+        gens = build_generators(sig, system=find_involution_system(sig))
+        table = derive_table(sig)
+        frame = [(a, 1) for a in range(gens.dim)]
+        assert table == compute_table(gens, frame, label="derived"), key
+        assert verify_htype(table).ok, key
+
+
+def test_derived_basis_is_numbered_by_the_coset_reps():
+    """derive_table's basis words are conftest.coset_reps of the searched
+    system, in order, on all 80 grid signatures; the builder checks that
+    they hit each coset once."""
+    for key in ((r, s) for r in range(9) for s in range(9) if r + s):
+        sig = Signature(*key)
+        system = find_involution_system(sig)
+        words = [Word(1, mask_letters(rep)) for rep in coset_reps(sig, system)]
+        assert len(words) == minimal_admissible_dimension(*key)
+        assert _table_from_words(sig, system, words, "derived") == \
+            derive_table(sig), key
 
 
 def test_tables_past_the_cli_cap_verify():
