@@ -19,7 +19,7 @@ from operator import itemgetter
 
 
 @lru_cache(maxsize=64)
-def _fixed(end):
+def fixed(end):
     """The identity and the sign swap over end // 2 points, and a
     gather by the swap."""
     same = tuple(range(end + 1))
@@ -59,7 +59,7 @@ def skew_flags(maps, form):
     if not maps or len(maps[0]) == 1:
         return [True] * len(maps)  # no point; one index gathers no tuple
     end = len(maps[0]) - 1
-    swap = _fixed(end)[1]
+    swap = fixed(end)[1]
     by_form = itemgetter(*(x ^ (form[x >> 1] < 0) for x in range(end)), end)
     flags = []
     for m in maps:
@@ -83,7 +83,7 @@ def relation_failures(maps, squares):
     if not maps or len(maps[0]) == 1:
         return  # no point to break, and one index gathers no tuple
     end = len(maps[0]) - 1
-    same, swap, negate = _fixed(end)
+    same, swap, negate = fixed(end)
     gathers = [itemgetter(*m) for m in maps]
     negated = [negate(m) for m in maps]
     for i, a in enumerate(maps):

@@ -29,14 +29,38 @@ the cell (a, b) is (k, eps_k c norm_sign(W_b)), and J_k puts nothing
 else in row a.
 
 cell_errata is the one check of the cell rules, shared with the golden
-loader.  verify_htype adds the row and column counts of each z_k, solves
-the norm signs of the basis by propagation, and hands the generators it
-rebuilds from the table, as signed-point maps, to
-clifford_rep.verify_generators, the one check of the module axioms.  A
-well formed table passes the cell, row and column rules by a few
-comparisons of whole collections; only a table that breaks one is
-walked cell by cell, to name every defect it can pin to specific
-cells.
+loader.  verify_htype reads the cells once, into raw signed-point maps
+R_k over the 2N signed points (see exactlin): R_k v_a = s v_b for each
+cell (a, b) = (k, s), and end where no cell gives the image.  The maps
+then answer three questions.
+
+Shape.  Take a table with no missing cell and n N cells, each with a
+and b in 1..N, k in 1..n and s = +-1.  It meets every rule that
+_walk_errata walks cell by cell exactly when R_k^2 = -Id for every k.
+Let R_k^2 = -Id.  As end is fixed and -Id moves every point, no image
+is end, so the n N cells fill the n N pairs (a, k) once each: row a
+holds each z_k once.  R_k v_a = s v_b and R_k v_b = -s v_a say that
+cell (b, a) is (k, -s), which is antisymmetry and rules out a = b, as
+s s = 1.  So a -> b is an involution of 1..N for each k, and column b
+holds z_k once too.  Conversely those rules make each R_k a signed
+permutation that pairs v_a with v_b and negates on the way back, so
+R_k^2 = -Id.  A table that fails the check, or has a missing cell, is
+walked by _walk_errata to name its defects.
+
+Norm signs.  Each cell forces eta_b = eps_k eta_a, as J_k scales square
+norms by eps_k.  A breadth-first walk over the maps, b = R_k[2a] >> 1,
+sets eta with no adjacency lists.  Only when it meets a conflict does
+the adjacency walk of _solve_eta run, to name each conflicting cell in
+cell order.
+
+Generators.  J_k = eps_k D_eta R_k sends v_a to eps_k s eta_b v_b.  For
+the form diag(eta), <J_k v_a, v_b> = eps_k s = <z_k, [v_a, v_b]>, so
+J_k is the operator of z_k.  It is a signed permutation when R_k is
+one.  It is skew: R_k^T = R_k^-1 = -R_k, so J_k^T D_eta = eps_k R_k^T
+= -eps_k R_k = -D_eta J_k.  And eta agrees with every cell exactly when
+D_eta R_k D_eta = eps_k R_k, that is J_k^2 = -eps_k Id, the Clifford
+square.  clifford_rep.verify_generators, the one check of the module
+axioms, then checks these maps.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -44,8 +68,9 @@ a diagonal sign change of the basis, or unmatched with the cells that differ.
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from operator import itemgetter
 
+from . import exactlin
 from .basis_builder import reference_config
 from .clifford_rep import (ConstructionError, find_involution_system,
                            minimal_admissible_dimension, verify_generators)
@@ -93,7 +118,7 @@ class VerifyReport:
 
 def _eps_by_k(sig):
     """eps_k for k = 1..n, indexed by k (slot 0 unused)."""
-    return (None,) + tuple(sig.eps(k) for k in range(1, sig.n + 1))
+    return (None,) + (1,) * sig.r + (-1,) * sig.s
 
 
 def _reduced(basis, mask):
@@ -201,8 +226,9 @@ def _solve_eta(table):
 
     Every cell (a, b) = (k, s) forces eta_b = eps_k eta_a because J_k
     scales square norms by eps_k.  Components not reachable from v_1
-    start at +1 as well.  A key or z index such as 1.0, equal to an int
-    without being one, raises TypeError, as all three index lists.
+    start at +1 as well.  The adjacency lists keep the cells' order, so
+    this walk, which verify_htype runs only once _walk_eta has met a
+    conflict, names every conflicting cell in the order it meets them.
     """
     eps = _eps_by_k(table.sig)
     adj = [[] for _ in range(table.dim + 1)]
@@ -214,32 +240,99 @@ def _solve_eta(table):
     return tuple(eta[1:]), errata
 
 
-def reconstruct_J(table, eta):
-    """Generators implied by the table: J_k v_a = eps_k c eta_b v_b.
-
-    They come as signed-point maps (see exactlin), filled in one pass
-    over the cells; where an empty cell leaves J_k undefined, the map
-    holds end = 2N.
+def _signed_maps(table):
+    """The raw maps R_k, k = 1..n, read off the cells in one pass: tuples
+    over the 2N signed points (see exactlin) with R_k v_a = s v_b for
+    each cell (a, b) = (k, s), and end = 2N where no cell gives the
+    image.  None when a cell has a or b outside 1..N, k outside 1..n or
+    s other than +-1.  A key or z index such as 1.0, equal to an int
+    without being one, raises TypeError, as it indexes a list or meets
+    the bitwise xor.
     """
-    end = 2 * table.dim
-    eps = _eps_by_k(table.sig)
-    # eta_b v_b sits at at[b]; the coefficient eps_k c is -1 where c
-    # differs from eps_k, and then the image is at its swap.
-    at = [None] + [2 * b + (e < 0) for b, e in enumerate(eta)]
-    maps = [[end] * (end + 1) for _ in range(table.sig.n)]
+    n, n_vec = table.sig.n, table.dim
+    end = 2 * n_vec
+    maps = [[end] * (end + 1) for _ in range(n)]
     for (a, b), (k, s) in table.cells.items():
-        x = at[b] ^ (eps[k] != s)
+        if not (0 < a <= n_vec and 0 < b <= n_vec and 0 < k <= n and s in (1, -1)):
+            return None
+        x = 2 * b - 2 + (s < 0)
         m = maps[k - 1]
         m[2 * a - 2] = x
         m[2 * a - 1] = x ^ 1
     return [tuple(m) for m in maps]
 
 
+def _shape_maps(table):
+    """The maps R_k when the table passes the shape check, else None:
+    no cell is missing, there are n N cells, each in range, and every
+    R_k squares to -Id, compared as whole tuples."""
+    n_vec = table.dim
+    if table.missing or len(table.cells) != table.sig.n * n_vec:
+        return None
+    try:
+        maps = _signed_maps(table)
+    except TypeError:
+        return None
+    swap = exactlin.fixed(2 * n_vec)[1]
+    if maps is None or any(itemgetter(*m)(m) != swap for m in maps):
+        return None
+    return maps
+
+
+def _walk_eta(maps, eps, n_vec):
+    """Norm signs eta by point, breadth first over the maps, or None when
+    two demands meet: each image R_k v_a = +-v_b demands eta_b =
+    eps_k eta_a.  Each component starts at +1 from its smallest vertex;
+    an undefined image, end, points at slot N, whose 2 no demand equals
+    and no conflict counts.  From each start this walk reaches the points
+    the adjacency walk of _solve_eta reaches, over the same edges in
+    another order, and every value is forced along a path from the
+    start.  So it meets a conflict exactly when that walk does, and
+    otherwise sets the same eta.
+    """
+    up = list(zip(maps, eps))
+    down = [(m, -e) for m, e in up]
+    eta = [0] * n_vec + [2]
+    for start in range(n_vec):
+        if eta[start]:
+            continue
+        eta[start] = 1
+        queue = [start]
+        for a in queue:
+            for m, want in up if eta[a] > 0 else down:
+                b = m[2 * a] >> 1
+                if not eta[b]:
+                    eta[b] = want
+                    queue.append(b)
+                elif eta[b] != want and b != n_vec:
+                    return None
+    return tuple(eta[:n_vec])
+
+
+def _generators(maps, eps, eta):
+    """J_k = eps_k D_eta R_k for D_eta = diag(eta): the gather of D_eta,
+    or of -D_eta where eps_k = -1, by each R_k."""
+    end = 2 * len(eta)
+    plus = [x ^ (eta[x >> 1] < 0) for x in range(end)] + [end]
+    minus = [x ^ 1 for x in plus[:-1]] + [end]
+    return [itemgetter(*m)(plus if e > 0 else minus) for m, e in zip(maps, eps)]
+
+
+def reconstruct_J(table, eta):
+    """Generators implied by a table whose cells are in range, and the
+    norm signs eta: J_k v_a = eps_k c eta_b v_b for each cell
+    (a, b) = (k, c), as signed-point maps (see exactlin); where an empty
+    cell leaves J_k undefined, the map holds end = 2N.
+    """
+    return _generators(_signed_maps(table), _eps_by_k(table.sig)[1:], eta)
+
+
 def cell_errata(table):
     """Errata of the cell rules, in cell order: each cell's key and z
     index are ints (1.0, equal to 1, indexes no list), it lies inside the
     table, off the diagonal, and holds a known z_k with coefficient +-1;
-    once all do, each is antisymmetric unless its mirror cell is missing."""
+    each missing cell lies inside the table and is not stored; once all
+    hold, each cell is antisymmetric unless its mirror cell is missing."""
     n = table.sig.n
     n_vec = table.dim
     found = []  # (cell, erratum); a stable sort by cell keeps each cell's order
@@ -259,6 +352,12 @@ def cell_errata(table):
                 (cell, "cell (v%d, v%d) uses unknown central z%d" % (a, b, k)))
         if s not in (1, -1):
             found.append((cell, "cell (v%d, v%d) has non-unit coefficient" % cell))
+    for cell in table.missing:
+        a, b = cell
+        if not (1 <= a <= n_vec and 1 <= b <= n_vec):
+            found.append((cell, "missing cell (v%d, v%d) outside the table" % cell))
+        elif cell in table.cells:
+            found.append((cell, "cell (v%d, v%d) is both stored and missing" % cell))
     if not found:
         for cell, (k, s) in table.cells.items():
             a, b = cell
@@ -267,53 +366,6 @@ def cell_errata(table):
                 found.append((cell, erratum % (a, b, b, a)))
     found.sort(key=lambda entry: entry[0])
     return [erratum for _cell, erratum in found]
-
-
-@lru_cache(maxsize=128)
-def _complete_shape(n, n_vec):
-    """The cell values (k, +-1) and the pairs (a, k) of a complete
-    table with n central and n_vec module directions."""
-    return (frozenset((k, s) for k in range(1, n + 1) for s in (1, -1)),
-            frozenset((a, k) for a in range(1, n_vec + 1)
-                      for k in range(1, n + 1)))
-
-
-def _whole_table_holds(table):
-    """True when the table meets every structural rule, by comparing
-    whole collections: no cell is missing and there are n N cells, the
-    values lie in {(k, +-1) : 1 <= k <= n}, the mirrored cells
-    {(b, a): (k, -s)} equal the cells, and the pairs (a, k) are
-    {1..N} x {1..n}.
-
-    The pairs, n N of them from n N cells, say that row a holds each
-    z_k once and every a lies in 1..N; through the mirror, so do the
-    columns and every b, and (a, a) = (k, s) would need s = -s.  So no
-    rule of cell_errata or of the row and column counts breaks, except
-    that a key or z index equal to an int without being one, such as
-    1.0, passes every comparison; _solve_eta, which indexes lists by
-    them, stops it.
-    """
-    cells = table.cells
-    n = table.sig.n
-    if table.missing or len(cells) != n * table.dim:
-        return False
-    values, pairs = _complete_shape(n, table.dim)
-    return (values.issuperset(cells.values())
-            and {(b, a): (k, -s) for (a, b), (k, s) in cells.items()} == cells
-            and {(a, k) for (a, _b), (k, _s) in cells.items()} == pairs)
-
-
-def _structural_errata(table):
-    """Errata of the table's shape: a dimension that is not an int or not
-    positive on its own, else nothing when _whole_table_holds, else those
-    of _walk_errata, which runs only on a table that breaks a rule."""
-    if not isinstance(table.dim, int):
-        return ["table dimension %r is not an int" % (table.dim,)]
-    if table.dim < 1:
-        return ["table dimension %d is not positive" % table.dim]
-    if _whole_table_holds(table):
-        return []
-    return _walk_errata(table)
 
 
 def _walk_errata(table):
@@ -374,18 +426,27 @@ def _missing_reports(table):
 def verify_htype(table):
     """Check a table against every axiom it is supposed to satisfy."""
     sig = table.sig
-    errata = _structural_errata(table)
     missing = _missing_reports(table)
-    if errata:
+    if not isinstance(table.dim, int):
+        errata = ["table dimension %r is not an int" % (table.dim,)]
         return VerifyReport(sig, table.label, errata, None, missing)
-    try:
+    if table.dim < 1:
+        errata = ["table dimension %d is not positive" % table.dim]
+        return VerifyReport(sig, table.label, errata, None, missing)
+    maps = _shape_maps(table)
+    if maps is None:
+        # Only a table that breaks a rule or has a missing cell is walked.
+        errata = _walk_errata(table)
+        if errata:
+            return VerifyReport(sig, table.label, errata, None, missing)
+        maps = _signed_maps(table)
+    eps = _eps_by_k(sig)[1:]
+    eta = _walk_eta(maps, eps, table.dim)
+    if eta is None:
+        # The adjacency walk names every conflicting cell, in its order.
         eta, errata = _solve_eta(table)
-    except TypeError:
-        # A key or z index equal to an int without being one passes
-        # _whole_table_holds; cell_errata names its cells.
-        return VerifyReport(sig, table.label, cell_errata(table), None, missing)
-    if not errata:
-        errata = verify_generators(sig, reconstruct_J(table, eta), eta)
+    else:
+        errata = verify_generators(sig, _generators(maps, eps, eta), eta)
     return VerifyReport(sig, table.label, errata, eta, missing)
 
 

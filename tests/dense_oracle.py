@@ -16,7 +16,9 @@ written straight from the sign rule: build_generators builds the coset
 module as signed-point maps and checks them with
 clifford_rep.verify_generators, build_basis acts the basis words on
 e_1 with its checks, and compute_table reads the cells back off the
-maps.
+maps.  reconstruct_J rebuilds a table's generators cell by cell, the
+referee of lie_algebra.reconstruct_J, which gathers them from the raw
+maps of the cells.
 
 Matrices are plain lists of lists of Python ints, indexed [row][col].
 Everything stays in integer arithmetic; no floats ever appear.
@@ -28,7 +30,7 @@ from itertools import combinations, product
 
 from htype.clifford_rep import (ConstructionError, GeneratorSet,
                                 minimal_admissible_dimension, verify_generators)
-from htype.lie_algebra import StructureTable
+from htype.lie_algebra import StructureTable, _eps_by_k
 from htype.words import mul_sign, norm_sign, sign_form, span_products
 
 
@@ -516,3 +518,26 @@ def relation_failures(ops, squares):
                        if not _cancel(_twice(a, b, p), _twice(b, a, p))]
             if bad:
                 yield i, j, bad
+
+
+# --- generators from a table, cell by cell ------------------------------
+
+def reconstruct_J(table, eta):
+    """Generators implied by the table: J_k v_a = eps_k c eta_b v_b.
+
+    They come as signed-point maps (see exactlin), filled in one pass
+    over the cells; where an empty cell leaves J_k undefined, the map
+    holds end = 2N.
+    """
+    end = 2 * table.dim
+    eps = _eps_by_k(table.sig)
+    # eta_b v_b sits at at[b]; the coefficient eps_k c is -1 where c
+    # differs from eps_k, and then the image is at its swap.
+    at = [None] + [2 * b + (e < 0) for b, e in enumerate(eta)]
+    maps = [[end] * (end + 1) for _ in range(table.sig.n)]
+    for (a, b), (k, s) in table.cells.items():
+        x = at[b] ^ (eps[k] != s)
+        m = maps[k - 1]
+        m[2 * a - 2] = x
+        m[2 * a - 1] = x ^ 1
+    return [tuple(m) for m in maps]

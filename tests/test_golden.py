@@ -194,6 +194,30 @@ def test_loader_rejects_what_cell_errata_names():
                 assert str(exc.value) == errata[0], (key, row)
 
 
+def test_a_missing_cell_outside_the_table_or_also_stored_is_named():
+    """A (1, 0) table whose missing set holds (5, 7), past dim 2, or
+    (1, 2), which is also stored, fails verify_htype with the cell named,
+    and a re-checksummed n10.json with either does not load; both once
+    passed.  The (5, 1) reference table, whose hole is a zero cell
+    inside it, still loads and passes."""
+    table = golden_table(1, 0)
+    for hole, erratum in (((5, 7), "missing cell (v5, v7) outside the table"),
+                          ((1, 2), "cell (v1, v2) is both stored and missing")):
+        holed = replace(table, missing=frozenset({hole}))
+        assert cell_errata(holed) == [erratum]
+        report = verify_htype(holed)
+        assert not report.ok
+        assert report.errata == [erratum]
+        data = raw_data(1, 0)
+        data["missing"] = [list(hole)]
+        with pytest.raises(ValueError) as exc:
+            table_from_data(resign(data))
+        assert str(exc.value) == erratum
+    reference = golden_table(5, 1)
+    assert reference.missing == {(13, 4)}
+    assert verify_htype(reference).ok
+
+
 def test_corrections_archive_the_printed_originals():
     seen = {}
     for key in golden_signatures():

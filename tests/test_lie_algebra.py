@@ -17,6 +17,7 @@ from dense_oracle import (
     matrix,
     mat_neg,
     metric_adjoint,
+    reconstruct_J as cell_by_cell_J,
 )
 from htype.basis_builder import (ReferenceConfig, configured_signatures,
                                  has_reference_config, reference_config)
@@ -27,9 +28,9 @@ from htype.lie_algebra import (
     SIGN_EQUIVALENT,
     UNMATCHED,
     StructureTable,
+    _shape_maps,
     _table_from_words,
     _walk_errata,
-    _whole_table_holds,
     cell_errata,
     compare_tables,
     derive_table,
@@ -38,7 +39,7 @@ from htype.lie_algebra import (
     verify_htype,
 )
 from htype.words import Signature, Word
-from verify_oracle import is_htype, referee_cases
+from verify_oracle import is_htype, referee_cases, report_cases, slow_report
 
 # sha256 of json [dim, sorted cells] for the scale ladder's derived
 # tables past the CLI cap, where tests/cli_digests.json stops.  A
@@ -215,25 +216,68 @@ def test_verify_htype_agrees_with_the_brute_force_referee():
     """verify_htype's verdict against verify_oracle.is_htype on 1,164
     tables: the 44 configured and golden tables of dim <= 8, each with
     two rounds of seeded damage, and the (0, 7) blocks as (7, 0) and
-    (0, 7).  The
-    whole-table check holds exactly when the walk over the cells finds
-    nothing, on every table with a positive dim and no missing cell."""
+    (0, 7).  The shape check over the signed-point maps holds exactly
+    when the walk over the cells finds nothing, on every table with a
+    positive dim and no missing cell."""
     cases = referee_cases()
     assert len(cases) == 1164
     seen = Counter()
     for name, table in cases:
         ok = verify_htype(table).ok
         assert ok == is_htype(table), name
-        holds = table.dim >= 1 and _whole_table_holds(table)
+        holds = table.dim >= 1 and _shape_maps(table) is not None
         if holds:
             assert _walk_errata(table) == [], name
         elif table.dim >= 1 and not table.missing:
             assert _walk_errata(table) != [], name
         seen[ok, holds] += 1
-    # (verdict, whole-table check) counts; a valid table with a missing
-    # zero cell fails the whole-table check and passes the walk.
+    # (verdict, shape check) counts; a valid table with a missing zero
+    # cell fails the shape check and passes the walk.
     assert seen == {(True, True): 88, (True, False): 66,
                     (False, True): 136, (False, False): 874}
+
+
+def test_verify_htype_reports_what_the_cell_walk_reports():
+    """The whole report, verdict, errata, norm signs and missing cells,
+    equals that of verify_oracle.slow_report, which walks the cells,
+    propagates the norm signs over adjacency lists and rebuilds the
+    generators cell by cell, on 2,329 tables: the referee cases, the 145
+    golden, configured and grid tables with seven kinds of seeded damage
+    each, the tables with a float index, and a table whose early cells
+    later ones override."""
+    cases = report_cases()
+    assert len(cases) == 2329
+    verdicts = Counter()
+    for name, table in cases:
+        report = verify_htype(table)
+        assert (report.ok, report.errata, report.eta, report.missing) == \
+            slow_report(table), name
+        verdicts[report.ok] += 1
+    assert verdicts == {True: 304, False: 2025}
+
+
+def test_reconstruct_j_equals_the_cell_by_cell_oracle():
+    """reconstruct_J equals dense_oracle.reconstruct_J on the 34
+    configured and 80 grid tables, on the (5, 1) reference table, whose
+    missing cell sends it down the cell walk, and on the (2, 0) table
+    with a missing pair, whose maps are partial."""
+    tables = [generate_table(Signature(*key)) for key in configured_signatures()]
+    tables += [derive_table(Signature(r, s))
+               for r in range(9) for s in range(9) if r + s]
+    tables.append(golden_table(5, 1))
+    assert len(tables) == 115 and tables[-1].missing
+    for table in tables:
+        report = verify_htype(table)
+        assert report.ok, table.sig
+        assert reconstruct_J(table, report.eta) == \
+            cell_by_cell_J(table, report.eta), table.sig
+    t = generate_table(Signature(2, 0))
+    cells = {key: val for key, val in t.cells.items() if key not in ((1, 3), (3, 1))}
+    holed = replace(t, cells=cells, missing=frozenset({(1, 3), (3, 1)}))
+    eta = verify_htype(holed).eta
+    partial = reconstruct_J(holed, eta)
+    assert partial == cell_by_cell_J(holed, eta)
+    assert [[x for x in range(8) if m[x] == 8] for m in partial] == [[0, 1, 4, 5], []]
 
 
 def test_reconstructed_generators_satisfy_the_axioms():

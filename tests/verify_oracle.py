@@ -10,16 +10,26 @@ of dim <= 8 are fed to it, so eta runs over at most 128 vectors.
 referee_cases builds the tables it judges: every configured and golden
 table of dim <= 8, two rounds of seeded damage of each, and the two
 blocks of the doubled (0, 7) table under both signatures.
+
+slow_report is the route verify_htype took before it read a table
+through its signed-point maps: the walk over the cells, the adjacency
+propagation of the norm signs, and generators rebuilt cell by cell by
+dense_oracle.reconstruct_J.  report_cases are the tables it is held
+against verify_htype on: the referee cases, every golden, configured
+and grid table with seeded damage of each, tables with an index that
+is a float, and a table whose early cells later ones override.
 """
 
 import random
 from dataclasses import replace
 
 from dense_oracle import (clifford_failures, identity, mat_mul, mat_neg,
-                          mat_scale, metric_adjoint, zeros)
+                          mat_scale, metric_adjoint, reconstruct_J, zeros)
 from htype.basis_builder import configured_signatures
+from htype.clifford_rep import verify_generators
 from htype.golden import build_n07, golden_signatures, golden_table, split_blocks
-from htype.lie_algebra import StructureTable, generate_table
+from htype.lie_algebra import (StructureTable, _missing_reports, _solve_eta,
+                               _walk_errata, derive_table, generate_table)
 from htype.words import Signature
 
 
@@ -158,4 +168,90 @@ def referee_cases(seed=83):
         for sig in (Signature(7, 0), Signature(0, 7)):
             cases.append(("n07 block %d as %s" % (i, sig),
                           StructureTable(sig, block.dim, block.cells)))
+    return cases
+
+
+def slow_report(table):
+    """(ok, errata, eta, missing) of table by the cell-walking route."""
+    missing = _missing_reports(table)
+    if not isinstance(table.dim, int):
+        return False, ["table dimension %r is not an int" % (table.dim,)], None, missing
+    if table.dim < 1:
+        return False, ["table dimension %d is not positive" % table.dim], None, missing
+    errata = _walk_errata(table)
+    if errata:
+        return False, errata, None, missing
+    eta, errata = _solve_eta(table)
+    if not errata:
+        errata = verify_generators(table.sig, reconstruct_J(table, eta), eta)
+    return not errata, errata, eta, missing
+
+
+def base_tables():
+    """(name, table) for every golden, configured and grid table."""
+    out = [("golden %d %d" % key, golden_table(*key)) for key in golden_signatures()]
+    out += [("configured %d %d" % key, generate_table(Signature(*key)))
+            for key in configured_signatures()]
+    out += [("grid %d %d" % (r, s), derive_table(Signature(r, s)))
+            for r in range(9) for s in range(9) if r + s]
+    return out
+
+
+def _pair_damage(table, rng):
+    """(kind, table) for damage at one pair of cells drawn by rng: one
+    cell flipped, the pair flipped, the pair's k changed, the pair with
+    coefficient +-2, the pair deleted, and its first cell moved to row 0
+    or to the row past the table."""
+    n, dim = table.sig.n, table.dim
+    a, b = rng.choice(sorted(table.cells))
+    k, s = table.cells[(a, b)]
+    other = k % n + 1 if n > 1 else n + 1
+    out = []
+    for kind, first, second in (("cell flip", (k, -s), (k, -s)),
+                                ("pair flip", (k, -s), (k, s)),
+                                ("changed k of a pair", (other, s), (other, -s)),
+                                ("non-unit pair", (k, 2 * s), (k, -2 * s)),
+                                ("deleted pair", None, None)):
+        cells = dict(table.cells)
+        for cell, value in (((a, b), first), ((b, a), second)):
+            if value is None or cell not in cells:
+                cells.pop(cell, None)
+            else:
+                cells[cell] = value
+        out.append((kind, replace(table, cells=cells)))
+    for row in (0, dim + 1):
+        cells = dict(table.cells)
+        cells[(row, b)] = cells.pop((a, b))
+        out.append(("cell moved to row %d" % row, replace(table, cells=cells)))
+    return out
+
+
+def stale_pairs_table():
+    """The (2, 0) reference table after two pairs of z1 cells that its
+    own z1 cells override in a map built in cell order: rows v1 to v4
+    hold z1 twice, in n N + 4 cells."""
+    table = golden_table(2, 0)
+    stale = {(1, 2): (1, 1), (2, 1): (1, -1), (3, 4): (1, 1), (4, 3): (1, -1)}
+    assert not stale.keys() & table.cells.keys()
+    return replace(table, cells={**stale, **table.cells})
+
+
+def float_index_tables():
+    """A (1, 0) table with a float dim, z index, row or column."""
+    sig = Signature(1, 0)
+    return [StructureTable(sig, 2.0, {(1, 2): (1, 1), (2, 1): (1, -1)}),
+            StructureTable(sig, 2, {(1, 2): (1.0, 1), (2, 1): (1.0, -1)}),
+            StructureTable(sig, 2, {(1.0, 2): (1, 1), (2, 1): (1, -1)}),
+            StructureTable(sig, 2, {(1, 2.0): (1, 1), (2, 1): (1, -1)})]
+
+
+def report_cases(seed=18):
+    """(name, table) for every case slow_report is held against."""
+    rng = random.Random(seed)
+    cases = list(referee_cases())
+    for name, table in base_tables():
+        cases.append((name, table))
+        cases += [("%s, %s" % (name, kind), t) for kind, t in _pair_damage(table, rng)]
+    cases += [("float index %d" % i, t) for i, t in enumerate(float_index_tables())]
+    cases.append(("golden 2 0 after stale pairs", stale_pairs_table()))
     return cases
