@@ -1,5 +1,5 @@
 """The Clifford modules behind the tables: their size, the involution
-search, and the one check of the module axioms.
+search, and the full check of the module axioms.
 
 A table's module realises the Clifford relations
 J_i J_j + J_j J_i = -2 <z_i, z_j> Id in the minimal admissible
@@ -11,10 +11,13 @@ modulo the span of the system, form its basis, so the coset count
 searches a system; lie_algebra writes the table of such a module
 straight from the sign rule of the words module, without building it.
 
-verify_generators is the one check of the module axioms, on the
-operators lie_algebra.verify_htype rebuilds from a table, each a
-signed-point map (see exactlin).  A GeneratorSet holds such operators
-and acts with words on signed points.
+verify_generators is the full check of the module axioms, on operators
+given as signed-point maps (see exactlin).  lie_algebra.verify_htype
+calls it only for a table with a partial map, left by a missing cell
+that is not zero; on total maps it checks the norm signature and the
+pair relations alone, which the lie_algebra docstring proves enough.
+The test oracles call it on the operators they build.  A GeneratorSet
+holds such operators and acts with words on signed points.
 
 The minimal dimensions follow from the classification of the real
 Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
@@ -229,17 +232,25 @@ class GeneratorSet:
         return v if w.sign == 1 else (v[0], -v[1])
 
 
+def signature_errata(sig, form):
+    """The erratum of the norm signs, if any: diag(form) is definite
+    when s = 0 and neutral otherwise."""
+    dim, pos = len(form), form.count(1)
+    want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
+    if (pos, dim - pos) == want:
+        return []
+    return ["solved norms have signature (%d, %d), expected (%d, %d)"
+            % (pos, dim - pos, want[0], want[1])]
+
+
 def verify_generators(sig, ops, form):
     """Errata of the module axioms, in order: diag(form) is definite when
     s = 0 and neutral otherwise, each J_k in ops is a signed permutation
     skew for it, and the Clifford relations hold.  As in a table, J_k is
-    named z_k and point a - 1 is named v_a."""
-    dim, pos = len(form), form.count(1)
-    want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
-    out = []
-    if (pos, dim - pos) != want:
-        out.append("solved norms have signature (%d, %d), expected (%d, %d)"
-                   % (pos, dim - pos, want[0], want[1]))
+    named z_k and point a - 1 is named v_a; a square that fails is named
+    through its two cells where J_k is a signed permutation, else by the
+    point it fails at."""
+    out = signature_errata(sig, form)
     total = [exactlin.is_permutation(m) for m in ops]
     skew = exactlin.skew_flags(ops, form)
     for k, (whole, skewed) in enumerate(zip(total, skew), start=1):
@@ -249,13 +260,15 @@ def verify_generators(sig, ops, form):
             out.append("z%d is not skew for the solved norms" % k)
     squares = [-sig.eps(k) for k in range(1, sig.n + 1)]
     for i, j, points in exactlin.relation_failures(ops, squares):
-        if i == j and total[i]:
+        if i != j:
+            out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
+        elif not total[i]:
+            out += ["z%d square fails at v%d" % (i + 1, a + 1) for a in points]
+        else:
             m = ops[i]
             for a in points:
                 b = m[2 * a] >> 1  # pi(a), the point J_i e_a lands on
                 out.append(
                     "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
                     % (i + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1))
-        else:
-            out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
     return out

@@ -55,12 +55,21 @@ cell order.
 
 Generators.  J_k = eps_k D_eta R_k sends v_a to eps_k s eta_b v_b.  For
 the form diag(eta), <J_k v_a, v_b> = eps_k s = <z_k, [v_a, v_b]>, so
-J_k is the operator of z_k.  It is a signed permutation when R_k is
-one.  It is skew: R_k^T = R_k^-1 = -R_k, so J_k^T D_eta = eps_k R_k^T
-= -eps_k R_k = -D_eta J_k.  And eta agrees with every cell exactly when
-D_eta R_k D_eta = eps_k R_k, that is J_k^2 = -eps_k Id, the Clifford
-square.  clifford_rep.verify_generators, the one check of the module
-axioms, then checks these maps.
+J_k is the operator of z_k.  Let every R_k^2 = -Id, as after the shape
+check, or after the walk of a table whose missing cells are zero cells.
+Then R_k is a signed permutation, and so is J_k.  It is skew: R_k^T =
+R_k^-1 = -R_k, so J_k^T D_eta = eps_k R_k^T = -eps_k R_k = -D_eta J_k.
+And eta agrees with every cell exactly when D_eta R_k D_eta = eps_k R_k.
+Then J_k^2 = eps_k R_k^2 = -eps_k Id, the Clifford square, and J_i J_j
+= eps_i eps_j (D_eta R_i D_eta) R_j = eps_j R_i R_j, so
+
+    J_i J_j + J_j J_i = 0   exactly when   R_i R_j = -eps_i eps_j R_j R_i.
+
+So on such maps, with an eta the walk found, only the norm signature
+and the n(n-1)/2 pair relations can fail, and _clifford_errata checks
+just those on the R_k, one gather on each side of a pair.  A table with
+a partial R_k, left by a missing cell that is not zero, has its J_k
+built and checked by clifford_rep.verify_generators.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -73,7 +82,8 @@ from operator import itemgetter
 from . import exactlin
 from .basis_builder import reference_config
 from .clifford_rep import (ConstructionError, find_involution_system,
-                           minimal_admissible_dimension, verify_generators)
+                           minimal_admissible_dimension, signature_errata,
+                           verify_generators)
 from .words import Signature, Word, letter_mask, norm_sign, sign_form, span_products
 
 EXACT = "exact"
@@ -262,10 +272,16 @@ def _signed_maps(table):
     return [tuple(m) for m in maps]
 
 
+def _squares_hold(maps, n_vec):
+    """True when every map squares to -Id, compared as whole tuples."""
+    swap = exactlin.fixed(2 * n_vec)[1]
+    return all(itemgetter(*m)(m) == swap for m in maps)
+
+
 def _shape_maps(table):
     """The maps R_k when the table passes the shape check, else None:
     no cell is missing, there are n N cells, each in range, and every
-    R_k squares to -Id, compared as whole tuples."""
+    R_k squares to -Id."""
     n_vec = table.dim
     if table.missing or len(table.cells) != table.sig.n * n_vec:
         return None
@@ -273,8 +289,7 @@ def _shape_maps(table):
         maps = _signed_maps(table)
     except TypeError:
         return None
-    swap = exactlin.fixed(2 * n_vec)[1]
-    if maps is None or any(itemgetter(*m)(m) != swap for m in maps):
+    if maps is None or not _squares_hold(maps, n_vec):
         return None
     return maps
 
@@ -325,6 +340,23 @@ def reconstruct_J(table, eta):
     cell leaves J_k undefined, the map holds end = 2N.
     """
     return _generators(_signed_maps(table), _eps_by_k(table.sig)[1:], eta)
+
+
+def _clifford_errata(sig, maps, eps, eta):
+    """verify_generators on J_k = eps_k D_eta R_k, for maps R_k that
+    square to -Id and an eta that agrees with every cell: the norm
+    signature, then for each i < j, in order, R_i R_j = -eps_i eps_j
+    R_j R_i (see the module docstring)."""
+    out = signature_errata(sig, eta)
+    negate = exactlin.fixed(2 * len(eta))[2]
+    gathers = [itemgetter(*m) for m in maps]
+    negated = [negate(m) for m in maps]
+    for i, (m, e) in enumerate(zip(maps, eps)):
+        for j in range(i + 1, len(maps)):
+            # R_i R_j gathers R_i by R_j; the other side gathers +-R_j by R_i.
+            if gathers[j](m) != gathers[i](negated[j] if eps[j] == e else maps[j]):
+                out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
+    return out
 
 
 def cell_errata(table):
@@ -434,17 +466,22 @@ def verify_htype(table):
         errata = ["table dimension %d is not positive" % table.dim]
         return VerifyReport(sig, table.label, errata, None, missing)
     maps = _shape_maps(table)
-    if maps is None:
+    total = maps is not None
+    if not total:
         # Only a table that breaks a rule or has a missing cell is walked.
         errata = _walk_errata(table)
         if errata:
             return VerifyReport(sig, table.label, errata, None, missing)
         maps = _signed_maps(table)
+        # Missing cells that are all zero cells leave every map total.
+        total = _squares_hold(maps, table.dim)
     eps = _eps_by_k(sig)[1:]
     eta = _walk_eta(maps, eps, table.dim)
     if eta is None:
         # The adjacency walk names every conflicting cell, in its order.
         eta, errata = _solve_eta(table)
+    elif total:
+        errata = _clifford_errata(sig, maps, eps, eta)
     else:
         errata = verify_generators(sig, _generators(maps, eps, eta), eta)
     return VerifyReport(sig, table.label, errata, eta, missing)

@@ -22,6 +22,7 @@ from dense_oracle import (
 from htype.basis_builder import (ReferenceConfig, configured_signatures,
                                  has_reference_config, reference_config)
 from htype.clifford_rep import find_involution_system, minimal_admissible_dimension
+from htype import lie_algebra
 from htype.golden import golden_signatures, golden_table
 from htype.lie_algebra import (
     EXACT,
@@ -39,7 +40,8 @@ from htype.lie_algebra import (
     verify_htype,
 )
 from htype.words import Signature, Word
-from verify_oracle import is_htype, referee_cases, report_cases, slow_report
+from verify_oracle import (base_tables, brute_compare, comparison_cases, is_htype,
+                           referee_cases, report_cases, slow_report)
 
 # sha256 of json [dim, sorted cells] for the scale ladder's derived
 # tables past the CLI cap, where tests/cli_digests.json stops.  A
@@ -241,19 +243,50 @@ def test_verify_htype_reports_what_the_cell_walk_reports():
     """The whole report, verdict, errata, norm signs and missing cells,
     equals that of verify_oracle.slow_report, which walks the cells,
     propagates the norm signs over adjacency lists and rebuilds the
-    generators cell by cell, on 2,329 tables: the referee cases, the 145
+    generators cell by cell, on 2,615 tables: the referee cases, the 145
     golden, configured and grid tables with seven kinds of seeded damage
-    each, the tables with a float index, and a table whose early cells
-    later ones override."""
+    each, the tables with a float index, a table whose early cells later
+    ones override, 280 sign flips of two pairs of cells in one z_k or in
+    two (each of the 145 tables gets each kind that fits it), and six
+    one-pair flips of (5, 1), whose missing zero cell leaves its maps
+    total.  The last two keep the shape, so they reach the pair
+    relations on the raw maps."""
     cases = report_cases()
-    assert len(cases) == 2329
+    assert len(cases) == 2615
     verdicts = Counter()
     for name, table in cases:
         report = verify_htype(table)
         assert (report.ok, report.errata, report.eta, report.missing) == \
             slow_report(table), name
         verdicts[report.ok] += 1
-    assert verdicts == {True: 304, False: 2025}
+    assert verdicts == {True: 326, False: 2289}
+
+
+def test_tables_that_verify_never_build_generators(monkeypatch):
+    """Every golden, configured and grid table passes verify_htype with
+    verify_generators made to raise: their maps are total, (5, 1) with
+    its missing zero cell among them, so the pair relations on the raw
+    maps decide."""
+    def refuse(*args):
+        raise AssertionError("verify_generators called")
+
+    monkeypatch.setattr(lie_algebra, "verify_generators", refuse)
+    tables = base_tables()
+    assert len(tables) == 145
+    for name, table in tables:
+        assert verify_htype(table).ok, name
+
+
+def test_a_partial_map_names_its_failed_square():
+    """A map left partial by a missing pair fails its square at the
+    points it does not reach, named as a square failure."""
+    t = derive_table(Signature(2, 0))
+    assert t.cells[(1, 2)] == (1, 1)
+    cells = {key: val for key, val in t.cells.items() if key not in ((1, 2), (2, 1))}
+    report = verify_htype(replace(t, cells=cells, missing=frozenset({(1, 2), (2, 1)})))
+    assert report.errata == ["z1 does not act by a signed permutation",
+                             "z1 square fails at v1", "z1 square fails at v2",
+                             "z1 and z2 do not anticommute"]
 
 
 def test_reconstruct_j_equals_the_cell_by_cell_oracle():
@@ -424,6 +457,24 @@ def test_compare_tables_on_damaged_golden_tables():
     holed = replace(table, cells=signed, missing=frozenset({(1, 2)}))
     assert _checked_comparison(table, holed) == SIGN_EQUIVALENT
     assert compare_tables(table, holed).sigma == (1, -1)
+
+
+def test_compare_tables_agrees_with_the_brute_force_referee():
+    """compare_tables returns the status, sigma and diffs that
+    verify_oracle.brute_compare finds by trying every sigma, on 2,452
+    pairs: each of the 44 configured and golden tables of dim <= 8
+    against itself, against a sign-changed copy and that copy with v_1
+    cut off by holes, both ways, and against two rounds of its seeded
+    damage, plain and against the copy.  The 88 cut-off pairs leave
+    sigma free on one set of vertices, so they pin which sigma wins."""
+    cases = comparison_cases()
+    assert len(cases) == 2452
+    seen = Counter()
+    for name, left, right in cases:
+        cmp = compare_tables(left, right)
+        assert (cmp.status, cmp.sigma, cmp.diffs) == brute_compare(left, right), name
+        seen[cmp.status] += 1
+    assert seen == {EXACT: 326, SIGN_EQUIVALENT: 390, UNMATCHED: 1736}
 
 
 def test_compare_tables_flags_cells_outside_the_table():

@@ -16,8 +16,16 @@ through its signed-point maps: the walk over the cells, the adjacency
 propagation of the norm signs, and generators rebuilt cell by cell by
 dense_oracle.reconstruct_J.  report_cases are the tables it is held
 against verify_htype on: the referee cases, every golden, configured
-and grid table with seeded damage of each, tables with an index that
-is a float, and a table whose early cells later ones override.
+and grid table with seeded damage of each, sign flips of two pairs of
+cells and one-pair flips of the (5, 1) table with its hole, which keep
+the shape, tables with an index that is a float, and a table whose
+early cells later ones override.
+
+brute_compare decides what lie_algebra.compare_tables must return by
+trying every diagonal sign change sigma with sigma_1 = +1, and
+comparison_cases are the pairs of tables it judges: the referee's base
+tables against themselves, their sign-changed copies and their seeded
+damage.
 """
 
 import random
@@ -28,8 +36,9 @@ from dense_oracle import (clifford_failures, identity, mat_mul, mat_neg,
 from htype.basis_builder import configured_signatures
 from htype.clifford_rep import verify_generators
 from htype.golden import build_n07, golden_signatures, golden_table, split_blocks
-from htype.lie_algebra import (StructureTable, _missing_reports, _solve_eta,
-                               _walk_errata, derive_table, generate_table)
+from htype.lie_algebra import (EXACT, SIGN_EQUIVALENT, UNMATCHED, StructureTable,
+                               _missing_reports, _solve_eta, _walk_errata,
+                               derive_table, generate_table)
 from htype.words import Signature
 
 
@@ -146,9 +155,8 @@ def _damaged(table, rng):
     return out
 
 
-def referee_cases(seed=83):
-    """(name, table) for every case the referee judges."""
-    rng = random.Random(seed)
+def _referee_bases():
+    """(name, table) for every configured and golden table of dim <= 8."""
     bases = []
     for key in configured_signatures():
         table = generate_table(Signature(*key))
@@ -158,8 +166,14 @@ def referee_cases(seed=83):
         table = golden_table(*key)
         if table.dim <= 8:
             bases.append(("golden %d %d" % key, table))
+    return bases
+
+
+def referee_cases(seed=83):
+    """(name, table) for every case the referee judges."""
+    rng = random.Random(seed)
     cases = []
-    for name, table in bases:
+    for name, table in _referee_bases():
         cases.append((name, table))
         for _round in range(2):
             cases += [("%s, %s" % (name, kind), t)
@@ -226,6 +240,36 @@ def _pair_damage(table, rng):
     return out
 
 
+def _flip_pairs(table, pairs):
+    """table with the signs of both cells of each pair (a, b) flipped."""
+    cells = dict(table.cells)
+    for a, b in pairs:
+        for cell in ((a, b), (b, a)):
+            k, s = cells[cell]
+            cells[cell] = (k, -s)
+    return replace(table, cells=cells)
+
+
+def _two_pair_flips(table, rng):
+    """(kind, table) for the sign flips of two pairs of cells drawn by
+    rng: both pairs holding one z_k, when some z_k has two, and pairs
+    holding two different z's, when n >= 2.  The shape is kept."""
+    by_k = {}
+    for (a, b), (k, _s) in sorted(table.cells.items()):
+        if a < b:
+            by_k.setdefault(k, []).append((a, b))
+    out = []
+    crowded = [k for k in sorted(by_k) if len(by_k[k]) >= 2]
+    if crowded:
+        pairs = rng.sample(by_k[rng.choice(crowded)], 2)
+        out.append(("two pairs of one z flipped", _flip_pairs(table, pairs)))
+    if len(by_k) >= 2:
+        k, l = rng.sample(sorted(by_k), 2)
+        pairs = [rng.choice(by_k[k]), rng.choice(by_k[l])]
+        out.append(("two pairs of two z's flipped", _flip_pairs(table, pairs)))
+    return out
+
+
 def stale_pairs_table():
     """The (2, 0) reference table after two pairs of z1 cells that its
     own z1 cells override in a map built in cell order: rows v1 to v4
@@ -254,4 +298,71 @@ def report_cases(seed=18):
         cases += [("%s, %s" % (name, kind), t) for kind, t in _pair_damage(table, rng)]
     cases += [("float index %d" % i, t) for i, t in enumerate(float_index_tables())]
     cases.append(("golden 2 0 after stale pairs", stale_pairs_table()))
+    for name, table in base_tables():
+        cases += [("%s, %s" % (name, kind), t) for kind, t in _two_pair_flips(table, rng)]
+    # (5, 1) holds a zero cell as missing, yet its maps are total: one
+    # pair of each z_k flipped.
+    holed = golden_table(5, 1)
+    for k in range(1, holed.sig.n + 1):
+        pair = rng.choice(sorted((a, b) for (a, b), (kk, _s) in holed.cells.items()
+                                 if kk == k and a < b))
+        cases.append(("golden 5 1, pair of z%d flipped" % k, _flip_pairs(holed, [pair])))
+    return cases
+
+
+def brute_compare(left, right):
+    """(status, sigma, diffs) that compare_tables(left, right) must
+    return.  Cells that are holes on either side are left out.  When the
+    dims and the n agree and no cell lies outside 1..dim or holds z_k
+    for k outside 1..n, each sigma with sigma_1 = +1 is tried, the
+    all-plus one first and then in decreasing lexicographic order, and
+    the first that takes every left cell to the right one wins.  Where
+    sigma is not unique, the first has +1 on the smallest vertex of each
+    set of vertices the cells link, as flipping such a set alone keeps it
+    valid.  Else the tables are unmatched, and the diffs are the cells
+    that differ or lie outside, sorted."""
+    keys = sorted((left.cells.keys() | right.cells.keys()) - left.missing - right.missing)
+    inside, central = range(1, left.dim + 1), range(1, left.sig.n + 1)
+    values = [(key, left.cells.get(key), right.cells.get(key)) for key in keys]
+    stray = [key[0] not in inside or key[1] not in inside
+             or any(v is not None and v[0] not in central for v in pair)
+             for key, *pair in values]
+    if left.dim == right.dim and left.sig.n == right.sig.n and not any(stray):
+        dim = left.dim
+        for bits in range(2 ** (dim - 1)):
+            sigma = (1,) + tuple(-1 if bits >> (dim - 2 - i) & 1 else 1
+                                 for i in range(dim - 1))
+            if all(mine is not None
+                   and theirs == (mine[0], mine[1] * sigma[a - 1] * sigma[b - 1])
+                   for (a, b), mine, theirs in values):
+                return (EXACT if bits == 0 else SIGN_EQUIVALENT), sigma, ()
+    diffs = tuple(value for value, odd in zip(values, stray)
+                  if odd or value[1] != value[2])
+    return UNMATCHED, None, diffs
+
+
+def comparison_cases(seed=8):
+    """(name, left, right) for every pair brute_compare judges: each
+    referee base against itself, a sign-changed copy and that copy with
+    every cell of v_1 a hole against it both ways, and two rounds of its
+    seeded damage against it and against the copy."""
+    rng = random.Random(seed)
+    cases = []
+    for name, table in _referee_bases():
+        sigma = [rng.choice((1, -1)) for _ in range(table.dim)]
+        signed = replace(table, cells={(a, b): (k, s * sigma[a - 1] * sigma[b - 1])
+                                       for (a, b), (k, s) in table.cells.items()})
+        # Holes at every cell of v_1 cut it off, so sigma_1 leaves the
+        # others free and their smallest vertex starts at +1.
+        cut = {cell for cell in signed.cells if 1 in cell}
+        isolated = replace(signed, cells={c: v for c, v in signed.cells.items()
+                                          if c not in cut}, missing=signed.missing | cut)
+        cases += [(name, table, table), (name + ", signed", table, signed),
+                  (name + ", signed, reversed", signed, table),
+                  (name + ", v1 cut off", table, isolated),
+                  (name + ", v1 cut off, reversed", isolated, table)]
+        for _round in range(2):
+            for kind, damaged in _damaged(table, rng):
+                cases.append(("%s, %s" % (name, kind), table, damaged))
+                cases.append(("%s, %s, against signed" % (name, kind), damaged, signed))
     return cases
