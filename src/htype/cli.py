@@ -101,8 +101,10 @@ def _cmd_gen(parser, args):
     try:
         with open(args.out, "w") as handle:
             handle.write(text)
-    except OSError as exc:
-        print("cannot write %s: %s" % (args.out, exc.strerror), file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        # open raises ValueError on a path with a NUL byte.
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        print("cannot write %s: %s" % (args.out, reason), file=sys.stderr)
         return 2
     return 0
 

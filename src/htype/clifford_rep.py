@@ -1,5 +1,5 @@
 """The Clifford modules behind the tables: their size, the involution
-search, and the full check of the module axioms.
+search, and generators that act with words.
 
 A table's module realises the Clifford relations
 J_i J_j + J_j J_i = -2 <z_i, z_j> Id in the minimal admissible
@@ -11,13 +11,10 @@ modulo the span of the system, form its basis, so the coset count
 searches a system; lie_algebra writes the table of such a module
 straight from the sign rule of the words module, without building it.
 
-verify_generators is the full check of the module axioms, on operators
-given as signed-point maps (see exactlin).  lie_algebra.verify_htype
-calls it only for a table with a partial map, left by a missing cell
-that is not zero; on total maps it checks the norm signature and the
-pair relations alone, which the lie_algebra docstring proves enough.
-The test oracles call it on the operators they build.  A GeneratorSet
-holds such operators and acts with words on signed points.
+A GeneratorSet holds a module's generators as signed-point maps (see
+exactlin) and acts with words on signed points; signature_errata is the
+norm-signature test of lie_algebra.verify_htype, whose Clifford check
+reads the table's own maps.
 
 The minimal dimensions follow from the classification of the real
 Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
@@ -242,33 +239,3 @@ def signature_errata(sig, form):
     return ["solved norms have signature (%d, %d), expected (%d, %d)"
             % (pos, dim - pos, want[0], want[1])]
 
-
-def verify_generators(sig, ops, form):
-    """Errata of the module axioms, in order: diag(form) is definite when
-    s = 0 and neutral otherwise, each J_k in ops is a signed permutation
-    skew for it, and the Clifford relations hold.  As in a table, J_k is
-    named z_k and point a - 1 is named v_a; a square that fails is named
-    through its two cells where J_k is a signed permutation, else by the
-    point it fails at."""
-    out = signature_errata(sig, form)
-    total = [exactlin.is_permutation(m) for m in ops]
-    skew = exactlin.skew_flags(ops, form)
-    for k, (whole, skewed) in enumerate(zip(total, skew), start=1):
-        if not whole:
-            out.append("z%d does not act by a signed permutation" % k)
-        elif not skewed:
-            out.append("z%d is not skew for the solved norms" % k)
-    squares = [-sig.eps(k) for k in range(1, sig.n + 1)]
-    for i, j, points in exactlin.relation_failures(ops, squares):
-        if i != j:
-            out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
-        elif not total[i]:
-            out += ["z%d square fails at v%d" % (i + 1, a + 1) for a in points]
-        else:
-            m = ops[i]
-            for a in points:
-                b = m[2 * a] >> 1  # pi(a), the point J_i e_a lands on
-                out.append(
-                    "z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
-                    % (i + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1))
-    return out

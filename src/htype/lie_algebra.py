@@ -55,21 +55,25 @@ cell order.
 
 Generators.  J_k = eps_k D_eta R_k sends v_a to eps_k s eta_b v_b.  For
 the form diag(eta), <J_k v_a, v_b> = eps_k s = <z_k, [v_a, v_b]>, so
-J_k is the operator of z_k.  Let every R_k^2 = -Id, as after the shape
-check, or after the walk of a table whose missing cells are zero cells.
-Then R_k is a signed permutation, and so is J_k.  It is skew: R_k^T =
-R_k^-1 = -R_k, so J_k^T D_eta = eps_k R_k^T = -eps_k R_k = -D_eta J_k.
-And eta agrees with every cell exactly when D_eta R_k D_eta = eps_k R_k.
-Then J_k^2 = eps_k R_k^2 = -eps_k Id, the Clifford square, and J_i J_j
-= eps_i eps_j (D_eta R_i D_eta) R_j = eps_j R_i R_j, so
+J_k is the operator of z_k.  After the shape check or the cell walk,
+no z_k sits twice in a column, so R_k is injective where it acts, and a
+total R_k is a signed permutation.  eta agrees with every cell exactly when
+D_eta R_k D_eta = eps_k R_k, partial maps included, as D_eta fixes end.
+Take such an eta.  J_k is partial exactly when R_k is.  J_k D_eta =
+eps_k D_eta R_k D_eta = R_k, and a signed permutation A is skew for
+diag(eta), A^T D_eta = A^-1 D_eta = -D_eta A, exactly when (A D_eta)^2
+= -Id; so a total J_k is skew exactly when R_k^2 = -Id.  J_k^2 = eps_k
+R_k^2, so the Clifford square J_k^2 = -eps_k Id fails at the points
+where R_k^2 = -Id fails.  And J_i J_j = eps_i eps_j (D_eta R_i D_eta)
+R_j = eps_j R_i R_j, so
 
     J_i J_j + J_j J_i = 0   exactly when   R_i R_j = -eps_i eps_j R_j R_i.
 
-So on such maps, with an eta the walk found, only the norm signature
-and the n(n-1)/2 pair relations can fail, and _clifford_errata checks
-just those on the R_k, one gather on each side of a pair.  A table with
-a partial R_k, left by a missing cell that is not zero, has its J_k
-built and checked by clifford_rep.verify_generators.
+So once _walk_eta has found an eta, _clifford_errata reads every module
+axiom off the R_k and builds no J_k: the norm signature; for each map
+with R_k^2 != -Id, of which the shape check leaves none, whether J_k
+is partial or not skew, and where its square fails; and the n(n-1)/2
+pair relations, one gather on each side of a pair.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -82,8 +86,7 @@ from operator import itemgetter
 from . import exactlin
 from .basis_builder import reference_config
 from .clifford_rep import (ConstructionError, find_involution_system,
-                           minimal_admissible_dimension, signature_errata,
-                           verify_generators)
+                           minimal_admissible_dimension, signature_errata)
 from .words import Signature, Word, letter_mask, norm_sign, sign_form, span_products
 
 EXACT = "exact"
@@ -272,10 +275,11 @@ def _signed_maps(table):
     return [tuple(m) for m in maps]
 
 
-def _squares_hold(maps, n_vec):
-    """True when every map squares to -Id, compared as whole tuples."""
-    swap = exactlin.fixed(2 * n_vec)[1]
-    return all(itemgetter(*m)(m) == swap for m in maps)
+def _failed_squares(maps, n_vec):
+    """The indices k - 1 of the maps with R_k^2 != -Id, compared as
+    whole tuples."""
+    swap = exactlin.fixed(2 * n_vec)[0]
+    return [k for k, m in enumerate(maps) if itemgetter(*m)(m) != swap]
 
 
 def _shape_maps(table):
@@ -289,7 +293,7 @@ def _shape_maps(table):
         maps = _signed_maps(table)
     except TypeError:
         return None
-    if maps is None or not _squares_hold(maps, n_vec):
+    if maps is None or _failed_squares(maps, n_vec):
         return None
     return maps
 
@@ -324,34 +328,51 @@ def _walk_eta(maps, eps, n_vec):
     return tuple(eta[:n_vec])
 
 
-def _generators(maps, eps, eta):
-    """J_k = eps_k D_eta R_k for D_eta = diag(eta): the gather of D_eta,
-    or of -D_eta where eps_k = -1, by each R_k."""
-    end = 2 * len(eta)
-    plus = [x ^ (eta[x >> 1] < 0) for x in range(end)] + [end]
-    minus = [x ^ 1 for x in plus[:-1]] + [end]
-    return [itemgetter(*m)(plus if e > 0 else minus) for m, e in zip(maps, eps)]
-
-
 def reconstruct_J(table, eta):
     """Generators implied by a table whose cells are in range, and the
     norm signs eta: J_k v_a = eps_k c eta_b v_b for each cell
     (a, b) = (k, c), as signed-point maps (see exactlin); where an empty
-    cell leaves J_k undefined, the map holds end = 2N.
+    cell leaves J_k undefined, the map holds end = 2N.  J_k = eps_k
+    D_eta R_k for D_eta = diag(eta) is the gather of D_eta, or of -D_eta
+    where eps_k = -1, by R_k.
     """
-    return _generators(_signed_maps(table), _eps_by_k(table.sig)[1:], eta)
+    end = 2 * len(eta)
+    plus = [x ^ (eta[x >> 1] < 0) for x in range(end)] + [end]
+    minus = [x ^ 1 for x in plus[:-1]] + [end]
+    return [itemgetter(*m)(plus if e > 0 else minus)
+            for m, e in zip(_signed_maps(table), _eps_by_k(table.sig)[1:])]
 
 
-def _clifford_errata(sig, maps, eps, eta):
-    """verify_generators on J_k = eps_k D_eta R_k, for maps R_k that
-    square to -Id and an eta that agrees with every cell: the norm
-    signature, then for each i < j, in order, R_i R_j = -eps_i eps_j
-    R_j R_i (see the module docstring)."""
+def _clifford_errata(sig, maps, eps, eta, bad):
+    """Errata of the module axioms for J_k = eps_k D_eta R_k, read off
+    the maps R_k of a table that passed the cell walk and an eta that
+    agrees with every cell (see the module docstring).  In order: the
+    norm signature; for each k in bad, the maps with R_k^2 != -Id, that
+    J_k is partial or else not skew; then for each i <= j, the points
+    where the square of R_i fails, named through its two cells where
+    R_i is total, and whether R_i R_j = -eps_i eps_j R_j R_i.  As in a
+    table, R_k is named z_k and point a - 1 is named v_a."""
     out = signature_errata(sig, eta)
-    negate = exactlin.fixed(2 * len(eta))[2]
+    end = 2 * len(eta)
+    squares = {}
+    for k in bad:
+        m = maps[k]
+        twice = itemgetter(*m)(m)
+        points = [x >> 1 for x in range(0, end, 2) if twice[x] != x ^ 1]
+        if m.count(end) > 1:
+            out.append("z%d does not act by a signed permutation" % (k + 1))
+            squares[k] = ["z%d square fails at v%d" % (k + 1, a + 1) for a in points]
+        else:
+            out.append("z%d is not skew for the solved norms" % (k + 1))
+            hops = [(a, m[2 * a] >> 1) for a in points]  # R_k v_a lands on v_b
+            squares[k] = ["z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
+                          % (k + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1)
+                          for a, b in hops]
+    negate = exactlin.fixed(end)[1]
     gathers = [itemgetter(*m) for m in maps]
     negated = [negate(m) for m in maps]
     for i, (m, e) in enumerate(zip(maps, eps)):
+        out += squares.get(i, ())
         for j in range(i + 1, len(maps)):
             # R_i R_j gathers R_i by R_j; the other side gathers +-R_j by R_i.
             if gathers[j](m) != gathers[i](negated[j] if eps[j] == e else maps[j]):
@@ -466,24 +487,22 @@ def verify_htype(table):
         errata = ["table dimension %d is not positive" % table.dim]
         return VerifyReport(sig, table.label, errata, None, missing)
     maps = _shape_maps(table)
-    total = maps is not None
-    if not total:
+    bad = ()
+    if maps is None:
         # Only a table that breaks a rule or has a missing cell is walked.
         errata = _walk_errata(table)
         if errata:
             return VerifyReport(sig, table.label, errata, None, missing)
         maps = _signed_maps(table)
-        # Missing cells that are all zero cells leave every map total.
-        total = _squares_hold(maps, table.dim)
+        # Missing cells that are all zero cells leave every square whole.
+        bad = _failed_squares(maps, table.dim)
     eps = _eps_by_k(sig)[1:]
     eta = _walk_eta(maps, eps, table.dim)
     if eta is None:
         # The adjacency walk names every conflicting cell, in its order.
         eta, errata = _solve_eta(table)
-    elif total:
-        errata = _clifford_errata(sig, maps, eps, eta)
     else:
-        errata = verify_generators(sig, _generators(maps, eps, eta), eta)
+        errata = _clifford_errata(sig, maps, eps, eta, bad)
     return VerifyReport(sig, table.label, errata, eta, missing)
 
 

@@ -8,17 +8,19 @@ column elimination, initial vectors are searched among small integer
 combinations of its basis, and the table is read off with the metric
 form.  It shares no arithmetic with htype.exactlin, so the tests hold
 the fast path against it.  The per-point rules at the end read the
-signed-point maps one point at a time, as referees for exactlin's
-whole-tuple checks.
+signed-point maps one point at a time, and verify_generators checks the
+module axioms with them: the referee of the Clifford check of
+lie_algebra.verify_htype, which reads the same axioms off a table's
+raw maps in whole tuples.
 
 The module route is the referee of lie_algebra's tables, which are
 written straight from the sign rule: build_generators builds the coset
-module as signed-point maps and checks them with
-clifford_rep.verify_generators, build_basis acts the basis words on
-e_1 with its checks, and compute_table reads the cells back off the
-maps.  reconstruct_J rebuilds a table's generators cell by cell, the
-referee of lie_algebra.reconstruct_J, which gathers them from the raw
-maps of the cells.
+module as signed-point maps and checks them with verify_generators,
+build_basis acts the basis words on e_1 with its checks, and
+compute_table reads the cells back off the maps.  reconstruct_J
+rebuilds a table's generators cell by cell, the referee of
+lie_algebra.reconstruct_J, which gathers them from the raw maps of the
+cells.
 
 Matrices are plain lists of lists of Python ints, indexed [row][col].
 Everything stays in integer arithmetic; no floats ever appear.
@@ -29,7 +31,7 @@ from dataclasses import replace
 from itertools import combinations, product
 
 from htype.clifford_rep import (ConstructionError, GeneratorSet,
-                                minimal_admissible_dimension, verify_generators)
+                                minimal_admissible_dimension)
 from htype.lie_algebra import StructureTable, _eps_by_k
 from htype.words import mul_sign, norm_sign, sign_form, span_products
 
@@ -474,16 +476,16 @@ def _act(m, v):
 
 
 def is_permutation(m):
-    """exactlin.is_permutation point by point: every e_p has an image,
-    and no two land on the same point."""
+    """True when every e_p has an image and no two land on the same
+    point."""
     images = [_act(m, (p, 1)) for p in range(len(m) // 2)]
     return None not in images and len({q for q, _s in images}) == len(images)
 
 
 def is_skew(m, form):
-    """exactlin.skew_flags for one map, point by point: m swaps the
-    points in pairs, and the two signs of a pair differ by the form's
-    signs of its points."""
+    """True when m is skew for diag(form): m swaps the points in pairs,
+    and the two signs of a pair differ by the form's signs of its
+    points."""
     for j in range(len(m) // 2):
         v = _act(m, (j, 1))
         w = None if v is None else _act(m, (v[0], 1))
@@ -505,8 +507,11 @@ def _cancel(x, y):
 
 
 def relation_failures(ops, squares):
-    """exactlin.relation_failures as a walk over every point of every
-    pair: four single-point images per point, no whole-tuple shortcut."""
+    """Where the maps ops break the Clifford relations A_i A_j + A_j A_i
+    = 0 for i != j and A_i^2 = squares[i] Id: (i, j, points) for each
+    pair i <= j that fails, with the points whose images break it, in
+    order.  A walk over every point of every pair, four single-point
+    images per point; two undefined images agree."""
     for i, a in enumerate(ops):
         points = range(len(a) // 2)
         for j in range(i, len(ops)):
@@ -518,6 +523,40 @@ def relation_failures(ops, squares):
                        if not _cancel(_twice(a, b, p), _twice(b, a, p))]
             if bad:
                 yield i, j, bad
+
+
+def verify_generators(sig, ops, form):
+    """Errata of the module axioms, in order: diag(form) is definite when
+    s = 0 and neutral otherwise, each J_k in ops is a signed permutation
+    skew for it, and the Clifford relations hold.  As in a table, J_k is
+    named z_k and point a - 1 is named v_a; a square that fails is named
+    through its two cells where J_k is a signed permutation, else by the
+    point it fails at."""
+    dim, pos = len(form), list(form).count(1)
+    want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
+    out = []
+    if (pos, dim - pos) != want:
+        out.append("solved norms have signature (%d, %d), expected (%d, %d)"
+                   % ((pos, dim - pos) + want))
+    total = [is_permutation(m) for m in ops]
+    for k, m in enumerate(ops, start=1):
+        if not total[k - 1]:
+            out.append("z%d does not act by a signed permutation" % k)
+        elif not is_skew(m, form):
+            out.append("z%d is not skew for the solved norms" % k)
+    squares = [-sig.eps(k) for k in range(1, sig.n + 1)]
+    for i, j, points in relation_failures(ops, squares):
+        if i != j:
+            out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
+        elif not total[i]:
+            out += ["z%d square fails at v%d" % (i + 1, a + 1) for a in points]
+        else:
+            for a in points:
+                b = _act(ops[i], (a, 1))[0]
+                c = _act(ops[i], (b, 1))[0]
+                out.append("z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
+                           % (i + 1, a + 1, b + 1, b + 1, c + 1))
+    return out
 
 
 # --- generators from a table, cell by cell ------------------------------

@@ -2,7 +2,9 @@ import contextlib
 import gc
 import io
 import json
+import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -71,6 +73,13 @@ def test_gen_out_to_a_missing_directory(tmp_path, capsys):
     assert err.startswith("cannot write %s: " % target)
     assert err.count("\n") == 1
     assert not target.parent.exists()
+
+
+def test_gen_out_to_a_path_with_a_nul_byte(capsys):
+    """open raises ValueError, not OSError, on a NUL byte in the path,
+    which only an in-process call can pass."""
+    code, out, err = run(capsys, "gen", "1", "0", "--out", "x\0y")
+    assert (code, out, err) == (2, "", "cannot write x\0y: embedded null byte\n")
 
 
 ERROR_PATHS = [
@@ -328,3 +337,62 @@ def test_no_command_is_an_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _fuzz_argvs(rng, tmp_path, count):
+    """count seeded argv lists over every subcommand: r and s in range
+    about half the time, else negative, huge, past the 4,300-digit limit
+    of int, non-integer or summing to 0; the subcommand's flags, unknown
+    ones and repeats; --out to paths no file can take."""
+    bad_numbers = ["0", "9", "-1", "-8", "+2", "1_0", "10**3", "1.5", "nan",
+                   "x", "", " 4", "9" * 30, "9" * 5000]
+    outs = [str(tmp_path), str(tmp_path / "no" / "dir.json"), "",
+            str(tmp_path / "file.txt" / "under"), "x\0y", str(tmp_path / "ok.json")]
+    own_flags = {"gen": ["--format", "csv", "latex", "json", "pdf", "--out"],
+                 "verify": ["--json", "--golden", "--generated", "--all"]}
+    stray_flags = ["--bogus", "-x", "--", "--version", "--json", "--out"]
+    out = []
+    for _ in range(count):
+        command = rng.choice(["gen", "gen", "verify", "match", "dims",
+                              "relations", "bogus"])
+        argv = [command]
+        if command in ("gen", "match", "relations") or rng.random() < 0.1:
+            argv += [str(rng.randint(0, 4)) if rng.random() < 0.7
+                     else rng.choice(bad_numbers) for _ in range(2)]
+        for _ in range(rng.randint(0, 3)):
+            pool = own_flags.get(command, [])
+            flag = rng.choice(pool if pool and rng.random() < 0.8 else stray_flags)
+            argv += [flag, rng.choice(outs)] if flag == "--out" else [flag]
+        if rng.random() < 0.2:
+            argv += argv[1:]  # every argument repeated
+        out.append(argv)
+    return out
+
+
+def _run_caught(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path):
+    """300 seeded argv lists over every subcommand, each run twice in
+    process: exit code 0, 2 or 3, no traceback, the same stdout both
+    times.  A NUL byte in the --out path, which only an in-process call
+    can pass, is met by the fuzz and reported with exit 2."""
+    (tmp_path / "file.txt").write_text("")
+    codes, errs = Counter(), set()
+    for argv in _fuzz_argvs(random.Random(20), tmp_path, 300):
+        code, out, err = _run_caught(argv)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        assert _run_caught(argv) == (code, out, err), argv
+        codes[code] += 1
+        errs.add(err)
+    assert codes[0] >= 50 and codes[2] >= 50, codes
+    assert "cannot write x\0y: embedded null byte\n" in errs

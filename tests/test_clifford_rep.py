@@ -8,7 +8,8 @@ import search_oracle
 from search_oracle import words_commute
 from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_mul
 from dense_oracle import (as_map, build_generators, clifford_failures, matrix,
-                          mat_mul, mat_neg, negated, negated_op, word_matrix)
+                          mat_mul, mat_neg, negated, negated_op, verify_generators,
+                          word_matrix)
 from htype import exactlin
 from htype.clifford_rep import (
     ConstructionError,
@@ -18,7 +19,6 @@ from htype.clifford_rep import (
     find_involution_system,
     involution_count,
     minimal_admissible_dimension,
-    verify_generators,
 )
 from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import golden_signatures, golden_table

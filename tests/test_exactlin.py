@@ -1,5 +1,6 @@
-"""The signed-point core, held against the dense matrix oracle and the
-oracle's per-point rules, and the oracle's own matrix arithmetic."""
+"""The signed-point core, held against the dense matrix oracle, and the
+oracle's own matrix arithmetic and per-point rules, held against dense
+matrices."""
 
 import math
 import random
@@ -165,33 +166,8 @@ def test_is_skew_agrees_with_the_metric_adjoint():
         form = [rng.choice((1, -1)) for _ in range(n)]
         op = rand_skew_op(rng, form) if rng.random() < 0.5 else rand_op(rng, n)
         dense = matrix(op)
-        assert exactlin.skew_flags([op], form) == \
-            [metric_adjoint(dense, form) == mat_neg(dense)]
-
-
-def test_skew_flags_match_the_per_point_rule():
-    """The two gathers of skew_flags against the oracle's per-point rule
-    on 200 seeded lists of skew, total and partial maps, with the form's
-    gather shared across each list."""
-    rng = random.Random(43)
-    seen = set()
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        form = [rng.choice((1, -1)) for _ in range(n)]
-        ops = []
-        for _ in range(rng.randint(1, 4)):
-            kind = rng.choice(("skew", "total", "partial"))
-            if kind == "skew" and n % 2 == 0:
-                ops.append(rand_skew_op(rng, form))
-            elif kind == "partial":
-                ops.append(rand_partial_op(rng, n))
-            else:
-                ops.append(rand_op(rng, n))
-        want = [dense_oracle.is_skew(m, form) for m in ops]
-        assert exactlin.skew_flags(ops, form) == want
-        seen.update(want)
-    assert seen == {True, False}
-    assert exactlin.skew_flags([], [1]) == []
+        assert dense_oracle.is_skew(op, form) == \
+            (metric_adjoint(dense, form) == mat_neg(dense))
 
 
 def test_dot_form_and_gram():
@@ -202,10 +178,10 @@ def test_dot_form_and_gram():
 
 
 def test_is_signed_permutation():
-    assert exactlin.is_permutation(as_map(([1, 0], [1, -1])))
-    assert exactlin.is_permutation(as_map(([0, 1, 2, 3], [1, 1, 1, 1])))
-    assert not exactlin.is_permutation(as_map(([1, 1], [1, 1])))
-    assert not exactlin.is_permutation(as_map(([None, 1], [0, 1])))
+    assert dense_oracle.is_permutation(as_map(([1, 0], [1, -1])))
+    assert dense_oracle.is_permutation(as_map(([0, 1, 2, 3], [1, 1, 1, 1])))
+    assert not dense_oracle.is_permutation(as_map(([1, 1], [1, 1])))
+    assert not dense_oracle.is_permutation(as_map(([None, 1], [0, 1])))
     assert is_signed_permutation([[0, 1], [-1, 0]])
     assert not is_signed_permutation([[1, 1], [0, 1]])
     assert not is_signed_permutation([[2, 0], [0, 1]])
@@ -214,18 +190,13 @@ def test_is_signed_permutation():
     for _ in range(50):
         op = rand_op(rng, rng.randint(1, 6))
         assert is_signed_permutation(matrix(op))
-
-
-def test_is_permutation_matches_the_per_point_rule():
-    """set(m[:-1]) == set(range(2N)) against the oracle's per-point rule
-    and the dense matrix on 50 seeded total and partial maps."""
+    # The per-point rule against the dense matrix on total and partial maps.
     rng = random.Random(53)
     seen = set()
     for _ in range(50):
         n = rng.randint(1, 6)
         op = rand_op(rng, n) if rng.random() < 0.3 else rand_partial_op(rng, n)
         want = dense_oracle.is_permutation(op)
-        assert exactlin.is_permutation(op) == want
         assert is_signed_permutation(matrix(op)) == want
         seen.add(want)
     assert seen == {True, False}
@@ -252,6 +223,10 @@ def test_relation_failures_agree_with_dense_products():
         if rng.random() < 0.3:
             ops[0] = (2 * n, 2 * n) + ops[0][2:]  # e_0 goes nowhere
         cases.append((ops, [rng.choice((1, -1)) for _ in ops]))
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        ops = [rand_partial_op(rng, n) for _ in range(rng.randint(1, 3))]
+        cases.append((ops, [rng.choice((1, -1)) for _ in ops]))
     for key in ((2, 1), (1, 3)):
         sig = Signature(*key)
         cases.append((build_generators(sig, find_involution_system(sig)).ops,
@@ -268,98 +243,10 @@ def test_relation_failures_agree_with_dense_products():
                        if [row[p] for row in anti] != [row[p] for row in want]]
                 if bad:
                     dense[(i, j)] = bad
-        fast = {(i, j): points
-                for i, j, points in exactlin.relation_failures(ops, squares)}
-        assert fast == dense
+        walked = {(i, j): points
+                  for i, j, points in dense_oracle.relation_failures(ops, squares)}
+        assert walked == dense
     assert dense == {}
-
-
-def test_relation_failures_match_the_per_point_walk():
-    """Whole-list checks with their fallback against the oracle's walk,
-    on built generators and on copies that break a relation: one entry
-    damaged, the opposite squares, a generator repeated."""
-    rng = random.Random(41)
-    cases = []
-    for key in ((2, 1), (1, 3), (3, 2), (0, 7), (4, 4), (5, 3)):
-        sig = Signature(*key)
-        ops = list(build_generators(sig, find_involution_system(sig)).ops)
-        squares = [-sig.eps(i) for i in range(1, sig.n + 1)]
-        cases.append((ops, squares, True))
-        cases.append((ops, [-x for x in squares], False))
-        cases.append((ops + ops[:1], squares + squares[:1], False))
-        for damage in ("sign", "swap", "copy", "none") * 4:
-            copy = [list(m) for m in ops]
-            m = rng.choice(copy)
-            p, q = rng.sample(range(len(m) // 2), 2)
-            if damage == "sign":
-                m[2 * p] ^= 1
-                m[2 * p + 1] ^= 1
-            elif damage == "swap":
-                m[2 * p:2 * p + 2], m[2 * q:2 * q + 2] = \
-                    m[2 * q:2 * q + 2], m[2 * p:2 * p + 2]
-            elif damage == "copy":
-                m[2 * p:2 * p + 2] = m[2 * q:2 * q + 2]
-            else:
-                m[2 * p] = m[2 * p + 1] = len(m) - 1
-            cases.append(([tuple(m) for m in copy], squares, False))
-    for ops, squares, intact in cases:
-        want = list(dense_oracle.relation_failures(ops, squares))
-        assert list(exactlin.relation_failures(ops, squares)) == want
-        assert (want == []) == intact
-
-
-def test_relation_failures_match_the_walk_on_random_maps():
-    """The gather against the oracle's per-point walk on 2,400 seeded
-    cases: random maps of dims 1-16 with undefined and repeated images,
-    built generators of dim up to 16 with a few entries damaged, squares
-    +-1 flipped at random, a repeated operator and the empty list."""
-    rng = random.Random(47)
-    built = []
-    for sig in (Signature(r, n - r) for n in range(1, 6) for r in range(n + 1)):
-        gens = build_generators(sig, find_involution_system(sig))
-        if gens.dim <= 16:
-            built.append((gens.ops, [-sig.eps(i) for i in range(1, sig.n + 1)]))
-    seen = set()
-    for case in range(2400):
-        if case % 2:
-            ops, squares = rng.choice(built)
-            ops = [list(m) for m in ops]
-            squares = list(squares)
-            for _ in range(rng.randint(0, 2)):
-                m = rng.choice(ops)
-                end = len(m) - 1
-                p = rng.randrange(end // 2)
-                damage = rng.choice(("sign", "copy", "none"))
-                if damage == "sign" and m[2 * p] != end:
-                    m[2 * p] ^= 1
-                    m[2 * p + 1] ^= 1
-                elif damage == "copy":
-                    x = 2 * rng.randrange(end // 2) + (rng.choice((1, -1)) < 0)
-                    m[2 * p:2 * p + 2] = x, x ^ 1
-                elif damage == "none":
-                    m[2 * p] = m[2 * p + 1] = end
-            ops = [tuple(m) for m in ops]
-        else:
-            n = case // 2 % 16 + 1
-            ops = [rand_partial_op(rng, n) for _ in range(rng.randint(0, 4))]
-            squares = [rng.choice((1, -1)) for _ in ops]
-            seen.add(("dim", n))
-        if ops and rng.random() < 0.2:
-            k = rng.randrange(len(ops))
-            ops.append(ops[k])
-            squares.append(squares[k])
-        if ops and rng.random() < 0.2:
-            k = rng.randrange(len(ops))
-            squares[k] = -squares[k]
-        want = list(dense_oracle.relation_failures(ops, squares))
-        assert list(exactlin.relation_failures(ops, squares)) == want
-        seen.add("fails" if want else "holds" if ops else "empty")
-        if any(len(m) - 1 in m[:-1] for m in ops):
-            seen.add("undefined")
-    assert {("dim", n) for n in range(1, 17)} <= seen
-    assert {"fails", "holds", "empty", "undefined"} <= seen
-    # Operators on no points break nothing.
-    assert list(exactlin.relation_failures([(0,)] * 2, [1, -1])) == []
 
 
 def test_column_space_basis_simple():

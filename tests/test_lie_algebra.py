@@ -40,8 +40,9 @@ from htype.lie_algebra import (
     verify_htype,
 )
 from htype.words import Signature, Word
-from verify_oracle import (base_tables, brute_compare, comparison_cases, is_htype,
-                           referee_cases, report_cases, slow_report)
+from verify_oracle import (base_tables, brute_compare, comparison_cases, cycle_table,
+                           is_htype, referee_cases, report_cases, slow_report,
+                           walk_passing_tables)
 
 # sha256 of json [dim, sorted cells] for the scale ladder's derived
 # tables past the CLI cap, where tests/cli_digests.json stops.  A
@@ -243,34 +244,39 @@ def test_verify_htype_reports_what_the_cell_walk_reports():
     """The whole report, verdict, errata, norm signs and missing cells,
     equals that of verify_oracle.slow_report, which walks the cells,
     propagates the norm signs over adjacency lists and rebuilds the
-    generators cell by cell, on 2,615 tables: the referee cases, the 145
-    golden, configured and grid tables with seven kinds of seeded damage
-    each, the tables with a float index, a table whose early cells later
-    ones override, 280 sign flips of two pairs of cells in one z_k or in
-    two (each of the 145 tables gets each kind that fits it), and six
-    one-pair flips of (5, 1), whose missing zero cell leaves its maps
-    total.  The last two keep the shape, so they reach the pair
-    relations on the raw maps."""
+    generators cell by cell and checks them point by point, on 2,618
+    tables: the referee cases, the 145 golden, configured and grid tables
+    with seven kinds of seeded damage each, the tables with a float
+    index, a table whose early cells later ones override, 280 sign flips
+    of two pairs of cells in one z_k or in two (each of the 145 tables
+    gets each kind that fits it), six one-pair flips of (5, 1), whose
+    missing zero cell leaves its maps total, and three cycle tables.
+    The flips keep the shape, so they reach the pair relations on the
+    raw maps; missing cells leave some maps partial, and two cycles
+    leave a total map that is not skew."""
     cases = report_cases()
-    assert len(cases) == 2615
-    verdicts = Counter()
+    assert len(cases) == 2618
+    verdicts, kinds = Counter(), Counter()
     for name, table in cases:
         report = verify_htype(table)
         assert (report.ok, report.errata, report.eta, report.missing) == \
             slow_report(table), name
         verdicts[report.ok] += 1
-    assert verdicts == {True: 326, False: 2289}
+        kinds.update(e.split(" ", 1)[1] for e in report.errata
+                     if e.endswith(("permutation", "solved norms")))
+    assert verdicts == {True: 326, False: 2292}
+    assert kinds["is not skew for the solved norms"] == 2
+    assert kinds["does not act by a signed permutation"] > 0
 
 
 def test_tables_that_verify_never_build_generators(monkeypatch):
     """Every golden, configured and grid table passes verify_htype with
-    verify_generators made to raise: their maps are total, (5, 1) with
-    its missing zero cell among them, so the pair relations on the raw
-    maps decide."""
+    reconstruct_J made to raise: the pair relations on the raw maps
+    decide, (5, 1) with its missing zero cell among them."""
     def refuse(*args):
-        raise AssertionError("verify_generators called")
+        raise AssertionError("reconstruct_J called")
 
-    monkeypatch.setattr(lie_algebra, "verify_generators", refuse)
+    monkeypatch.setattr(lie_algebra, "reconstruct_J", refuse)
     tables = base_tables()
     assert len(tables) == 145
     for name, table in tables:
@@ -287,6 +293,40 @@ def test_a_partial_map_names_its_failed_square():
     assert report.errata == ["z1 does not act by a signed permutation",
                              "z1 square fails at v1", "z1 square fails at v2",
                              "z1 and z2 do not anticommute"]
+
+
+def test_a_cycle_names_a_total_map_that_is_not_skew():
+    """A 3-cycle of z1 cells with its mirrors missing passes the cell
+    walk with R_1 total: under (1, 0) J_1 is not skew and its square
+    fails through the cycle's cells, and under (0, 1) the cycle forces
+    eta_1 = -eta_1."""
+    report = verify_htype(cycle_table(Signature(1, 0), 3))
+    assert report.eta == (1, 1, 1)
+    assert report.errata == [
+        "z1 is not skew for the solved norms",
+        "z1 square fails through cells (v1, v2) and (v2, v3)",
+        "z1 square fails through cells (v2, v3) and (v3, v1)",
+        "z1 square fails through cells (v3, v1) and (v1, v2)"]
+    report = verify_htype(cycle_table(Signature(0, 1), 3))
+    assert report.errata == ["norm signs conflict at cell (v3, v1)"]
+
+
+def test_tables_with_holes_report_what_the_cell_walk_reports():
+    """On 600 seeded tables that pass the cell walk with holes, with
+    maps partial, total without squaring to -Id or whole, the report of
+    verify_htype equals verify_oracle.slow_report's, and every branch
+    of the Clifford check is met."""
+    kinds, verdicts = set(), Counter()
+    for table in walk_passing_tables(20, 600):
+        report = verify_htype(table)
+        assert (report.ok, report.errata, report.eta, report.missing) == \
+            slow_report(table), table
+        verdicts[report.ok] += 1
+        kinds.update(e.split(" ", 1)[1][:14] for e in report.errata)
+    assert verdicts[True] and verdicts[False]
+    assert {"does not act b", "is not skew fo", "square fails a",
+            "square fails t", "and z2 do not ", "norms have sig",
+            "signs conflict"} <= kinds
 
 
 def test_reconstruct_j_equals_the_cell_by_cell_oracle():

@@ -14,12 +14,14 @@ blocks of the doubled (0, 7) table under both signatures.
 slow_report is the route verify_htype took before it read a table
 through its signed-point maps: the walk over the cells, the adjacency
 propagation of the norm signs, and generators rebuilt cell by cell by
-dense_oracle.reconstruct_J.  report_cases are the tables it is held
+dense_oracle.reconstruct_J and checked point by point by
+dense_oracle.verify_generators.  report_cases are the tables it is held
 against verify_htype on: the referee cases, every golden, configured
 and grid table with seeded damage of each, sign flips of two pairs of
 cells and one-pair flips of the (5, 1) table with its hole, which keep
-the shape, tables with an index that is a float, and a table whose
-early cells later ones override.
+the shape, tables with an index that is a float, a table whose early
+cells later ones override, and cycle tables, whose total maps are not
+skew.
 
 brute_compare decides what lie_algebra.compare_tables must return by
 trying every diagonal sign change sigma with sigma_1 = +1, and
@@ -32,9 +34,9 @@ import random
 from dataclasses import replace
 
 from dense_oracle import (clifford_failures, identity, mat_mul, mat_neg,
-                          mat_scale, metric_adjoint, reconstruct_J, zeros)
+                          mat_scale, metric_adjoint, reconstruct_J,
+                          verify_generators, zeros)
 from htype.basis_builder import configured_signatures
-from htype.clifford_rep import verify_generators
 from htype.golden import build_n07, golden_signatures, golden_table, split_blocks
 from htype.lie_algebra import (EXACT, SIGN_EQUIVALENT, UNMATCHED, StructureTable,
                                _missing_reports, _solve_eta, _walk_errata,
@@ -289,6 +291,54 @@ def float_index_tables():
             StructureTable(sig, 2, {(1, 2.0): (1, 1), (2, 1): (1, -1)})]
 
 
+def cycle_table(sig, dim):
+    """A table whose z1 cells run round a cycle, v_a to v_(a+1) with +1
+    and v_dim back to v_1 with -1, every mirror cell missing: each row
+    and column holds z1 once, so the cell walk passes, yet R_1 is total
+    without squaring to -Id."""
+    cells = {(a, a + 1): (1, 1) for a in range(1, dim)}
+    cells[(dim, 1)] = (1, -1)
+    return StructureTable(sig, dim, cells, frozenset((b, a) for a, b in cells))
+
+
+def walk_passing_tables(seed, count):
+    """count seeded tables of dim 2-7 and n 1-4 that pass the cell walk:
+    the cells of each z_k follow a random injective map a -> b with
+    about one cell in seven left out, half the mirrors not stored are
+    marked missing, and a row or column that lacks some z_k and has no
+    hole gets one.  Their maps are often partial, and some are total
+    without squaring to -Id."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        r = rng.randint(0, n)
+        dim = rng.randint(2, 7)
+        cells = {}
+        for k in range(1, n + 1):
+            images = rng.sample(range(1, dim + 1), dim)
+            for a, b in enumerate(images, start=1):
+                if b != a and (a, b) not in cells and rng.random() > 0.15:
+                    cells[(a, b)] = (k, rng.choice((1, -1)))
+        missing = {(b, a) for a, b in cells
+                   if (b, a) not in cells and rng.random() < 0.5}
+        for k in range(1, n + 1):
+            for side in (0, 1):
+                for x in range(1, dim + 1):
+                    if any(key[side] == x for key in missing) or any(
+                            key[side] == x and kk == k for key, (kk, _s) in cells.items()):
+                        continue
+                    free = [key for key in ((x, y) if side == 0 else (y, x)
+                                            for y in range(1, dim + 1) if y != x)
+                            if key not in cells]
+                    if free:
+                        missing.add(rng.choice(free))
+        table = StructureTable(Signature(r, n - r), dim, cells, frozenset(missing))
+        if not _walk_errata(table):
+            out.append(table)
+    return out
+
+
 def report_cases(seed=18):
     """(name, table) for every case slow_report is held against."""
     rng = random.Random(seed)
@@ -307,6 +357,10 @@ def report_cases(seed=18):
         pair = rng.choice(sorted((a, b) for (a, b), (kk, _s) in holed.cells.items()
                                  if kk == k and a < b))
         cases.append(("golden 5 1, pair of z%d flipped" % k, _flip_pairs(holed, [pair])))
+    # Total maps that are not skew; the odd cycle under (0, 1) meets a
+    # norm-sign conflict first.
+    for key, dim in (((1, 0), 3), ((0, 1), 3), ((0, 1), 4)):
+        cases.append(("%d-cycle under %s" % (dim, key), cycle_table(Signature(*key), dim)))
     return cases
 
 
