@@ -102,9 +102,10 @@ def _cmd_gen(parser, args):
         with open(args.out, "w") as handle:
             handle.write(text)
     except (OSError, ValueError) as exc:
-        # open raises ValueError on a path with a NUL byte.
+        # open raises ValueError on a path with a NUL byte; %r keeps a
+        # newline or NUL in the path from breaking the one-line error.
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        print("cannot write %s: %s" % (args.out, reason), file=sys.stderr)
+        print("cannot write %r: %s" % (args.out, reason), file=sys.stderr)
         return 2
     return 0
 

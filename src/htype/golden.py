@@ -19,6 +19,7 @@ from itertools import chain
 from .basis_builder import ALIASES, reference_config
 from .lie_algebra import (
     StructureTable,
+    _table_from_words,
     cell_errata,
     compare_tables,
     generate_table,
@@ -105,34 +106,25 @@ def match_generated(r, s):
     return compare_tables(generate_table(Signature(r, s)), reference)
 
 
-def _twin_cells(table, words):
-    """The cells of table in the twin module, every J_k negated, on the
-    frame of the same basis words W_a.
-
-    Negating every J_k negates each odd-length frame vector W_a v, and
-    v stays fixed once the eigensign of each odd-length involution
-    flips.  So each pairing <J_k v_a, v_b>, and with it cell (a, b),
-    gains the factor -(-1)^(|W_a| + |W_b|).
-    """
-    odd = [len(w.letters) % 2 for w in words]
-    return {(a, b): (k, sign if odd[a - 1] ^ odd[b - 1] else -sign)
-            for (a, b), (k, sign) in table.cells.items()}
-
-
 def build_n07():
     """The 16-dimensional table for the (0, 7) algebra.
 
-    The module doubles the (7, 0) one: the second half carries the same
-    generators with flipped sign, so its block is _twin_cells of the
-    (7, 0) table, and the two halves never bracket into each other.
+    The module doubles the (7, 0) one, and the two halves never bracket
+    into each other.  The second half negates every J_k, which negates
+    each odd-length word, so it is the (7, 0) module with the eigensign
+    of each odd-length involution flipped, on the same basis words.
     """
     sig = Signature(7, 0)
-    plus = generate_table(sig)
-    half = plus.dim
+    config = reference_config(sig)
+    twin = tuple(inv._replace(eigensign=-inv.eigensign)
+                 if len(inv.word.letters) % 2 else inv
+                 for inv in config.involutions)
+    plus = _table_from_words(sig, config.involutions, config.basis_words)
+    minus = _table_from_words(sig, twin, config.basis_words)
     cells = dict(plus.cells)
-    for (a, b), val in _twin_cells(plus, reference_config(sig).basis_words).items():
-        cells[(a + half, b + half)] = val
-    return StructureTable(Signature(0, 7), 2 * half, cells, frozenset(),
+    cells.update(((a + plus.dim, b + plus.dim), val)
+                 for (a, b), val in minus.cells.items())
+    return StructureTable(Signature(0, 7), 2 * plus.dim, cells, frozenset(),
                           "doubled construction")
 
 

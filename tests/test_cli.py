@@ -70,7 +70,7 @@ def test_gen_out_to_a_missing_directory(tmp_path, capsys):
     code, out, err = run(capsys, "gen", "1", "0", "--out", str(target))
     assert code == 2
     assert out == ""
-    assert err.startswith("cannot write %s: " % target)
+    assert err.startswith("cannot write %r: " % str(target))
     assert err.count("\n") == 1
     assert not target.parent.exists()
 
@@ -79,7 +79,18 @@ def test_gen_out_to_a_path_with_a_nul_byte(capsys):
     """open raises ValueError, not OSError, on a NUL byte in the path,
     which only an in-process call can pass."""
     code, out, err = run(capsys, "gen", "1", "0", "--out", "x\0y")
-    assert (code, out, err) == (2, "", "cannot write x\0y: embedded null byte\n")
+    assert (code, out, err) == (2, "", "cannot write 'x\\x00y': embedded null byte\n")
+
+
+def test_gen_out_to_a_path_with_a_newline(tmp_path, capsys):
+    """The path is printed with repr, so a newline in it cannot split
+    the error over two lines."""
+    target = tmp_path / "no\nsuch" / "dir.json"
+    code, out, err = run(capsys, "gen", "1", "0", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("cannot write %r: " % str(target))
+    assert "\\nsuch" in err
 
 
 ERROR_PATHS = [
@@ -343,11 +354,13 @@ def _fuzz_argvs(rng, tmp_path, count):
     """count seeded argv lists over every subcommand: r and s in range
     about half the time, else negative, huge, past the 4,300-digit limit
     of int, non-integer or summing to 0; the subcommand's flags, unknown
-    ones and repeats; --out to paths no file can take."""
+    ones and repeats; --out to paths no file can take.  Then one valid
+    gen per --out path, so that every path is met whatever the seed."""
     bad_numbers = ["0", "9", "-1", "-8", "+2", "1_0", "10**3", "1.5", "nan",
                    "x", "", " 4", "9" * 30, "9" * 5000]
     outs = [str(tmp_path), str(tmp_path / "no" / "dir.json"), "",
-            str(tmp_path / "file.txt" / "under"), "x\0y", str(tmp_path / "ok.json")]
+            str(tmp_path / "file.txt" / "under"), "x\0y",
+            str(tmp_path / "no\nsuch" / "dir.json"), str(tmp_path / "ok.json")]
     own_flags = {"gen": ["--format", "csv", "latex", "json", "pdf", "--out"],
                  "verify": ["--json", "--golden", "--generated", "--all"]}
     stray_flags = ["--bogus", "-x", "--", "--version", "--json", "--out"]
@@ -366,7 +379,7 @@ def _fuzz_argvs(rng, tmp_path, count):
         if rng.random() < 0.2:
             argv += argv[1:]  # every argument repeated
         out.append(argv)
-    return out
+    return out + [["gen", "1", "0", "--out", path] for path in outs]
 
 
 def _run_caught(argv):
@@ -381,10 +394,11 @@ def _run_caught(argv):
 
 
 def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path):
-    """300 seeded argv lists over every subcommand, each run twice in
-    process: exit code 0, 2 or 3, no traceback, the same stdout both
-    times.  A NUL byte in the --out path, which only an in-process call
-    can pass, is met by the fuzz and reported with exit 2."""
+    """300 seeded argv lists over every subcommand, and one gen per --out
+    path, each run twice in process: exit code 0, 2 or 3, no traceback,
+    the same stdout both times.  A NUL byte in the --out path, which only
+    an in-process call can pass, is reported with exit 2, and every
+    "cannot write" error, a newline in the path included, is one line."""
     (tmp_path / "file.txt").write_text("")
     codes, errs = Counter(), set()
     for argv in _fuzz_argvs(random.Random(20), tmp_path, 300):
@@ -395,4 +409,7 @@ def test_argv_fuzz_keeps_the_exit_code_contract(tmp_path):
         codes[code] += 1
         errs.add(err)
     assert codes[0] >= 50 and codes[2] >= 50, codes
-    assert "cannot write x\0y: embedded null byte\n" in errs
+    assert "cannot write 'x\\x00y': embedded null byte\n" in errs
+    written = [err for err in errs if err.startswith("cannot write")]
+    assert any("no\\nsuch" in err for err in written)
+    assert all(err.count("\n") == 1 for err in written)

@@ -14,7 +14,6 @@ from conftest import (
 from dense_oracle import build_basis, build_generators, compute_table, negated
 from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import (
-    _twin_cells,
     build_n07,
     golden_signatures,
     golden_table,
@@ -28,6 +27,7 @@ from htype.lie_algebra import (
     SIGN_EQUIVALENT,
     UNMATCHED,
     StructureTable,
+    _table_from_words,
     cell_errata,
     generate_table,
     verify_htype,
@@ -272,10 +272,10 @@ def test_build_n07_matches_the_pinned_digest():
     assert hashlib.sha256(payload.encode()).hexdigest() == N07_DIGEST
 
 
-def test_twin_cells_match_the_negated_module():
-    """The sign rule against the twin built afresh: negated generators,
-    the eigensign of each odd-length involution flipped, and the frame
-    and table of the same basis words."""
+def test_flipped_eigensigns_build_the_negated_module():
+    """The stored system with the eigensign of each odd-length involution
+    flipped writes the twin module's table: negated generators, and the
+    frame and table of the same basis words built afresh."""
     for key in configured_signatures():
         sig = Signature(*key)
         config = reference_config(sig)
@@ -283,8 +283,9 @@ def test_twin_cells_match_the_negated_module():
         flipped = tuple(p._replace(eigensign=-p.eigensign) if len(p.word.letters) % 2
                         else p for p in config.involutions)
         frame = build_basis(gens, replace(config, involutions=flipped))
-        assert compute_table(gens, frame).cells == _twin_cells(
-            generate_table(sig), config.basis_words), key
+        table = _table_from_words(sig, flipped, config.basis_words)
+        assert table.cells == compute_table(gens, frame).cells, key
+        assert verify_htype(table).ok, key
 
 
 def test_build_n07_works_under_the_definite_form_too():

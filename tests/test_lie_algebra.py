@@ -3,6 +3,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -269,18 +270,53 @@ def test_verify_htype_reports_what_the_cell_walk_reports():
     assert kinds["does not act by a signed permutation"] > 0
 
 
-def test_tables_that_verify_never_build_generators(monkeypatch):
-    """Every golden, configured and grid table passes verify_htype with
-    reconstruct_J made to raise: the pair relations on the raw maps
-    decide, (5, 1) with its missing zero cell among them."""
-    def refuse(*args):
-        raise AssertionError("reconstruct_J called")
+@pytest.mark.parametrize("r, s", [(2, 0), (1, 1), (0, 2)])
+def test_every_dim_4_table_with_two_central_elements(r, s):
+    """The census of dim 4 at n = 2: zero or (k, +-1) on each of the six
+    pairs a < b, the mirror cell filled in, so 5^6 = 15,625 tables.
+    verify_htype agrees with the brute-force referee on every one, and
+    48 are valid."""
+    sig = Signature(r, s)
+    pairs = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    values = [None] + [(k, sign) for k in (1, 2) for sign in (1, -1)]
+    valid = 0
+    for choice in product(values, repeat=len(pairs)):
+        cells = {}
+        for (a, b), val in zip(pairs, choice):
+            if val is not None:
+                cells[(a, b)] = val
+                cells[(b, a)] = (val[0], -val[1])
+        table = StructureTable(sig, 4, cells)
+        ok = verify_htype(table).ok
+        assert ok == is_htype(table), sorted(cells.items())
+        valid += ok
+    assert valid == 48
 
-    monkeypatch.setattr(lie_algebra, "reconstruct_J", refuse)
+
+def test_only_a_table_with_a_missing_cell_is_walked(monkeypatch):
+    """Of the golden, configured and grid tables, which all verify, only
+    golden (5, 1), the one with a missing cell, takes the cell walk, and
+    none needs the adjacency walk to name a norm-sign conflict."""
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(lie_algebra, name)
+
+        def wrapper(table):
+            calls[name] += 1
+            return inner(table)
+        return wrapper
+
+    for name in ("_walk_errata", "_solve_eta"):
+        monkeypatch.setattr(lie_algebra, name, counted(name))
     tables = base_tables()
     assert len(tables) == 145
     for name, table in tables:
+        calls.clear()
         assert verify_htype(table).ok, name
+        expect = {"_walk_errata": 1} if name == "golden 5 1" else {}
+        assert calls == expect, name
+    assert [name for name, table in tables if table.missing] == ["golden 5 1"]
 
 
 def test_a_partial_map_names_its_failed_square():
