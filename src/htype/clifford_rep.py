@@ -29,7 +29,7 @@ from itertools import combinations
 from math import isqrt
 
 from . import exactlin
-from .words import Involution, Signature, Word, letter_mask
+from .words import Involution, Signature, Word
 
 
 class ConstructionError(Exception):
@@ -97,31 +97,42 @@ def involution_count(sig):
 
 
 def _candidates(sig):
-    """The candidates of find_involution_system in tuple order, their
-    masks, and anti[idx], the bitset of the candidates whose words
-    anticommute with that of cands[idx]."""
-    n = sig.n
+    """The candidates of find_involution_system in tuple order, with
+    their masks, containing[x], the bitset of the candidates that hold
+    the letter x, and odd, the bitset of the 3-letter candidates.
+
+    A candidate is a 3- or 4-letter set with an even number of letters
+    above r.  In tuple order each 3-set t comes first, then each t + (y,)
+    with y > t[2].  So t is kept when its count above r is even, and its
+    extensions are those whose y leaves the count even: y <= r when t is
+    kept, y > r when it is not.  The list is emitted in that order, and
+    no 4-letter set outside it is built.
+    """
+    n, r = sig.n, sig.r
     cands, masks, containing, odd = [], [], [0] * (n + 1), 0
     for t in combinations(range(1, n + 1), 3):
-        m = letter_mask(t)
-        # In tuple order t comes first, then each t + (y,).
-        for c, mask in [(t, m)] + [(t + (y,), m | 1 << y)
-                                   for y in range(t[2] + 1, n + 1)]:
-            if not (mask >> sig.r + 1).bit_count() & 1:
-                bit = 1 << len(cands)
-                for x in c:
-                    containing[x] |= bit
-                if len(c) == 3:
-                    odd |= bit
-                cands.append(c)
-                masks.append(mask)
-    anti = []
-    for c in cands:
-        bits = odd if len(c) == 3 else 0
-        for x in c:
-            bits ^= containing[x]
-        anti.append(bits)
-    return cands, masks, anti
+        a, b, c = t
+        m = 1 << a | 1 << b | 1 << c
+        if (m >> r + 1).bit_count() & 1:
+            ys = range(max(c, r) + 1, n + 1)
+        else:
+            bit = 1 << len(cands)
+            odd |= bit
+            containing[a] |= bit
+            containing[b] |= bit
+            containing[c] |= bit
+            cands.append(t)
+            masks.append(m)
+            ys = range(c + 1, r + 1)
+        for y in ys:
+            bit = 1 << len(cands)
+            containing[a] |= bit
+            containing[b] |= bit
+            containing[c] |= bit
+            containing[y] |= bit
+            cands.append(t + (y,))
+            masks.append(m | 1 << y)
+    return cands, masks, containing, odd
 
 
 def find_involution_system(sig, k=None):
@@ -129,35 +140,47 @@ def find_involution_system(sig, k=None):
 
     Candidates are the length 3 and 4 letter sets with an even number of
     letters above r, so their eps product is +1 and the word squares to
-    +1, scanned in tuple order with backtracking.  All eigensigns are
-    +1.  The first system found is returned, so the result is stable.
+    +1, scanned in tuple order with backtracking (see _candidates, which
+    emits them in that order from the parity rule alone).  All
+    eigensigns are +1.  The first system found is returned, so the
+    result is stable.  A size k < 0 has no system and raises before any
+    candidate is built.
 
     The search runs on bitsets over the candidate list.  Words on the
     letter sets A and B commute exactly when
     omega(A, B) = |A||B| + |A & B| is even, and omega is bilinear over
     GF(2) in the indicator vectors of A and B.  So the candidates that
-    anticommute with A form one bitset, built up front: the XOR over the
-    letters x of A of the candidates containing x, XOR the odd-size
-    candidates when |A| is odd.  Each node carries a pool, the later
-    candidates that commute with every chosen word (one AND per
-    choice), each with a key for its coset modulo the GF(2) span of the
-    chosen masks; the root's keys are the masks.  Choosing key K, with
-    lowest bit h, maps each key k to k ^ K if k & h, else k: a linear
-    map whose kernel is the span with the new mask added.  A member
-    whose new key an earlier one has leaves: a later coset-mate q of p
-    has J_q = +-J_p J_x, x in the span, so every pool word commutes with
-    J_p exactly when with J_q, and p in place of q gives a system that
-    sorts earlier.  As keys stay distinct, none turns 0, so no member
-    lies in the span.  So the search meets the plain scan's first
-    system, or exhausts when it does.  A pool smaller than the words
-    still missing has no completion, as pools only shrink down the tree,
-    so the walk stops there and the choice gets no frame.
+    anticommute with A form one bitset: the XOR over the letters x of A
+    of containing[x], the candidates holding x, XOR odd, the 3-letter
+    candidates, when |A| is odd.  The search builds it the first time it
+    tries a candidate and keeps it for later tries; most candidates are
+    never tried.  Each node carries a pool, the later candidates that
+    commute with every chosen word (one AND per choice), each with a key
+    for its coset modulo the GF(2) span of the chosen masks; the root's
+    keys are the masks.  Choosing key K, with lowest bit h, maps each
+    key k to k ^ K if k & h, else k: a linear map whose kernel is the
+    span with the new mask added.  A member whose new key an earlier one
+    has leaves: a later coset-mate q of p has J_q = +-J_p J_x, x in the
+    span, so every pool word commutes with J_p exactly when with J_q,
+    and p in place of q gives a system that sorts earlier.  As keys stay
+    distinct, none turns 0, so no member lies in the span.  So the
+    search meets the plain scan's first system, or exhausts when it
+    does.  A pool smaller than the words still missing has no
+    completion, as pools only shrink down the tree, so the walk stops
+    there and the choice gets no frame.  Most tries end so, at (6,7)
+    708 of 942: such a try costs one AND and one popcount, builds no
+    keys and leaves the chosen words as they were.
     """
     if k is None:
         k = involution_count(sig)
+    if k < 0:
+        raise ConstructionError("no involution system of size %d for %s" % (k, sig))
     if k == 0:
         return []
-    cands, masks, anti = _candidates(sig)
+    cands, masks, containing, odd = _candidates(sig)
+    # anti[idx], once cands[idx] has been tried: the candidates whose
+    # words anticommute with its word.
+    anti = [None] * len(cands)
     # One frame per live node on the path: its untried pool and the keys
     # of its pool; chosen[d] led from frame d to frame d + 1.
     frames = [[(1 << len(cands)) - 1, masks]]
@@ -174,13 +197,22 @@ def find_involution_system(sig, k=None):
         rest ^= low
         frame[0] = rest
         idx = low.bit_length() - 1
-        chosen.append(idx)
-        if len(chosen) == k:
-            return [Involution(Word(1, cands[idx]), 1) for idx in chosen]
-        missing, key = k - len(chosen), keys[idx]
-        pivot = key & -key
-        pool = bits = rest & ~anti[idx]
+        missing = k - len(chosen) - 1
+        if not missing:
+            return [Involution(Word(1, cands[j]), 1) for j in chosen + [idx]]
+        against = anti[idx]
+        if against is None:
+            c = cands[idx]
+            against = odd if len(c) == 3 else 0
+            for x in c:
+                against ^= containing[x]
+            anti[idx] = against
+        pool = bits = rest & ~against
         size = pool.bit_count()
+        if size < missing:
+            continue
+        key = keys[idx]
+        pivot = key & -key
         child, seen = {}, set()
         while bits and size >= missing:
             low = bits & -bits
@@ -193,9 +225,8 @@ def find_involution_system(sig, k=None):
             else:
                 seen.add(x)
                 child[j] = x
-        if size < missing:
-            chosen.pop()
-        else:
+        if size >= missing:
+            chosen.append(idx)
             frames.append([pool, child])
     raise ConstructionError("no involution system of size %d for %s" % (k, sig))
 

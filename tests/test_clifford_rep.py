@@ -10,7 +10,7 @@ from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_
 from dense_oracle import (as_map, build_generators, clifford_failures, matrix,
                           mat_mul, mat_neg, negated, negated_op, verify_generators,
                           word_matrix)
-from htype import exactlin
+from htype import clifford_rep, exactlin
 from htype.clifford_rep import (
     ConstructionError,
     GeneratorSet,
@@ -163,11 +163,25 @@ def test_search_matches_the_oracle_for_every_size():
 def test_search_exhausts_one_past_the_count_on_the_n8_row():
     """No system has one word more than needed.  The oracle agrees, but
     on (8,0) its plain scan walks a tree too large for a quick suite, so
-    the message alone is pinned here."""
+    the message alone is pinned here; the same on the n = 9 row of the
+    grid, (1,8) to (8,1), where the oracle takes seconds per signature."""
     row = [sig for sig in all_signatures() if sig.n == 8]
-    assert len(row) == 9
+    row += [Signature(r, 9 - r) for r in range(1, 9)]
+    assert len(row) == 17
     for sig in row:
         k = involution_count(sig) + 1
+        with pytest.raises(ConstructionError) as info:
+            find_involution_system(sig, k)
+        assert str(info.value) == "no involution system of size %d for %s" % (k, sig)
+
+
+def test_a_negative_size_raises_before_any_candidate_is_built(monkeypatch):
+    def no_candidates(sig):
+        raise AssertionError("candidates built for %s" % (sig,))
+
+    monkeypatch.setattr(clifford_rep, "_candidates", no_candidates)
+    for key, k in (((6, 6), -1), ((1, 0), -1), ((8, 8), -3)):
+        sig = Signature(*key)
         with pytest.raises(ConstructionError) as info:
             find_involution_system(sig, k)
         assert str(info.value) == "no involution system of size %d for %s" % (k, sig)
@@ -247,17 +261,30 @@ def test_a_warm_search_leaves_no_cyclic_garbage():
 
 
 def test_commuting_bitsets_agree_with_words_commute():
-    for key in ((3, 0), (0, 3), (2, 5), (8, 0), (0, 8), (8, 7)):
+    """The candidates, their masks and the per-letter bitsets on the whole
+    grid; on (4,4), the anticommute set the search builds from containing
+    and odd, for every pair of candidates."""
+    keys = [(r, s) for r in range(9) for s in range(9) if r + s]
+    assert len(keys) == 80
+    for key in keys:
         sig = Signature(*key)
-        cands, masks, _anti = _candidates(sig)
+        cands, masks, containing, odd = _candidates(sig)
         assert cands == search_oracle._candidate_sets(sig), key
         assert masks == [letter_mask(c) for c in cands], key
-    cands, _masks, anti = _candidates(Signature(4, 4))
+        assert len(containing) == sig.n + 1, key
+        for x in range(sig.n + 1):
+            assert containing[x] == sum(1 << i for i, c in enumerate(cands)
+                                        if x in c), (key, x)
+        assert odd == sum(1 << i for i, c in enumerate(cands) if len(c) == 3), key
+    cands, _masks, containing, odd = _candidates(Signature(4, 4))
     assert len(cands) > 50
-    assert len(anti) == len(cands)
     for i, a in enumerate(cands):
+        anti = odd if len(a) == 3 else 0
+        for x in a:
+            anti ^= containing[x]
+        assert anti >> len(cands) == 0, a
         for j, b in enumerate(cands):
-            assert bool(anti[i] >> j & 1) != words_commute(Word(1, a), Word(1, b)), (a, b)
+            assert bool(anti >> j & 1) != words_commute(Word(1, a), Word(1, b)), (a, b)
 
 
 def test_impossible_system_size_raises():
