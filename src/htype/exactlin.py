@@ -9,9 +9,10 @@ s e_p.  An operator rebuilt from a table with an empty cell is partial:
 where it does not act, the map holds end = 2N, the last index, which
 every map fixes.  So m[x ^ 1] is m[x] ^ 1, or end along with m[x];
 composition is a gather, A B = itemgetter(*B)(A), and negation gathers
-by the sign swap x -> x ^ 1.  This module holds that format, fixed (the
-swap and a gather by it) and act; the checks of lie_algebra compare
-whole tuples, built and compared in C.
+by the sign swap x -> x ^ 1.  So two maps that agree at the even
+points and end agree everywhere, and the checks of lie_algebra compare
+only those N + 1 entries, gathered and compared in C.  This module
+holds that format, fixed (the swap and a gather by it) and act.
 """
 
 from functools import lru_cache

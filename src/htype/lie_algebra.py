@@ -10,10 +10,12 @@ Its basis is v_a = W_a v for basis words W_a = sigma_a J_(M_a), M_a a
 letter mask, where v is a unit vector on which each word of an
 involution system acts by its eigensign.  So J_P v = span[P] v for every
 mask P of the GF(2) span S of the system masks (words.span_products).
-Let key be reduction modulo S by an echelon basis; key is linear.  The
-words must hit each coset of S once; then the frame {W_a v} is the
-coset module's basis up to order and signs, orthogonal with
-<v_a, v_a> = norm_sign(W_a).  For a generator J_k:
+Bring the system masks to reduced echelon form, each row's lowest bit
+its pivot and held by no other row; let key(M) be M with each pivot bit
+cleared by its row, the one member of the coset of M with no pivot
+bit.  key is linear.  The words must hit each coset of S once; then
+the frame {W_a v} is the coset module's basis up to order and signs,
+orthogonal with <v_a, v_a> = norm_sign(W_a).  For a generator J_k:
 
     J_k W_a v = sigma_a mul_sign(k, M_a) J_L v,    L = {k} xor M_a.
 
@@ -73,7 +75,11 @@ So once _walk_eta has found an eta, _clifford_errata reads every module
 axiom off the R_k and builds no J_k: the norm signature; for each map
 with R_k^2 != -Id, of which the shape check leaves none, whether J_k
 is partial or not skew, and where its square fails; and the n(n-1)/2
-pair relations, one gather on each side of a pair.
+pair relations, one gather on each side of a pair.  Both squares and
+products are compared on the N even points and end alone: every map
+here, partial or not, and so every product of maps and its negation,
+has m[x ^ 1] = m[x] ^ 1, or end along with m[x] (see exactlin), so two
+of them that agree at x agree at x ^ 1.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -134,12 +140,26 @@ def _eps_by_k(sig):
     return (None,) + (1,) * sig.r + (-1,) * sig.s
 
 
-def _reduced(basis, mask):
-    """mask modulo the span of basis, an echelon list with decreasing
-    leading bits: the key of its coset, linear in mask."""
-    for row in basis:
-        mask = min(mask, mask ^ row)
+def _coset_key(rows, mask):
+    """mask with each pivot bit cleared by its row: the one member of its
+    coset modulo the span of rows that holds no pivot bit.  Linear in
+    mask, and one pass in any order, as no row holds another's pivot."""
+    for row in rows:
+        if mask & row & -row:
+            mask ^= row
     return mask
+
+
+def _pivot_rows(system):
+    """The letter masks of an independent system in reduced echelon form,
+    by increasing pivot: each row's pivot is its lowest bit, and no other
+    row holds that bit."""
+    rows = []
+    for inv in system:
+        m = _coset_key(rows, letter_mask(inv.word.letters))
+        low = m & -m
+        rows = [row ^ m if row & low else row for row in rows] + [m]
+    return sorted(rows, key=lambda row: row & -row)
 
 
 def _table_from_words(sig, system, words, label=""):
@@ -156,29 +176,29 @@ def _table_from_words(sig, system, words, label=""):
     if dim != expected:
         raise ConstructionError(
             "coset count %d does not match minimal dimension %d" % (dim, expected))
-    basis = []
-    for inv in system:
-        basis = sorted(basis + [_reduced(basis, letter_mask(inv.word.letters))],
-                       reverse=True)
+    rows = _pivot_rows(system)
     masks = [letter_mask(w.letters) for w in words]
-    keys = [_reduced(basis, m) for m in masks]
-    where = {key: b for b, key in enumerate(keys)}
-    if not len(where) == len(words) == dim:
+    keys = [_coset_key(rows, m) for m in masks]
+    if not len(set(keys)) == len(words) == dim:
         raise ConstructionError(
             "the basis words miss or repeat a coset of the involution system")
-    # sigma_b norm_sign(W_b) and f(M_b), per word b.
-    scale = [w.sign * norm_sign(sig, w) for w in words]
-    forms = [sign_form(sig, m) for m in masks]
+    # Each sign factor of a cell as a parity: 1 where it is -1.
+    neg = {p: c < 0 for p, c in span.items()}
+    # b, M_b, f(M_b) and sigma_b norm_sign(W_b), by the key of word b.
+    where = {key: (b, m, sign_form(sig, m), w.sign * norm_sign(sig, w) < 0)
+             for b, (key, m, w) in enumerate(zip(keys, masks, words), 1)}
+    a_side = [(a, m, key, w.sign < 0)
+                 for a, (key, m, w) in enumerate(zip(keys, masks, words), 1)]
     cells = {}
     for k in range(1, sig.n + 1):
         bit = 1 << k
-        f_k, key_k, eps_k = sign_form(sig, bit), _reduced(basis, bit), sig.eps(k)
-        for a, (w, m_a, key_a) in enumerate(zip(words, masks, keys)):
-            b = where[key_a ^ key_k]
-            p = bit ^ m_a ^ masks[b]
-            c = eps_k * w.sign * scale[b] * span[p]
-            cells[(a + 1, b + 1)] = (
-                k, -c if ((f_k & m_a) ^ (forms[b] & p)).bit_count() & 1 else c)
+        f_k, key_k, eps_k = sign_form(sig, bit), _coset_key(rows, bit), sig.eps(k)
+        values = ((k, eps_k), (k, -eps_k))
+        for a, m_a, key_a, neg_a in a_side:
+            b, m_b, f_b, neg_b = where[key_a ^ key_k]
+            p = bit ^ m_a ^ m_b
+            cells[(a, b)] = values[
+                ((f_k & m_a) ^ (f_b & p)).bit_count() & 1 ^ neg_a ^ neg_b ^ neg[p]]
     return StructureTable(sig, dim, cells, frozenset(), label)
 
 
@@ -188,26 +208,52 @@ def generate_table(sig):
     return _table_from_words(sig, config.involutions, config.basis_words)
 
 
+def _coset_words(sig, system):
+    """The least member of each coset of letter masks modulo the span S
+    of an independent system, in the tuple order of their letters, as
+    words of sign +1: dim k steps for k words, and no walk over 2^n masks.
+
+    Two members of a coset differ by a nonzero element of S, whose lowest
+    bit is a pivot p (see _pivot_rows).  They agree below p, and the one
+    holding p sorts first, unless the other holds no letter above p and
+    so is a prefix of it.  Such a member exists exactly when the bits
+    above p of the one without p lie in S.  Each coset has one member c
+    with no pivot bit; its pivot-free letters are a subset of the free
+    letters, and every subset gives one coset.  Going through the rows
+    in pivot order, c holds no pivot from the current row on, so with h
+    the bits of c above the pivot: if h is in S, c xor h is a prefix of
+    every member still in the running and is the least; otherwise the
+    least holds the pivot, and c xor row keeps the invariant.
+    """
+    span = span_products(sig, system)
+    rows = _pivot_rows(system)
+    free = (2 << sig.n) - 2
+    for row in rows:
+        free ^= row & -row
+    least, sub = [], 0
+    while True:
+        c = sub
+        for row in rows:
+            h = c & -((row & -row) << 1)
+            if h in span:
+                c ^= h
+                break
+            c ^= row
+        least.append(Word(1, tuple(x for x in range(1, sig.n + 1) if c >> x & 1)))
+        sub = (sub - free) & free
+        if not sub:
+            return sorted(least)
+
+
 def derive_table(sig):
     """Structure table for a signature without stored basis data.
 
     Searches an involution system and takes as basis words the smallest
     member of each coset of letter masks modulo its span, in the tuple
-    order of their letters: the first member met of each coset in a walk
-    over all 2^n masks in that order (the empty set, then those with
-    least letter 1, and so on).
+    order of their letters (see _coset_words).
     """
     system = find_involution_system(sig)
-    span = span_products(sig, system)
-    ordered = [0]
-    for x in range(sig.n, 0, -1):
-        ordered = [0] + [1 << x | m for m in ordered] + ordered[1:]
-    words, covered = [], set()
-    for rep in ordered:
-        if rep not in covered:
-            covered.update(rep ^ p for p in span)
-            words.append(Word(1, tuple(x for x in range(1, sig.n + 1) if rep >> x & 1)))
-    return _table_from_words(sig, system, words, label="derived")
+    return _table_from_words(sig, system, _coset_words(sig, system), label="derived")
 
 
 def _propagate_signs(values, adj):
@@ -276,10 +322,10 @@ def _signed_maps(table):
 
 
 def _failed_squares(maps, n_vec):
-    """The indices k - 1 of the maps with R_k^2 != -Id, compared as
-    whole tuples."""
-    swap = exactlin.fixed(2 * n_vec)[0]
-    return [k for k, m in enumerate(maps) if itemgetter(*m)(m) != swap]
+    """The indices k - 1 of the maps with R_k^2 != -Id, compared on the
+    even points and end (see exactlin)."""
+    swap = exactlin.fixed(2 * n_vec)[0][::2]
+    return [k for k, m in enumerate(maps) if itemgetter(*m[::2])(m) != swap]
 
 
 def _shape_maps(table):
@@ -369,7 +415,7 @@ def _clifford_errata(sig, maps, eps, eta, bad):
                           % (k + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1)
                           for a, b in hops]
     negate = exactlin.fixed(end)[1]
-    gathers = [itemgetter(*m) for m in maps]
+    gathers = [itemgetter(*m[::2]) for m in maps]  # on the even points and end
     negated = [negate(m) for m in maps]
     for i, (m, e) in enumerate(zip(maps, eps)):
         out += squares.get(i, ())

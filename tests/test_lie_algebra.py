@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import coset_reps, mask_letters
+from conftest import coset_reps, mask_letters, random_signature
 from dense_oracle import (
     build_basis,
     build_generators,
@@ -30,6 +30,7 @@ from htype.lie_algebra import (
     SIGN_EQUIVALENT,
     UNMATCHED,
     StructureTable,
+    _coset_words,
     _shape_maps,
     _table_from_words,
     _walk_errata,
@@ -40,7 +41,7 @@ from htype.lie_algebra import (
     reconstruct_J,
     verify_htype,
 )
-from htype.words import Signature, Word
+from htype.words import Involution, Signature, Word, letter_mask
 from verify_oracle import (base_tables, brute_compare, comparison_cases, cycle_table,
                            is_htype, referee_cases, report_cases, slow_report,
                            walk_passing_tables)
@@ -53,6 +54,8 @@ LADDER_DIGESTS = {
     (5, 5): "47ae3dce8b05a7274ce4dd445c0318cfcc3e5cb1b3536cb9869336c550f9d147",
     (4, 6): "1b02bb2b966f0c45bdf5b547f4a070a91f4f0458a6fbf7e31c7549361fef4674",
     (6, 6): "37ecec18b56299fc0e04ccfb25e95c26893681c649584069b476352b40ba957b",
+    (8, 7): "878769c5f61303e8505d0402b0554d68ec2f8bd7dbefe16b5d686592880665ce",
+    (8, 8): "daac7d006dc1e3e877b6eb1eec8d1dca904719765822f73e3367aa20677492fc",
 }
 
 
@@ -649,10 +652,43 @@ def test_derived_basis_is_numbered_by_the_coset_reps():
             derive_table(sig), key
 
 
+def test_coset_words_are_the_walks_coset_reps():
+    """_coset_words numbers the cosets as conftest.coset_reps, the walk
+    over all 2^n letter tuples, does: on seeded random independent
+    systems with n <= 12 and any signs and eigensigns, on the 34 stored
+    systems, and on two searched systems past the grid, where no
+    dimension check runs."""
+    rng = random.Random(2323)
+    cases = []
+    for _ in range(200):
+        sig = random_signature(rng, 12)
+        system, span = [], {0}
+        for _ in range(rng.randint(0, sig.n)):
+            letters = tuple(sorted(rng.sample(range(1, sig.n + 1),
+                                              rng.randint(1, sig.n))))
+            m = letter_mask(letters)
+            if m not in span:
+                span |= {p ^ m for p in span}
+                system.append(Involution(Word(rng.choice((1, -1)), letters),
+                                         rng.choice((1, -1))))
+        cases.append((sig, system))
+    assert {len(system) for _sig, system in cases} >= set(range(9))
+    cases += [(Signature(*key), reference_config(Signature(*key)).involutions)
+              for key in configured_signatures()]
+    for key, size in (((9, 7), 5), ((10, 6), 6)):
+        cases.append((Signature(*key), find_involution_system(Signature(*key), size)))
+    assert len(cases) == 236
+    for sig, system in cases:
+        words = _coset_words(sig, system)
+        assert [letter_mask(w.letters) for w in words] == coset_reps(sig, system), \
+            (sig, system)
+        assert {w.sign for w in words} == {1}
+
+
 def test_tables_past_the_cli_cap_verify():
-    for key in ((6, 7), (7, 7)):
+    for key, dim in (((6, 7), 128), ((7, 7), 128), ((8, 8), 256)):
         table = derive_table(Signature(*key))
-        assert table.dim == 128, key
+        assert table.dim == dim, key
         assert verify_htype(table).ok, key
 
 
