@@ -175,6 +175,35 @@ def test_search_exhausts_one_past_the_count_on_the_n8_row():
         assert str(info.value) == "no involution system of size %d for %s" % (k, sig)
 
 
+def test_search_exhausts_one_past_the_count_on_the_grid():
+    """No system has one word more than needed, on every grid signature
+    but the three whose exhaustion takes seconds, (7,8), (8,7) and (8,8).
+    The plain scan takes minutes on the larger of these, so the message
+    alone is pinned; together they take about a second, as the walk
+    tries one member of each orbit."""
+    keys = [(r, s) for r in range(9) for s in range(9)
+            if r + s and (r, s) not in {(7, 8), (8, 7), (8, 8)}]
+    assert len(keys) == 77
+    for key in keys:
+        sig = Signature(*key)
+        k = involution_count(sig) + 1
+        with pytest.raises(ConstructionError) as info:
+            find_involution_system(sig, k)
+        assert str(info.value) == "no involution system of size %d for %s" % (k, sig)
+
+
+def test_search_matches_the_oracle_past_the_grid():
+    """Two searches past the grid where the orbit rule must fix the
+    letters of every chosen word, not only of the last one: with top
+    taken from the last chosen word alone, both searches choose
+    (1,3,4,7) as their fourth word, where the plain scan chooses
+    (1,3,4,6), since after (1,3,4,6) the letter 7 of (1,2,6,7) would be
+    free to move.  On the grid that rule returns the same systems."""
+    for key, k in (((10, 3), 6), ((10, 4), 7)):
+        sig = Signature(*key)
+        assert find_involution_system(sig, k) == search_oracle.find_involution_system(sig, k), key
+
+
 def test_a_negative_size_raises_before_any_candidate_is_built(monkeypatch):
     def no_candidates(sig):
         raise AssertionError("candidates built for %s" % (sig,))
