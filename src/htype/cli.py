@@ -38,6 +38,8 @@ def _signature(parser, r, s):
 
 
 def _build_table(sig):
+    """The table gen prints.  _table_from_words writes both kinds with no
+    missing cell, so the renderers below have no missing cell to show."""
     if has_reference_config(sig):
         return generate_table(sig)
     return derive_table(sig)
@@ -49,8 +51,6 @@ def _json_text(table):
         "dim": table.dim,
         "cells": table.sorted_cells(),
     }
-    if table.missing:
-        payload["missing"] = sorted(table.missing)
     if table.label:
         payload["label"] = table.label
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
@@ -79,11 +79,7 @@ def _latex_text(table):
     lines.append("\\hline")
     for a in range(1, n + 1):
         row = ["$v_{%d}$" % a]
-        for b in range(1, n + 1):
-            if (a, b) in table.missing:
-                row.append("")
-            else:
-                row.append(_latex_cell(table.entry(a, b)))
+        row += [_latex_cell(table.entry(a, b)) for b in range(1, n + 1)]
         lines.append(" & ".join(row) + " \\\\")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"

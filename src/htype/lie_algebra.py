@@ -47,7 +47,9 @@ s s = 1.  So a -> b is an involution of 1..N for each k, and column b
 holds z_k once too.  Conversely those rules make each R_k a signed
 permutation that pairs v_a with v_b and negates on the way back, so
 R_k^2 = -Id.  A table that fails the check, or has a missing cell, is
-walked by _walk_errata to name its defects.
+walked by _walk_errata to name its defects.  The maps are read once,
+before the check: a table that passes the walk has every cell an int in
+range, so it has its maps, and one that fails it never needs them.
 
 Norm signs.  Each cell forces eta_b = eps_k eta_a, as J_k scales square
 norms by eps_k.  A breadth-first walk over the maps, b = R_k[2a] >> 1,
@@ -212,20 +214,22 @@ def _coset_words(sig, system):
     """The least member of each coset of letter masks modulo the span S
     of an independent system, in the tuple order of their letters, as
     words of sign +1: dim k steps for k words, and no walk over 2^n masks.
+    The pivot rows alone decide it; S itself is never built.
 
-    Two members of a coset differ by a nonzero element of S, whose lowest
-    bit is a pivot p (see _pivot_rows).  They agree below p, and the one
-    holding p sorts first, unless the other holds no letter above p and
-    so is a prefix of it.  Such a member exists exactly when the bits
-    above p of the one without p lie in S.  Each coset has one member c
-    with no pivot bit; its pivot-free letters are a subset of the free
-    letters, and every subset gives one coset.  Going through the rows
-    in pivot order, c holds no pivot from the current row on, so with h
-    the bits of c above the pivot: if h is in S, c xor h is a prefix of
-    every member still in the running and is the least; otherwise the
-    least holds the pivot, and c xor row keeps the invariant.
+    A nonzero element of S is a sum of rows, and holds the pivot of each
+    of them, as no other row holds that bit (see _pivot_rows).  So two
+    members of a coset differ in a pivot p, agree below the least such p,
+    and the one holding p sorts first unless the other holds no letter
+    above p and so is a prefix of it.  Each coset has one member c with
+    no pivot bit; its letters are a subset of the free letters, and every
+    subset gives one coset.  Going through the rows in pivot order, c
+    holds no pivot from the current row on.  If c holds no letter above
+    the pivot, it is a prefix of every member still in the running and
+    is the least.  Otherwise a member without the pivot that is a prefix
+    would differ from c by h, the bits of c above the pivot; h is nonzero
+    and holds no pivot, so it is not in S.  So the least holds the pivot,
+    and c xor row keeps the invariant.
     """
-    span = span_products(sig, system)
     rows = _pivot_rows(system)
     free = (2 << sig.n) - 2
     for row in rows:
@@ -234,9 +238,7 @@ def _coset_words(sig, system):
     while True:
         c = sub
         for row in rows:
-            h = c & -((row & -row) << 1)
-            if h in span:
-                c ^= h
+            if c < (row & -row) << 1:  # no letter of c above the pivot
                 break
             c ^= row
         least.append(Word(1, tuple(x for x in range(1, sig.n + 1) if c >> x & 1)))
@@ -326,22 +328,6 @@ def _failed_squares(maps, n_vec):
     even points and end (see exactlin)."""
     swap = exactlin.fixed(2 * n_vec)[0][::2]
     return [k for k, m in enumerate(maps) if itemgetter(*m[::2])(m) != swap]
-
-
-def _shape_maps(table):
-    """The maps R_k when the table passes the shape check, else None:
-    no cell is missing, there are n N cells, each in range, and every
-    R_k squares to -Id."""
-    n_vec = table.dim
-    if table.missing or len(table.cells) != table.sig.n * n_vec:
-        return None
-    try:
-        maps = _signed_maps(table)
-    except TypeError:
-        return None
-    if maps is None or _failed_squares(maps, n_vec):
-        return None
-    return maps
 
 
 def _walk_eta(maps, eps, n_vec):
@@ -532,16 +518,17 @@ def verify_htype(table):
     if table.dim < 1:
         errata = ["table dimension %d is not positive" % table.dim]
         return VerifyReport(sig, table.label, errata, None, missing)
-    maps = _shape_maps(table)
-    bad = ()
-    if maps is None:
-        # Only a table that breaks a rule or has a missing cell is walked.
+    try:
+        maps = _signed_maps(table)
+    except TypeError:
+        maps = None
+    bad = None if maps is None else _failed_squares(maps, table.dim)
+    if maps is None or bad or table.missing or len(table.cells) != sig.n * table.dim:
+        # Only a table that breaks a rule or has a missing cell is walked;
+        # one that passes it has its maps (see the module docstring).
         errata = _walk_errata(table)
         if errata:
             return VerifyReport(sig, table.label, errata, None, missing)
-        maps = _signed_maps(table)
-        # Missing cells that are all zero cells leave every square whole.
-        bad = _failed_squares(maps, table.dim)
     eps = _eps_by_k(sig)[1:]
     eta = _walk_eta(maps, eps, table.dim)
     if eta is None:

@@ -12,7 +12,8 @@ import pytest
 from htype import basis_builder, cli, golden
 from htype.basis_builder import configured_signatures
 from htype.cli import main
-from htype.lie_algebra import StructureTable, generate_table, verify_htype
+from htype.lie_algebra import (MissingCell, StructureTable, VerifyReport,
+                               generate_table, verify_htype)
 from htype.words import Signature, Word
 
 
@@ -164,6 +165,23 @@ def test_verify_golden_json(capsys):
     entry = data["golden"]["5,1"]
     assert entry["ok"] is True
     assert entry["missing"] == [{"cell": [13, 4], "suggestion": 0}]
+
+
+def test_verify_golden_prints_a_failing_report(monkeypatch, capsys):
+    """A failing golden report prints FAIL, then its missing cells, one
+    with no suggested value, then its errata, and exits 3."""
+    report = VerifyReport(
+        Signature(2, 0), "reference table 2",
+        ["cells (v1, v3) and (v3, v1) break antisymmetry"], None,
+        [MissingCell((1, 2), None)])
+    monkeypatch.setattr(cli, "verify_all_golden", lambda: {(2, 0): report})
+    code, out, err = run(capsys, "verify", "--golden")
+    assert (code, err) == (3, "")
+    assert out == (
+        "n(2,0) reference table 2: FAIL\n"
+        "  missing cell (v1, v2): no suggested value\n"
+        "  erratum: cells (v1, v3) and (v3, v1) break antisymmetry\n"
+        "1 embedded tables checked\n")
 
 
 def test_verify_generated_json_is_deterministic(capsys):

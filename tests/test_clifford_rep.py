@@ -1,5 +1,6 @@
 import gc
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +23,8 @@ from htype.clifford_rep import (
 )
 from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import golden_signatures, golden_table
-from htype.lie_algebra import (_table_from_words, generate_table, reconstruct_J,
-                               verify_htype)
+from htype.lie_algebra import (_table_from_words, derive_table, generate_table,
+                               reconstruct_J, verify_htype)
 from htype.words import (
     Involution,
     Signature,
@@ -430,6 +431,22 @@ def test_act_word_agrees_with_apply_word():
             v = (rng.randrange(gens.dim), rng.choice((1, -1)))
             assert gens.act_word(w, v) == \
                 exactlin.act(as_map(gens.apply_word(w)), v)
+
+
+def test_act_word_stops_where_a_map_does_not_act():
+    """On generators rebuilt from a table with a missing pair, a word
+    whose letter meets a point its map does not reach has no image:
+    act_word gives None for that map alone and for a word that applies
+    it before another map."""
+    t = derive_table(Signature(2, 0))
+    assert t.cells[(1, 2)] == (1, 1)
+    cells = {key: val for key, val in t.cells.items() if key not in ((1, 2), (2, 1))}
+    partial = replace(t, cells=cells, missing=frozenset({(1, 2), (2, 1)}))
+    eta = verify_htype(partial).eta
+    gens = GeneratorSet(partial.sig, partial.dim, reconstruct_J(partial, eta), eta)
+    assert gens.act_word(Word(-1, (1,)), (0, 1)) is None
+    assert gens.act_word(Word(1, (2, 1)), (0, 1)) is None
+    assert gens.act_word(Word(1, (1, 2)), (0, 1)) == (2, 1)
 
 
 def test_form_signature_split():

@@ -89,6 +89,13 @@ def test_first_four_tables_are_the_hand_checkable_ones():
         assert verify_htype(golden_table(*key)).errata == []
 
 
+def test_split_blocks_rejects_an_odd_dimension():
+    table = StructureTable(Signature(0, 7), 3, {})
+    with pytest.raises(ValueError) as info:
+        split_blocks(table, Signature(7, 0))
+    assert str(info.value) == "odd dimension cannot split"
+
+
 def test_n51_reports_its_empty_cell():
     table = golden_table(5, 1)
     assert table.missing == frozenset({(13, 4)})
@@ -126,6 +133,11 @@ def test_loader_rejects_structural_damage():
     data = raw_data(1, 0)
     data["cells"][0] = [1, 2, 2, 1]
     with pytest.raises(ValueError, match="unknown central"):
+        table_from_data(resign(data))
+
+    data = raw_data(1, 0)
+    data["cells"].append([1, 2, 1, 1])
+    with pytest.raises(ValueError, match=r"^duplicate cell \(1, 2\)$"):
         table_from_data(resign(data))
 
     data = raw_data(1, 0)

@@ -31,7 +31,6 @@ from htype.lie_algebra import (
     UNMATCHED,
     StructureTable,
     _coset_words,
-    _shape_maps,
     _table_from_words,
     _walk_errata,
     cell_errata,
@@ -41,7 +40,7 @@ from htype.lie_algebra import (
     reconstruct_J,
     verify_htype,
 )
-from htype.words import Involution, Signature, Word, letter_mask
+from htype.words import Involution, Signature, Word, letter_mask, span_products
 from verify_oracle import (base_tables, brute_compare, comparison_cases, cycle_table,
                            is_htype, referee_cases, report_cases, slow_report,
                            walk_passing_tables)
@@ -219,20 +218,28 @@ def test_verify_names_a_cell_whose_index_is_not_an_int():
         assert report.errata == errata
 
 
-def test_verify_htype_agrees_with_the_brute_force_referee():
+def test_verify_htype_agrees_with_the_brute_force_referee(monkeypatch):
     """verify_htype's verdict against verify_oracle.is_htype on 1,164
     tables: the 44 configured and golden tables of dim <= 8, each with
     two rounds of seeded damage, and the (0, 7) blocks as (7, 0) and
-    (0, 7).  The shape check over the signed-point maps holds exactly
-    when the walk over the cells finds nothing, on every table with a
-    positive dim and no missing cell."""
+    (0, 7).  The shape check over the signed-point maps, seen as
+    verify_htype making no call of the cell walk, holds exactly when the
+    walk over the cells finds nothing, on every table with a positive
+    dim and no missing cell."""
+    walks = []
+
+    def walk(table):
+        walks.append(table)
+        return _walk_errata(table)
+    monkeypatch.setattr(lie_algebra, "_walk_errata", walk)
     cases = referee_cases()
     assert len(cases) == 1164
     seen = Counter()
     for name, table in cases:
+        walks.clear()
         ok = verify_htype(table).ok
         assert ok == is_htype(table), name
-        holds = table.dim >= 1 and _shape_maps(table) is not None
+        holds = table.dim >= 1 and not walks
         if holds:
             assert _walk_errata(table) == [], name
         elif table.dim >= 1 and not table.missing:
@@ -683,6 +690,21 @@ def test_coset_words_are_the_walks_coset_reps():
         assert [letter_mask(w.letters) for w in words] == coset_reps(sig, system), \
             (sig, system)
         assert {w.sign for w in words} == {1}
+
+
+def test_derive_table_builds_the_span_once(monkeypatch):
+    """The coset numbering reads the pivot rows alone, so derive_table
+    builds the span of its system only in _table_from_words."""
+    calls = []
+
+    def span(sig, system):
+        calls.append(sig)
+        return span_products(sig, system)
+    monkeypatch.setattr(lie_algebra, "span_products", span)
+    for key in ((6, 1), (4, 4), (8, 8)):
+        calls.clear()
+        derive_table(Signature(*key))
+        assert calls == [Signature(*key)], key
 
 
 def test_tables_past_the_cli_cap_verify():

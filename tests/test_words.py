@@ -206,6 +206,9 @@ def test_span_products_and_reduce():
     assert reduce_mod_system(sig, system, Word(-1, (1, 2, 3, 4))) == -1
     with pytest.raises(ValueError):
         reduce_mod_system(sig, system, Word(1, (1, 2)))
+    dependent = (Involution(Word(1, (1, 2, 3, 4)), 1), Involution(Word(-1, (1, 2, 3, 4)), -1))
+    with pytest.raises(ValueError, match="^involution letter sets are not independent$"):
+        span_products(sig, dependent)
     rng = random.Random(59)
     for _ in range(50):
         sig = Signature(rng.randint(4, 8), 8)
