@@ -13,9 +13,7 @@ All output is deterministic for a given package version.
 """
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 
@@ -57,11 +55,8 @@ def _json_text(table):
 
 
 def _csv_text(table):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "b", "k", "sign"])
-    writer.writerows(table.sorted_cells())
-    return buf.getvalue()
+    return "a,b,k,sign\n" + "".join("%d,%d,%d,%d\n" % cell
+                                     for cell in table.sorted_cells())
 
 
 def _latex_cell(val):

@@ -285,8 +285,11 @@ class GeneratorSet:
 
     def apply_word(self, w):
         """The word w in these generators, as the lists (perm, signs):
-        the image of every point under act_word."""
+        the image of every point under act_word, or None when some point
+        has no image, as act_word gives for a partial map."""
         images = [self.act_word(w, (p, 1)) for p in range(self.dim)]
+        if None in images:
+            return None
         return [q for q, _ in images], [s for _, s in images]
 
     def act_word(self, w, v):

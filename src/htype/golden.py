@@ -6,6 +6,11 @@ corrupted copy cannot load.  Three signatures share a table with their
 mirror image and are resolved through an alias map.  match_generated
 returns lie_algebra.compare_tables of a generated table and its reference.
 
+The files are read from golden_data beside this module: pip installs a
+wheel unzipped and pyproject.toml ships golden_data/*.json as package
+data, so the directory exists on every install.  Only a zip import,
+which no install reaches, would lack it.
+
 This module also hosts the doubled construction for the (0, 7) algebra,
 whose module is two copies of the (7, 0) module with opposite central
 action.
@@ -13,7 +18,7 @@ action.
 
 import hashlib
 import json
-from importlib import resources
+import os
 from itertools import chain
 
 from .basis_builder import ALIASES, reference_config
@@ -28,18 +33,13 @@ from .lie_algebra import (
 from .words import Signature
 
 
-def _data_dir():
-    return resources.files("htype") / "golden_data"
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "golden_data")
 
 
 def golden_signatures():
     """Signatures with their own embedded table file."""
-    out = []
-    for entry in _data_dir().iterdir():
-        name = entry.name
-        if name.endswith(".json"):
-            out.append((int(name[1]), int(name[2])))
-    return sorted(out)
+    return sorted((int(name[1]), int(name[2]))
+                  for name in os.listdir(_DATA_DIR) if name.endswith(".json"))
 
 
 def table_from_data(data):
@@ -86,12 +86,13 @@ def table_from_data(data):
 def golden_table(r, s):
     """The embedded reference table for the signature, aliases resolved."""
     key = ALIASES.get((r, s), (r, s))
-    path = _data_dir() / ("n%d%d.json" % key)
+    path = os.path.join(_DATA_DIR, "n%d%d.json" % key)
     try:
-        raw = path.read_text()
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
     except FileNotFoundError:
         raise KeyError("no reference table for (%d, %d)" % (r, s)) from None
-    return table_from_data(json.loads(raw))
+    return table_from_data(data)
 
 
 def verify_all_golden():

@@ -465,21 +465,18 @@ def _walk_errata(table):
     by_k = {}
     for (a, b), (k, _s) in table.cells.items():
         by_k.setdefault(k, []).append((a, b))
-    rows_missing = {}
-    cols_missing = {}
-    for (a, b) in table.missing:
-        rows_missing.setdefault(a, []).append(b)
-        cols_missing.setdefault(b, []).append(a)
+    rows_missing = {a for a, _b in table.missing}
+    cols_missing = {b for _a, b in table.missing}
     for k in range(1, n + 1):
-        row_hits = {}
-        col_hits = {}
+        row_hits = set()
+        col_hits = set()
         for a, b in sorted(by_k.get(k, ())):
             if a in row_hits:
                 errata.append("z%d appears twice in row v%d" % (k, a))
-            row_hits[a] = b
+            row_hits.add(a)
             if b in col_hits:
                 errata.append("z%d appears twice in column v%d" % (k, b))
-            col_hits[b] = a
+            col_hits.add(b)
         for a in range(1, n_vec + 1):
             if a not in row_hits and a not in rows_missing:
                 errata.append("row v%d never reaches z%d" % (a, k))

@@ -2,8 +2,11 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -15,6 +18,8 @@ from htype.cli import main
 from htype.lie_algebra import (MissingCell, StructureTable, VerifyReport,
                                generate_table, verify_htype)
 from htype.words import Signature, Word
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -351,6 +356,17 @@ def test_a_warm_cli_call_leaves_no_cyclic_garbage():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
     assert gc.collect() == 0
+
+
+def test_importing_the_cli_leaves_out_resources_and_csv():
+    """A fresh interpreter that imports htype.cli loads neither
+    importlib.resources nor csv.  -I -S keeps the environment and site's
+    .pth files, which may load either, out of the count."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import htype.cli; "
+            "print(sorted({'importlib.resources', 'csv'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_version_flag(capsys):

@@ -437,7 +437,8 @@ def test_act_word_stops_where_a_map_does_not_act():
     """On generators rebuilt from a table with a missing pair, a word
     whose letter meets a point its map does not reach has no image:
     act_word gives None for that map alone and for a word that applies
-    it before another map."""
+    it before another map, and apply_word, with no operator to hand
+    out, gives None too."""
     t = derive_table(Signature(2, 0))
     assert t.cells[(1, 2)] == (1, 1)
     cells = {key: val for key, val in t.cells.items() if key not in ((1, 2), (2, 1))}
@@ -447,6 +448,8 @@ def test_act_word_stops_where_a_map_does_not_act():
     assert gens.act_word(Word(-1, (1,)), (0, 1)) is None
     assert gens.act_word(Word(1, (2, 1)), (0, 1)) is None
     assert gens.act_word(Word(1, (1, 2)), (0, 1)) == (2, 1)
+    assert gens.apply_word(Word(1, (1,))) is None
+    assert gens.apply_word(Word(-1, (2, 1))) is None
 
 
 def test_form_signature_split():

@@ -127,6 +127,39 @@ def test_verify_rejects_zeroed_pair():
     assert any("never reaches" in e for e in report.errata)
 
 
+def test_walk_errata_names_each_shape_defect_in_order():
+    """Moving the pair (1, 4), (4, 1) of the (2, 0) table from z2 to z1
+    keeps every cell rule, so the walk runs: z1 lands twice in rows v1
+    and v4 and in columns v1 and v4, and z2 leaves them.  A missing cell
+    (v1, v2) excuses row v1 and column v2 only."""
+    t = generate_table(Signature(2, 0))
+    cells = dict(t.cells)
+    assert cells[(1, 4)] == (2, 1) and cells[(4, 1)] == (2, -1)
+    cells[(1, 4)], cells[(4, 1)] = (1, 1), (1, -1)
+    damaged = replace(t, cells=cells)
+    assert _walk_errata(damaged) == [
+        "z1 appears twice in row v1",
+        "z1 appears twice in column v4",
+        "z1 appears twice in column v1",
+        "z1 appears twice in row v4",
+        "row v1 never reaches z2",
+        "column v1 never receives z2",
+        "row v4 never reaches z2",
+        "column v4 never receives z2",
+    ]
+    assert verify_htype(damaged).errata == _walk_errata(damaged)
+    holed = replace(damaged, missing=frozenset({(1, 2)}))
+    assert _walk_errata(holed) == [
+        "z1 appears twice in row v1",
+        "z1 appears twice in column v4",
+        "z1 appears twice in column v1",
+        "z1 appears twice in row v4",
+        "column v1 never receives z2",
+        "row v4 never reaches z2",
+        "column v4 never receives z2",
+    ]
+
+
 def test_verify_rejects_broken_antisymmetry():
     t = generate_table(Signature(1, 0))
     cells = dict(t.cells)
