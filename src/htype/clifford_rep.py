@@ -94,10 +94,16 @@ def involution_count(sig):
     return sig.n - dim.bit_length() + 1
 
 
+def _letters(mask):
+    """The letters of a mask, increasing."""
+    return tuple(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
 def _candidates(sig):
-    """The candidates of find_involution_system in tuple order, with
-    their masks, containing[x], the bitset of the candidates that hold
-    the letter x, and odd, the bitset of the 3-letter candidates.
+    """The letter masks of find_involution_system's candidates in tuple
+    order, with containing[x], the bitset of the candidates that hold the
+    letter x, and odd, the bitset of the 3-letter candidates; bit i of a
+    bitset stands for masks[i].
 
     A candidate is a 3- or 4-letter set with an even number of letters
     above r.  In tuple order each 3-set t comes first, then each t + (y,)
@@ -105,32 +111,42 @@ def _candidates(sig):
     extensions are those whose y leaves the count even: y <= r when t is
     kept, y > r when it is not.  The list is emitted in that order, and
     no 4-letter set outside it is built.
+
+    The candidates are masks, not letter tuples: a search tries only a
+    few of them (11 of 917 at (8,7)), and a tuple per candidate, kept
+    until the search returns, is enough container objects to set off a
+    garbage collection in every search at the top of the grid.  The
+    bitsets are read off all the masks at once, by transposing them.
+    Each mask becomes width = (n >> 3) + 1 bytes, enough for masks below
+    2^(n+1), in little-endian order by the explicit argument, so byte
+    x >> 3 of a mask holds its bit x whatever the host's byte order.
+    Byte lane x >> 3, taken with stride width, holds that byte of every
+    mask in order; translate maps each byte to b"1" when its bit x & 7
+    is set and to b"0" otherwise, and the string reversed, so that
+    candidate 0 comes last, is containing[x] in base 2 (empty, read as
+    0, when n < 3 leaves no candidate).  odd is read the same way off
+    bit 0 of each mask's letter count, 3 or 4.
     """
     n, r = sig.n, sig.r
-    cands, masks, containing, odd = [], [], [0] * (n + 1), 0
-    for t in combinations(range(1, n + 1), 3):
-        a, b, c = t
+    masks = []
+    for a, b, c in combinations(range(1, n + 1), 3):
         m = 1 << a | 1 << b | 1 << c
         if (m >> r + 1).bit_count() & 1:
             ys = range(max(c, r) + 1, n + 1)
         else:
-            bit = 1 << len(cands)
-            odd |= bit
-            containing[a] |= bit
-            containing[b] |= bit
-            containing[c] |= bit
-            cands.append(t)
             masks.append(m)
             ys = range(c + 1, r + 1)
         for y in ys:
-            bit = 1 << len(cands)
-            containing[a] |= bit
-            containing[b] |= bit
-            containing[c] |= bit
-            containing[y] |= bit
-            cands.append(t + (y,))
             masks.append(m | 1 << y)
-    return cands, masks, containing, odd
+    count, width = len(masks), (n >> 3) + 1
+    packed = b"".join(map(int.to_bytes, masks, [width] * count, ["little"] * count))
+    containing = [0]
+    for x in range(1, n + 1):
+        half = 1 << (x & 7)
+        bit_set = (b"0" * half + b"1" * half) * (128 >> (x & 7))
+        containing.append(int(packed[x >> 3::width].translate(bit_set)[::-1] or b"0", 2))
+    odd = int(bytes(map(int.bit_count, masks)).translate(b"01" * 128)[::-1] or b"0", 2)
+    return masks, containing, odd
 
 
 def find_involution_system(sig, k=None):
@@ -168,6 +184,11 @@ def find_involution_system(sig, k=None):
     there and the choice gets no frame: such a try costs one AND and one
     popcount, builds no keys and leaves the chosen words as they were.
 
+    A candidate is only its index and its mask: its size is the mask's
+    bit_count and its largest letter bit_length - 1.  Its letter tuple
+    is built only when it is tried, to XOR its letters' bitsets, and for
+    the words returned.
+
     A frame tries only the least member of each orbit of the group G of
     letter permutations that fix every letter <= top, the largest
     letter of any chosen word, and keep the split at r, so that they map
@@ -202,7 +223,7 @@ def find_involution_system(sig, k=None):
     if k == 0:
         return []
     n, r = sig.n, sig.r
-    cands, masks, containing, odd = _candidates(sig)
+    masks, containing, odd = _candidates(sig)
     # run[x]: the candidates that hold a letter y but not y - 1, for some
     # y in x..r when x <= r, in x..n when x > r + 1; run[r + 1] is 0.
     # A frame skips run[top + 2] | run[max(top, r) + 2], the candidates
@@ -211,13 +232,13 @@ def find_involution_system(sig, k=None):
     for x in range(n, 1, -1):
         if x != r + 1:
             run[x] = containing[x] & ~containing[x - 1] | run[x + 1]
-    # anti[idx], once cands[idx] has been tried: the candidates whose
+    # anti[idx], once masks[idx] has been tried: the candidates whose
     # words anticommute with its word.
-    anti = [None] * len(cands)
+    anti = [None] * len(masks)
     # One frame per live node on the path: the orbit-least pool members
     # it has yet to try, its pool, the keys of its pool and top;
     # chosen[d] led from frame d to frame d + 1.
-    pool = (1 << len(cands)) - 1
+    pool = (1 << len(masks)) - 1
     frames = [[pool & ~(run[2] | run[r + 2]), pool, masks, 0]]
     chosen = []
     while frames:
@@ -233,12 +254,12 @@ def find_involution_system(sig, k=None):
         idx = low.bit_length() - 1
         missing = k - len(chosen) - 1
         if not missing:
-            return [Involution(Word(1, cands[j]), 1) for j in chosen + [idx]]
+            return [Involution(Word(1, _letters(masks[j])), 1) for j in chosen + [idx]]
         against = anti[idx]
         if against is None:
-            c = cands[idx]
-            against = odd if len(c) == 3 else 0
-            for x in c:
+            m = masks[idx]
+            against = odd if m.bit_count() == 3 else 0
+            for x in _letters(m):
                 against ^= containing[x]
             anti[idx] = against
         pool = bits = pool & -(low << 1) & ~against
@@ -261,7 +282,7 @@ def find_involution_system(sig, k=None):
                 child[j] = x
         if size >= missing:
             chosen.append(idx)
-            top = max(top, cands[idx][-1])
+            top = max(top, masks[idx].bit_length() - 1)
             skip = run[top + 2] | run[max(top, r) + 2]
             frames.append([pool & ~skip, pool, child, top])
     raise ConstructionError("no involution system of size %d for %s" % (k, sig))

@@ -290,23 +290,51 @@ def test_a_warm_search_leaves_no_cyclic_garbage():
     assert gc.collect() == 0
 
 
+def test_a_search_runs_no_garbage_collection():
+    """At the top of the grid a search keeps no container per candidate,
+    so under the default thresholds, from an empty young generation, it
+    allocates too few live containers to set off a collection."""
+    collections = []
+
+    def hook(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(hook)
+    try:
+        for key in ((7, 7), (8, 7), (8, 8)):
+            gc.collect()
+            collections.clear()
+            assert len(find_involution_system(Signature(*key))) == len(PINNED_SYSTEMS[key])
+            assert collections == [], key
+    finally:
+        gc.callbacks.remove(hook)
+        gc.set_threshold(*thresholds)
+
+
 def test_commuting_bitsets_agree_with_words_commute():
-    """The candidates, their masks and the per-letter bitsets on the whole
-    grid; on (4,4), the anticommute set the search builds from containing
-    and odd, for every pair of candidates."""
+    """The candidates' masks and the per-letter bitsets on the whole grid
+    and past it, at (12,5), (3,17) and (20,0), where letters reach 16 and
+    more and each mask packs into three bytes; on (4,4), the anticommute
+    set the search builds from containing and odd, for every pair of
+    candidates."""
     keys = [(r, s) for r in range(9) for s in range(9) if r + s]
     assert len(keys) == 80
-    for key in keys:
+    for key in keys + [(12, 5), (3, 17), (20, 0)]:
         sig = Signature(*key)
-        cands, masks, containing, odd = _candidates(sig)
-        assert cands == search_oracle._candidate_sets(sig), key
+        cands = search_oracle._candidate_sets(sig)
+        masks, containing, odd = _candidates(sig)
         assert masks == [letter_mask(c) for c in cands], key
         assert len(containing) == sig.n + 1, key
         for x in range(sig.n + 1):
             assert containing[x] == sum(1 << i for i, c in enumerate(cands)
                                         if x in c), (key, x)
         assert odd == sum(1 << i for i, c in enumerate(cands) if len(c) == 3), key
-    cands, _masks, containing, odd = _candidates(Signature(4, 4))
+    cands = search_oracle._candidate_sets(Signature(4, 4))
+    _masks, containing, odd = _candidates(Signature(4, 4))
     assert len(cands) > 50
     for i, a in enumerate(cands):
         anti = odd if len(a) == 3 else 0
