@@ -36,7 +36,7 @@ def _signature(parser, r, s):
 
 
 def _build_table(sig):
-    """The table gen prints.  _table_from_words writes both kinds with no
+    """The table gen prints.  _table_from_masks writes both kinds with no
     missing cell, so the renderers below have no missing cell to show."""
     if has_reference_config(sig):
         return generate_table(sig)
@@ -59,23 +59,16 @@ def _csv_text(table):
                                      for cell in table.sorted_cells())
 
 
-def _latex_cell(val):
-    if val is None:
-        return "$0$"
-    k, sign = val
-    return "$-z_{%d}$" % k if sign < 0 else "$z_{%d}$" % k
-
-
 def _latex_text(table):
     n = table.dim
     lines = ["\\begin{tabular}{c|%s}" % ("c" * n)]
     header = ["$[r, c]$"] + ["$v_{%d}$" % b for b in range(1, n + 1)]
     lines.append(" & ".join(header) + " \\\\")
     lines.append("\\hline")
-    for a in range(1, n + 1):
-        row = ["$v_{%d}$" % a]
-        row += [_latex_cell(table.entry(a, b)) for b in range(1, n + 1)]
-        lines.append(" & ".join(row) + " \\\\")
+    grid = [["$v_{%d}$" % a] + ["$0$"] * n for a in range(1, n + 1)]
+    for (a, b), (k, sign) in table.cells.items():
+        grid[a - 1][b] = "$-z_{%d}$" % k if sign < 0 else "$z_{%d}$" % k
+    lines += [" & ".join(row) + " \\\\" for row in grid]
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
 

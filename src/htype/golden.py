@@ -24,7 +24,8 @@ from itertools import chain
 from .basis_builder import ALIASES, reference_config
 from .lie_algebra import (
     StructureTable,
-    _table_from_words,
+    _table_from_masks,
+    _word_masks,
     cell_errata,
     compare_tables,
     generate_table,
@@ -120,8 +121,9 @@ def build_n07():
     twin = tuple(inv._replace(eigensign=-inv.eigensign)
                  if len(inv.word.letters) % 2 else inv
                  for inv in config.involutions)
-    plus = _table_from_words(sig, config.involutions, config.basis_words)
-    minus = _table_from_words(sig, twin, config.basis_words)
+    basis = _word_masks(config.involutions, config.basis_words)
+    plus = _table_from_masks(sig, config.involutions, basis)
+    minus = _table_from_masks(sig, twin, basis)
     cells = dict(plus.cells)
     cells.update(((a + plus.dim, b + plus.dim), val)
                  for (a, b), val in minus.cells.items())

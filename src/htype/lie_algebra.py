@@ -13,22 +13,42 @@ mask P of the GF(2) span S of the system masks (words.span_products).
 Bring the system masks to reduced echelon form, each row's lowest bit
 its pivot and held by no other row; let key(M) be M with each pivot bit
 cleared by its row, the one member of the coset of M with no pivot
-bit.  key is linear.  The words must hit each coset of S once; then
-the frame {W_a v} is the coset module's basis up to order and signs,
-orthogonal with <v_a, v_a> = norm_sign(W_a).  For a generator J_k:
+bit.  key is linear, and the keys are the masks with no pivot bit.  The
+words must hit each coset of S once; then the frame {W_a v} is the
+coset module's basis up to order and signs, orthogonal with
+<v_a, v_a> = nu_a, -1 to the number of letters of M_a above r.
 
-    J_k W_a v = sigma_a mul_sign(k, M_a) J_L v,    L = {k} xor M_a.
+The cells are read in the key basis u_c = J_c v, c a key.  Write
+B(A, C) = |f(A) & C| mod 2 for f = words.sign_form, so that J_A J_C =
+(-1)^B(A, C) J_(A xor C) (words.mul_sign).  B is bilinear, and its
+transpose f^T, with B(A, C) = |A & f^T(C)|, has bit y set when an odd
+number of the letters of C lie below y, xor when y is in C & {1..r}
+(words.sign_form_transposed): each letter x < y of C moves past letter
+y of A, and if y is in C too, the two meet as J_y^2 = -1 when y <= r.
 
-Let b be the word with key(M_b) = key(L) = key(k) xor key(M_a), and
-P = L xor M_b, which lies in S.  As J_(M_b) J_P = mul_sign(M_b, P) J_L,
+Each generator is a translation with a linear sign.  Put key_k =
+key({k}) and Q_k = {k} xor key_k, which lies in S.  For a key c, {k}
+xor c = Q_k xor c', with c' = c xor key_k a key, and J_(c' xor Q_k) =
+(-1)^B(c', Q_k) J_(c') J_(Q_k), so
 
-    J_L v = mul_sign(M_b, P) span[P] J_(M_b) v = mul_sign(M_b, P) span[P] sigma_b v_b.
+    J_k u_c = (-1)^B(k, c) J_({k} xor c) v
+            = (-1)^(B(k, c) + B(c, Q_k) + B(key_k, Q_k)) span[Q_k] u_(c'),
 
-So J_k v_a = c v_b with c = sigma_a sigma_b span[P] (-1)^(|f(k) & M_a|
-+ |f(M_b) & P|), f = words.sign_form, since mul_sign(A, B) is -1 to the
-power |f(A) & B|.  As <J_k x, y> = <z_k, [x, y]> and <z_k, z_k> = eps_k,
-the cell (a, b) is (k, eps_k c norm_sign(W_b)), and J_k puts nothing
-else in row a.
+and B(k, c) + B(c, Q_k) = |g_k & c| for g_k = f({k}) xor f^T(Q_k).  So
+J_k u_c = (-1)^(|g_k & c| + e_k) span[Q_k] u_(c xor key_k), with e_k =
+B(key_k, Q_k) fixed for each k.
+
+Each basis word is a fixed sign times a key vector.  With c_a =
+key(M_a) and P_a = M_a xor c_a in S, J_(M_a) = (-1)^B(c_a, P_a) J_(c_a)
+J_(P_a), so v_a = tau_a u_(c_a) with tau_a = sigma_a (-1)^B(c_a, P_a)
+span[P_a].
+
+So J_k v_a = c v_b, where b is the word with c_b = c_a xor key_k and
+c = tau_a tau_b span[Q_k] (-1)^(|g_k & c_a| + e_k).  As <J_k x, y> =
+<z_k, [x, y]> and <z_k, z_k> = eps_k, the cell (a, b) is (k, eps_k c
+nu_b), and J_k puts nothing else in row a.  After O(n + N) set-up for
+a table, a cell costs one lookup of b and tau_b nu_b by the key
+c_a xor key_k, and the parity of g_k & c_a.
 
 cell_errata is the one check of the cell rules, shared with the golden
 loader.  verify_htype reads the cells once, into raw signed-point maps
@@ -95,7 +115,7 @@ from . import exactlin
 from .basis_builder import reference_config
 from .clifford_rep import (ConstructionError, find_involution_system,
                            minimal_admissible_dimension, signature_errata)
-from .words import Signature, Word, letter_mask, norm_sign, sign_form, span_products
+from .words import Signature, letter_mask, sign_form, sign_form_transposed, span_products
 
 EXACT = "exact"
 SIGN_EQUIVALENT = "sign-equivalent"
@@ -164,87 +184,137 @@ def _pivot_rows(system):
     return sorted(rows, key=lambda row: row & -row)
 
 
-def _table_from_words(sig, system, words, label=""):
-    """The table in the basis v_a = W_a v, each cell from the identity
-    of the module docstring.
+def _word_masks(system, words):
+    """Stored basis words as the table writer takes them: the pivot rows
+    of the system, and the mask, coset key and sign of each word."""
+    rows = _pivot_rows(system)
+    masks = [letter_mask(w.letters) for w in words]
+    return rows, masks, [_coset_key(rows, m) for m in masks], [w.sign for w in words]
+
+
+def _table_from_masks(sig, system, basis, label=""):
+    """The table in the basis v_a = sigma_a J_(M_a) v, each cell from the
+    key-basis identity of the module docstring.  basis is (rows, masks,
+    keys, signs): the pivot rows of the system, and M_a, key(M_a) and
+    sigma_a for each basis word, as _word_masks and _coset_words give.
 
     ConstructionError is raised when the cosets of the system's span are
     not as many as the minimal admissible dimension, or when the words
-    miss or repeat a coset.
+    miss or repeat a coset; then ValueError for the first word, in order,
+    with a letter outside 1..n, named by its least such letter.
     """
+    rows, masks, keys, signs = basis
     span = span_products(sig, system)
     dim = 2 ** sig.n // len(span)
     expected = minimal_admissible_dimension(sig.r, sig.s)
     if dim != expected:
         raise ConstructionError(
             "coset count %d does not match minimal dimension %d" % (dim, expected))
-    rows = _pivot_rows(system)
-    masks = [letter_mask(w.letters) for w in words]
-    keys = [_coset_key(rows, m) for m in masks]
-    if not len(set(keys)) == len(words) == dim:
+    if not len(set(keys)) == len(masks) == dim:
         raise ConstructionError(
             "the basis words miss or repeat a coset of the involution system")
-    # Each sign factor of a cell as a parity: 1 where it is -1.
-    neg = {p: c < 0 for p, c in span.items()}
-    # b, M_b, f(M_b) and sigma_b norm_sign(W_b), by the key of word b.
-    where = {key: (b, m, sign_form(sig, m), w.sign * norm_sign(sig, w) < 0)
-             for b, (key, m, w) in enumerate(zip(keys, masks, words), 1)}
-    a_side = [(a, m, key, w.sign < 0)
-                 for a, (key, m, w) in enumerate(zip(keys, masks, words), 1)]
+    outside, above_r = -(2 << sig.n) | 1, sig.r + 1
+    # Each sign as a parity, 1 where it is -1: tau_a, and by the key c_b,
+    # tau_b nu_b, nu_b from the letters of M_b above r.
+    where, a_side = {}, []
+    for a, (m, c, sign) in enumerate(zip(masks, keys, signs), 1):
+        bad = m & outside
+        if bad:
+            raise ValueError("letter %r out of range for %r"
+                             % ((bad & -bad).bit_length() - 1, sig))
+        p = m ^ c  # tau_a = sigma_a mul_sign(c_a, P_a) span[P_a]
+        t = (sign_form(sig, c) & p).bit_count() & 1 ^ (sign < 0) ^ (span[p] < 0)
+        where[c] = (a, t ^ (m >> above_r).bit_count() & 1)
+        a_side.append((a, c, t))
     cells = {}
     for k in range(1, sig.n + 1):
         bit = 1 << k
-        f_k, key_k, eps_k = sign_form(sig, bit), _coset_key(rows, bit), sig.eps(k)
+        key_k = _coset_key(rows, bit)
+        q = bit ^ key_k
+        g_k = sign_form(sig, bit) ^ sign_form_transposed(sig, q)
+        eps_k = sig.eps(k) * span[q]
+        if (sign_form(sig, key_k) & q).bit_count() & 1:  # e_k = B(key_k, Q_k)
+            eps_k = -eps_k
         values = ((k, eps_k), (k, -eps_k))
-        for a, m_a, key_a, neg_a in a_side:
-            b, m_b, f_b, neg_b = where[key_a ^ key_k]
-            p = bit ^ m_a ^ m_b
-            cells[(a, b)] = values[
-                ((f_k & m_a) ^ (f_b & p)).bit_count() & 1 ^ neg_a ^ neg_b ^ neg[p]]
+        for a, c, t in a_side:
+            b, u = where[c ^ key_k]
+            cells[(a, b)] = values[(g_k & c).bit_count() & 1 ^ t ^ u]
     return StructureTable(sig, dim, cells, frozenset(), label)
 
 
 def generate_table(sig):
     """The table of a signature in its stored basis words."""
     config = reference_config(sig)
-    return _table_from_words(sig, config.involutions, config.basis_words)
+    return _table_from_masks(sig, config.involutions,
+                             _word_masks(config.involutions, config.basis_words))
+
+
+def _tuple_rank(n, c, rev):
+    """The index of the letter tuple of c among all 2^n tuples of letters
+    1..n in tuple order, given rev, the sum of 2^(n - x) over the letters
+    x of c (see _coset_words)."""
+    return (1 << n) + c.bit_count() - rev - (1 << n + 1 - c.bit_length()) if c else 0
 
 
 def _coset_words(sig, system):
     """The least member of each coset of letter masks modulo the span S
     of an independent system, in the tuple order of their letters, as
-    words of sign +1: dim k steps for k words, and no walk over 2^n masks.
-    The pivot rows alone decide it; S itself is never built.
+    basis words of sign +1 for _table_from_masks: dim k steps for k
+    words, and no walk over 2^n masks.  The pivot rows alone decide it;
+    S itself is never built.
 
     A nonzero element of S is a sum of rows, and holds the pivot of each
     of them, as no other row holds that bit (see _pivot_rows).  So two
     members of a coset differ in a pivot p, agree below the least such p,
     and the one holding p sorts first unless the other holds no letter
     above p and so is a prefix of it.  Each coset has one member c with
-    no pivot bit; its letters are a subset of the free letters, and every
-    subset gives one coset.  Going through the rows in pivot order, c
-    holds no pivot from the current row on.  If c holds no letter above
-    the pivot, it is a prefix of every member still in the running and
-    is the least.  Otherwise a member without the pivot that is a prefix
-    would differ from c by h, the bits of c above the pivot; h is nonzero
-    and holds no pivot, so it is not in S.  So the least holds the pivot,
-    and c xor row keeps the invariant.
+    no pivot bit, its key; its letters are a subset of the free letters,
+    and every subset gives one coset.  Going through the rows in pivot
+    order, c holds no pivot from the current row on.  If c holds no
+    letter above the pivot, it is a prefix of every member still in the
+    running and is the least.  Otherwise a member without the pivot that
+    is a prefix would differ from c by h, the bits of c above the pivot;
+    h is nonzero and holds no pivot, so it is not in S.  So the least
+    holds the pivot, and c xor row keeps the invariant.
+
+    The least members sort by _tuple_rank, the index of a letter tuple
+    in tuple order, with no tuple built.  Tuple order is the preorder of
+    the tree whose root is () and whose children of (x_1, ..., x_j) are
+    its extensions by one letter y > x_j, in increasing y; the subtree
+    of a tuple ending in y holds 2^(n - y) tuples.  The index of
+    (x_1, ..., x_j) counts the tuples before it: its j ancestors, the
+    root included, and at each depth i the subtrees of the letters y
+    strictly between x_(i-1) and x_i, x_0 = 0, which hold
+    2^(n - x_(i-1)) - 2^(n + 1 - x_i) tuples.  Over i = 1..j these add
+    up to 2^n - rev(c) - 2^(n - x_j), where rev(c) is the sum of
+    2^(n - x) over the letters x of c.  So the index is
+    2^n + j - rev(c) - 2^(n - x_j), with x_j the largest letter of c,
+    and 0 for c = 0.  rev is linear, so it rides along the xors.
     """
+    n = sig.n
     rows = _pivot_rows(system)
-    free = (2 << sig.n) - 2
+    free = (2 << n) - 2
     for row in rows:
         free ^= row & -row
-    least, sub = [], 0
-    while True:
-        c = sub
-        for row in rows:
-            if c < (row & -row) << 1:  # no letter of c above the pivot
+    keys, revs = [0], [0]
+    for x in range(1, n + 1):
+        if free >> x & 1:
+            keys += [key | 1 << x for key in keys]
+            revs += [rev | 1 << n - x for rev in revs]
+    steps = [(row, (row & -row) << 1,
+              sum(1 << n - x for x in range(1, n + 1) if row >> x & 1)) for row in rows]
+    ranked = []
+    for key, rev in zip(keys, revs):
+        c = key
+        for row, top, rev_row in steps:
+            if c < top:  # no letter of c above the pivot
                 break
             c ^= row
-        least.append(Word(1, tuple(x for x in range(1, sig.n + 1) if c >> x & 1)))
-        sub = (sub - free) & free
-        if not sub:
-            return sorted(least)
+            rev ^= rev_row
+        ranked.append((_tuple_rank(n, c, rev), c, key))
+    ranked.sort()
+    return (rows, [c for _rank, c, _key in ranked], [key for _rank, _c, key in ranked],
+            (1,) * len(ranked))
 
 
 def derive_table(sig):
@@ -255,7 +325,7 @@ def derive_table(sig):
     order of their letters (see _coset_words).
     """
     system = find_involution_system(sig)
-    return _table_from_words(sig, system, _coset_words(sig, system), label="derived")
+    return _table_from_masks(sig, system, _coset_words(sig, system), label="derived")
 
 
 def _propagate_signs(values, adj):

@@ -90,16 +90,17 @@ def sign_form(sig, a):
     return form
 
 
-def norm_sign(sig, w):
-    """Product of eps over the letters, -1 to the number above r: the
-    squared norm J_W v picks up.  A letter outside 1..n raises ValueError."""
-    r, n = sig.r, sig.r + sig.s
-    above = 0
-    for x in w.letters:
-        if not 1 <= x <= n:
-            raise ValueError("letter %r out of range for %r" % (x, sig))
-        above += x > r
-    return -1 if above & 1 else 1
+def sign_form_transposed(sig, b):
+    """The transpose g of sign_form, with |sign_form(A) & b| = |A & g| for
+    every mask A: bit y is set when an odd number of the letters of mask
+    b lie below y, xor when y is in b & {1..r}.  b holds letters 1..n."""
+    form = b & ((2 << sig.r) - 2)
+    top = 2 << sig.r + sig.s
+    while b > 0:
+        low = b & -b
+        b ^= low
+        form ^= top - (low << 1)
+    return form
 
 
 def format_word(w):

@@ -5,7 +5,9 @@ concatenating the letter strings and then sorting with explicit
 transposition signs, collapsing equal neighbours with the square rule.
 It shares no code with the fast implementation.  coset_reps numbers the
 module basis of build_generators the same way, from sorted letter
-tuples instead of the builder's mask order.
+tuples instead of the builder's mask order.  norm_sign reads the squared
+norm sign of a word letter by letter, for the per-cell writer of
+writer_oracle and the module route of dense_oracle.
 """
 
 import hashlib
@@ -48,6 +50,18 @@ def slow_word_mul(sig, u, v):
             else:
                 i += 1
     return Word(sign, tuple(letters))
+
+
+def norm_sign(sig, w):
+    """Product of eps over the letters, -1 to the number above r: the
+    squared norm J_W v picks up.  A letter outside 1..n raises ValueError."""
+    r, n = sig.r, sig.r + sig.s
+    above = 0
+    for x in w.letters:
+        if not 1 <= x <= n:
+            raise ValueError("letter %r out of range for %r" % (x, sig))
+        above += x > r
+    return -1 if above & 1 else 1
 
 
 def mask_letters(mask):

@@ -33,7 +33,8 @@ from itertools import combinations, product
 from htype.clifford_rep import (ConstructionError, GeneratorSet,
                                 minimal_admissible_dimension)
 from htype.lie_algebra import StructureTable, _eps_by_k
-from htype.words import mul_sign, norm_sign, sign_form, span_products
+from conftest import norm_sign
+from htype.words import mul_sign, sign_form, span_products
 
 
 def identity(n):

@@ -15,6 +15,7 @@ from conftest import (
     NON_ISOMORPHIC_PAIR,
     compare_pairs,
     mask_letters,
+    norm_sign,
     random_canonical_word,
     random_signature,
     raw_data,
@@ -48,7 +49,6 @@ from htype.words import (
     Word,
     letter_mask,
     mul_sign,
-    norm_sign,
     reduce_mod_system,
 )
 

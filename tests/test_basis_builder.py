@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from conftest import norm_sign
 from dense_oracle import (
     build_basis,
     build_generators,
@@ -22,12 +23,11 @@ from htype.basis_builder import (
 )
 from htype.clifford_rep import ConstructionError, minimal_admissible_dimension
 from htype.golden import golden_signatures
-from htype.lie_algebra import _table_from_words
+from htype.lie_algebra import _table_from_masks, _word_masks
 from htype.words import (
     Signature,
     Word,
     check_involution_system,
-    norm_sign,
     reduce_mod_system,
 )
 
@@ -164,4 +164,5 @@ def test_unsatisfiable_config_raises():
             build_basis(gens, broken, pairings)
     for broken in (repeated, extra):
         with pytest.raises(ConstructionError, match="miss or repeat a coset"):
-            _table_from_words(sig, broken.involutions, broken.basis_words)
+            _table_from_masks(sig, broken.involutions,
+                              _word_masks(broken.involutions, broken.basis_words))

@@ -7,7 +7,8 @@ import pytest
 import grid_oracle
 import search_oracle
 from search_oracle import words_commute
-from conftest import coset_reps, mask_letters, random_canonical_word, slow_word_mul
+from conftest import (coset_reps, mask_letters, norm_sign, random_canonical_word,
+                      slow_word_mul)
 from dense_oracle import (as_map, build_generators, clifford_failures, matrix,
                           mat_mul, mat_neg, negated, negated_op, verify_generators,
                           word_matrix)
@@ -23,8 +24,8 @@ from htype.clifford_rep import (
 )
 from htype.basis_builder import configured_signatures, reference_config
 from htype.golden import golden_signatures, golden_table
-from htype.lie_algebra import (_table_from_words, derive_table, generate_table,
-                               reconstruct_J, verify_htype)
+from htype.lie_algebra import (_table_from_masks, _word_masks, derive_table,
+                               generate_table, reconstruct_J, verify_htype)
 from htype.words import (
     Involution,
     Signature,
@@ -32,7 +33,6 @@ from htype.words import (
     check_involution_system,
     letter_mask,
     mul_sign,
-    norm_sign,
     span_products,
 )
 
@@ -531,4 +531,4 @@ def test_bad_system_is_rejected():
     with pytest.raises(ConstructionError, match=message):
         build_generators(sig, system=short)
     with pytest.raises(ConstructionError, match=message):
-        _table_from_words(sig, short, config.basis_words)
+        _table_from_masks(sig, short, _word_masks(short, config.basis_words))

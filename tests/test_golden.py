@@ -27,7 +27,8 @@ from htype.lie_algebra import (
     SIGN_EQUIVALENT,
     UNMATCHED,
     StructureTable,
-    _table_from_words,
+    _table_from_masks,
+    _word_masks,
     cell_errata,
     generate_table,
     verify_htype,
@@ -297,7 +298,7 @@ def test_flipped_eigensigns_build_the_negated_module():
         flipped = tuple(p._replace(eigensign=-p.eigensign) if len(p.word.letters) % 2
                         else p for p in config.involutions)
         frame = build_basis(gens, replace(config, involutions=flipped))
-        table = _table_from_words(sig, flipped, config.basis_words)
+        table = _table_from_masks(sig, flipped, _word_masks(flipped, config.basis_words))
         assert table.cells == compute_table(gens, frame).cells, key
         assert verify_htype(table).ok, key
 

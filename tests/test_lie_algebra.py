@@ -3,7 +3,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,7 +22,8 @@ from dense_oracle import (
 )
 from htype.basis_builder import (ReferenceConfig, configured_signatures,
                                  has_reference_config, reference_config)
-from htype.clifford_rep import find_involution_system, minimal_admissible_dimension
+from htype.clifford_rep import (ConstructionError, find_involution_system,
+                                minimal_admissible_dimension)
 from htype import lie_algebra
 from htype.golden import golden_signatures, golden_table
 from htype.lie_algebra import (
@@ -30,9 +31,13 @@ from htype.lie_algebra import (
     SIGN_EQUIVALENT,
     UNMATCHED,
     StructureTable,
+    _coset_key,
     _coset_words,
-    _table_from_words,
+    _pivot_rows,
+    _table_from_masks,
+    _tuple_rank,
     _walk_errata,
+    _word_masks,
     cell_errata,
     compare_tables,
     derive_table,
@@ -44,6 +49,7 @@ from htype.words import Involution, Signature, Word, letter_mask, span_products
 from verify_oracle import (base_tables, brute_compare, comparison_cases, cycle_table,
                            is_htype, referee_cases, report_cases, slow_report,
                            walk_passing_tables)
+from writer_oracle import table_from_words
 
 # sha256 of json [dim, sorted cells] for the scale ladder's derived
 # tables past the CLI cap, where tests/cli_digests.json stops.  A
@@ -688,8 +694,88 @@ def test_derived_basis_is_numbered_by_the_coset_reps():
         system = find_involution_system(sig)
         words = [Word(1, mask_letters(rep)) for rep in coset_reps(sig, system)]
         assert len(words) == minimal_admissible_dimension(*key)
-        assert _table_from_words(sig, system, words, "derived") == \
+        assert _table_from_masks(sig, system, _word_masks(system, words), "derived") == \
             derive_table(sig), key
+
+
+def test_the_key_basis_writer_equals_the_per_cell_writer():
+    """_table_from_masks writes the cells of writer_oracle's per-cell
+    identity, item by item and in its insertion order: on the 34 stored
+    systems and their eigensign-flipped twins, from their stored words,
+    and on the 80 searched grid systems, from _coset_words as
+    derive_table hands them over."""
+    cases = []
+    for key in configured_signatures():
+        sig = Signature(*key)
+        config = reference_config(sig)
+        flipped = tuple(p._replace(eigensign=-p.eigensign) if len(p.word.letters) % 2
+                        else p for p in config.involutions)
+        for system in (config.involutions, flipped):
+            cases.append((sig, system, config.basis_words,
+                          _word_masks(system, config.basis_words)))
+    for key in ((r, s) for r in range(9) for s in range(9) if r + s):
+        sig = Signature(*key)
+        system = find_involution_system(sig)
+        basis = _coset_words(sig, system)
+        cases.append((sig, system, [Word(1, mask_letters(m)) for m in basis[1]], basis))
+    assert len(cases) == 2 * 34 + 80
+    for sig, system, words, basis in cases:
+        fast = _table_from_masks(sig, system, basis, "derived")
+        slow = table_from_words(sig, system, words, "derived")
+        assert list(fast.cells.items()) == list(slow.cells.items()), (sig, system)
+        assert fast == slow, (sig, system)
+
+
+def test_the_writer_names_the_first_letter_out_of_range():
+    """A basis word with a letter outside 1..n that still hits a coset of
+    its own is refused with the text the per-cell writer gives, naming
+    the least bad letter of the first word, in order, that has one."""
+    sig = Signature(6, 0)
+    config = reference_config(sig)
+    system, words = config.involutions, config.basis_words
+
+    def widen(extra):
+        """words with the letters extra[i] added to word i."""
+        return [Word(w.sign, tuple(sorted(w.letters + extra.get(i, ()))))
+                for i, w in enumerate(words)]
+    cases = [(widen({0: (0,)}), 0), (widen({5: (7,)}), 7), (widen({2: (0, 7)}), 0),
+             (widen({2: (7,), 5: (0,)}), 7)]
+    for bad, letter in cases:
+        message = "letter %d out of range for Signature(r=6, s=0)" % letter
+        for write in (lambda: _table_from_masks(sig, system, _word_masks(system, bad)),
+                      lambda: table_from_words(sig, system, bad)):
+            with pytest.raises(ValueError) as exc:
+                write()
+            assert str(exc.value) == message, (bad, letter)
+
+
+def test_the_writer_raises_its_errors_in_order():
+    """The coset count comes first, then a missed or repeated coset, then
+    a letter out of range, in both writers."""
+    sig = Signature(6, 0)
+    config = reference_config(sig)
+    words = list(config.basis_words)
+    both = [words[0], words[0]] + words[2:5] + [Word(1, words[5].letters + (7,))] + words[6:]
+    cases = [(config.involutions,
+              "the basis words miss or repeat a coset of the involution system"),
+             (config.involutions[:1], "coset count 32 does not match minimal dimension 8")]
+    for system, message in cases:
+        for write in (lambda: _table_from_masks(sig, system, _word_masks(system, both)),
+                      lambda: table_from_words(sig, system, both)):
+            with pytest.raises(ConstructionError) as exc:
+                write()
+            assert str(exc.value) == message
+
+
+def test_the_tuple_rank_is_the_index_in_tuple_order():
+    """_tuple_rank gives every even mask below 2^(n + 1), n <= 12, the
+    index of its letter tuple in tuple order."""
+    for n in range(13):
+        tuples = sorted(c for j in range(n + 1) for c in combinations(range(1, n + 1), j))
+        assert len(tuples) == 2 ** n
+        for index, letters in enumerate(tuples):
+            rev = sum(1 << n - x for x in letters)
+            assert _tuple_rank(n, letter_mask(letters), rev) == index, (n, letters)
 
 
 def test_coset_words_are_the_walks_coset_reps():
@@ -719,15 +805,16 @@ def test_coset_words_are_the_walks_coset_reps():
         cases.append((Signature(*key), find_involution_system(Signature(*key), size)))
     assert len(cases) == 236
     for sig, system in cases:
-        words = _coset_words(sig, system)
-        assert [letter_mask(w.letters) for w in words] == coset_reps(sig, system), \
-            (sig, system)
-        assert {w.sign for w in words} == {1}
+        rows, masks, keys, signs = _coset_words(sig, system)
+        assert masks == coset_reps(sig, system), (sig, system)
+        assert set(signs) == {1}
+        assert rows == _pivot_rows(system), (sig, system)
+        assert keys == [_coset_key(rows, m) for m in masks], (sig, system)
 
 
 def test_derive_table_builds_the_span_once(monkeypatch):
     """The coset numbering reads the pivot rows alone, so derive_table
-    builds the span of its system only in _table_from_words."""
+    builds the span of its system only in _table_from_masks."""
     calls = []
 
     def span(sig, system):

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from conftest import (mask_letters, random_canonical_word, random_signature,
-                      slow_word_mul)
+from conftest import (mask_letters, norm_sign, random_canonical_word,
+                      random_signature, slow_word_mul)
 from htype.words import (
     Involution,
     Signature,
@@ -14,8 +14,8 @@ from htype.words import (
     format_word,
     letter_mask,
     mul_sign,
-    norm_sign,
     reduce_mod_system,
+    sign_form_transposed,
     span_products,
 )
 from search_oracle import word_square_sign, words_commute
@@ -144,6 +144,25 @@ def test_norm_sign_matches_the_per_letter_product_on_every_letter_tuple():
             for x in w.letters:
                 expect *= sig.eps(x)
             assert norm_sign(sig, w) == expect
+
+
+def test_sign_form_transposed_is_the_transpose_of_mul_sign():
+    """mul_sign(A, B) is -1 to the |A & sign_form_transposed(B)| for every
+    pair of masks of letters 1..n, n <= 7, and on random pairs up to
+    n = 16; the transpose holds letters 1..n alone."""
+    pairs = []
+    for key in ((1, 0), (0, 1), (2, 1), (3, 0), (0, 3), (3, 4), (7, 0), (0, 7)):
+        sig = Signature(*key)
+        masks = range(0, 2 << sig.n, 2)
+        pairs += [(sig, a, b) for a in masks for b in masks]
+    rng = random.Random(59)
+    for _ in range(3000):
+        sig = random_signature(rng, 16)
+        pairs.append((sig, rng.getrandbits(sig.n) << 1, rng.getrandbits(sig.n) << 1))
+    for sig, a, b in pairs:
+        g = sign_form_transposed(sig, b)
+        assert g & ~((2 << sig.n) - 2) == 0, (sig, b)
+        assert mul_sign(sig, a, b) == (-1 if (a & g).bit_count() & 1 else 1), (sig, a, b)
 
 
 def test_words_commute_matches_products():
