@@ -25,7 +25,7 @@ from .clifford_rep import (ConstructionError, GeneratorSet, clifford_type,
 from .golden import build_n07, match_generated, split_blocks, verify_all_golden
 from .lie_algebra import (EXACT, SIGN_EQUIVALENT, derive_table, generate_table,
                           reconstruct_J, verify_htype)
-from .words import Signature, format_word, reduce_mod_system
+from .words import Signature, format_word, letter_mask, span_products
 
 
 def _signature(parser, r, s):
@@ -242,8 +242,9 @@ def _cmd_relations(parser, args):
         print("no stored relations beyond the involution system")
         return 3 if bad else 0
     print("stored relations, each expected to fix the initial vector:")
+    span = span_products(sig, config.involutions)
     for rel in config.relations:
-        scalar = reduce_mod_system(sig, config.involutions, rel)
+        scalar = rel.sign * span[letter_mask(rel.letters)]
         fixes = gens.act_word(rel, v) == v
         ok = scalar == 1 and fixes
         bad = bad or not ok

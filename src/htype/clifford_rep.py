@@ -12,9 +12,7 @@ searches a system; lie_algebra writes the table of such a module
 straight from the sign rule of the words module, without building it.
 
 A GeneratorSet holds a module's generators as signed-point maps (see
-exactlin) and acts with words on signed points; signature_errata is the
-norm-signature test of lie_algebra.verify_htype, whose Clifford check
-reads the table's own maps.
+exactlin) and acts with words on signed points.
 
 The minimal dimensions follow from the classification of the real
 Clifford algebras Cl(r, s) by Bott periodicity (Lawson-Michelsohn, Spin
@@ -321,15 +319,4 @@ class GeneratorSet:
             if v is None:
                 return None
         return v if w.sign == 1 else (v[0], -v[1])
-
-
-def signature_errata(sig, form):
-    """The erratum of the norm signs, if any: diag(form) is definite
-    when s = 0 and neutral otherwise."""
-    dim, pos = len(form), form.count(1)
-    want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
-    if (pos, dim - pos) == want:
-        return []
-    return ["solved norms have signature (%d, %d), expected (%d, %d)"
-            % (pos, dim - pos, want[0], want[1])]
 

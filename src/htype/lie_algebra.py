@@ -114,8 +114,9 @@ from operator import itemgetter
 from . import exactlin
 from .basis_builder import reference_config
 from .clifford_rep import (ConstructionError, find_involution_system,
-                           minimal_admissible_dimension, signature_errata)
-from .words import Signature, letter_mask, sign_form, sign_form_transposed, span_products
+                           minimal_admissible_dimension)
+from .words import (Signature, check_letters, letter_mask, sign_form, sign_form_transposed,
+                    span_products)
 
 EXACT = "exact"
 SIGN_EQUIVALENT = "sign-equivalent"
@@ -129,10 +130,6 @@ class StructureTable:
     cells: dict
     missing: frozenset = frozenset()
     label: str = ""
-
-    def entry(self, a, b):
-        """(k, sign) for the bracket [v_a, v_b], or None when zero."""
-        return self.cells.get((a, b))
 
     def sorted_cells(self):
         return [(a, b, k, s) for (a, b), (k, s) in sorted(self.cells.items())]
@@ -213,15 +210,12 @@ def _table_from_masks(sig, system, basis, label=""):
     if not len(set(keys)) == len(masks) == dim:
         raise ConstructionError(
             "the basis words miss or repeat a coset of the involution system")
-    outside, above_r = -(2 << sig.n) | 1, sig.r + 1
+    above_r = sig.r + 1
     # Each sign as a parity, 1 where it is -1: tau_a, and by the key c_b,
     # tau_b nu_b, nu_b from the letters of M_b above r.
     where, a_side = {}, []
     for a, (m, c, sign) in enumerate(zip(masks, keys, signs), 1):
-        bad = m & outside
-        if bad:
-            raise ValueError("letter %r out of range for %r"
-                             % ((bad & -bad).bit_length() - 1, sig))
+        check_letters(sig, m)
         p = m ^ c  # tau_a = sigma_a mul_sign(c_a, P_a) span[P_a]
         t = (sign_form(sig, c) & p).bit_count() & 1 ^ (sign < 0) ^ (span[p] < 0)
         where[c] = (a, t ^ (m >> above_r).bit_count() & 1)
@@ -231,9 +225,10 @@ def _table_from_masks(sig, system, basis, label=""):
         bit = 1 << k
         key_k = _coset_key(rows, bit)
         q = bit ^ key_k
-        g_k = sign_form(sig, bit) ^ sign_form_transposed(sig, q)
+        f_q = sign_form_transposed(sig, q)
+        g_k = sign_form(sig, bit) ^ f_q
         eps_k = sig.eps(k) * span[q]
-        if (sign_form(sig, key_k) & q).bit_count() & 1:  # e_k = B(key_k, Q_k)
+        if (key_k & f_q).bit_count() & 1:  # e_k = B(key_k, Q_k)
             eps_k = -eps_k
         values = ((k, eps_k), (k, -eps_k))
         for a, c, t in a_side:
@@ -449,13 +444,18 @@ def _clifford_errata(sig, maps, eps, eta, bad):
     """Errata of the module axioms for J_k = eps_k D_eta R_k, read off
     the maps R_k of a table that passed the cell walk and an eta that
     agrees with every cell (see the module docstring).  In order: the
-    norm signature; for each k in bad, the maps with R_k^2 != -Id, that
-    J_k is partial or else not skew; then for each i <= j, the points
-    where the square of R_i fails, named through its two cells where
-    R_i is total, and whether R_i R_j = -eps_i eps_j R_j R_i.  As in a
-    table, R_k is named z_k and point a - 1 is named v_a."""
-    out = signature_errata(sig, eta)
-    end = 2 * len(eta)
+    norm signature, as diag(eta) is definite when s = 0 and neutral
+    otherwise; for each k in bad, the maps with R_k^2 != -Id, that J_k
+    is partial or else not skew; then for each i <= j, the points where
+    the square of R_i fails, named through its two cells where R_i is
+    total, and whether R_i R_j = -eps_i eps_j R_j R_i.  As in a table,
+    R_k is named z_k and point a - 1 is named v_a."""
+    dim, pos = len(eta), eta.count(1)
+    want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
+    out = [] if (pos, dim - pos) == want else [
+        "solved norms have signature (%d, %d), expected (%d, %d)"
+        % (pos, dim - pos, want[0], want[1])]
+    end = 2 * dim
     squares = {}
     for k in bad:
         m = maps[k]

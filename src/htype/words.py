@@ -8,13 +8,14 @@ generated by J_1, ..., J_n subject to
 where eps_i = +1 for i <= r and -1 for i > r.  Canonical form keeps the
 letters strictly increasing, so a word is a pair (sign, letters) and the
 scalar one is (1, ()).  Inside the package a letter set is an int mask,
-bit x for letter x, and one sign rule, mul_sign, gives the s in
-J_A J_B = s J_(A xor B).
+bit x for letter x, one range test, check_letters, refuses a mask
+with a letter outside 1..n, and one sign rule, mul_sign, gives the s
+in J_A J_B = s J_(A xor B).
 
 The second half of the module handles systems of commuting involution
 words (words P with P^2 = +1 prescribed to act as a fixed sign on some
-vector): the scalar each subset product takes on that vector, and the
-reduction of arbitrary words modulo such a system.
+vector): the scalar each subset product takes on that vector, its sign
+read off the transpose sign_form_transposed of the sign rule.
 """
 
 from dataclasses import dataclass
@@ -61,6 +62,13 @@ def letter_mask(letters):
     return mask
 
 
+def check_letters(sig, mask):
+    """Raise ValueError naming the least letter of mask outside 1..n."""
+    bad = mask & (-(2 << sig.r + sig.s) | 1)
+    if bad:
+        raise ValueError("letter %r out of range for %r" % ((bad & -bad).bit_length() - 1, sig))
+
+
 def mul_sign(sig, a, b):
     """The sign s in J_A J_B = s J_(A xor B), for letter masks a and b.
 
@@ -71,10 +79,7 @@ def mul_sign(sig, a, b):
     B.  Masks are nonnegative; a letter outside 1..n in both raises
     ValueError.
     """
-    bad = a & b & ~((2 << sig.r + sig.s) - 2)
-    if bad:
-        x = (bad & -bad).bit_length() - 1
-        raise ValueError("letter %r out of range for %r" % (x, sig))
+    check_letters(sig, a & b)
     return -1 if (sign_form(sig, a) & b).bit_count() & 1 else 1
 
 
@@ -147,27 +152,18 @@ def span_products(sig, system):
 
     Returns {mask P: scalar c} with J_P v = c v, where J_P is the
     canonical word on the letters of P with sign +1.  Distinctness of
-    the masks is exactly GF(2) independence of the letter sets.
+    the masks is exactly GF(2) independence of the letter sets.  Each
+    word's mask m goes through check_letters once.  mul_sign(P, m) =
+    (-1)^|P & g| for g = sign_form_transposed(m), one form per word.
     """
     out = {0: 1}
     for w, sgn in system:
         m = letter_mask(w.letters)
+        check_letters(sig, m)
+        g = sign_form_transposed(sig, m)
         # J_P w = mul_sign(P, m) * w.sign * J_(P xor m), and w v = sgn v.
-        out.update({p ^ m: c * sgn * w.sign * mul_sign(sig, p, m)
-                    for p, c in out.items()})
+        signs = (sgn * w.sign, -sgn * w.sign)
+        out.update({p ^ m: c * signs[(p & g).bit_count() & 1] for p, c in out.items()})
     if len(out) != 2 ** len(system):
         raise ValueError("involution letter sets are not independent")
     return out
-
-
-def reduce_mod_system(sig, system, w):
-    """Scalar action of w on the common eigenvector of the system.
-
-    Only defined when the letter set of w is a subset product of the
-    system; then w equals a sign times that product and acts by the
-    corresponding product of eigensigns.  Raises ValueError otherwise.
-    """
-    scalar = span_products(sig, system).get(letter_mask(w.letters))
-    if scalar is None:
-        raise ValueError("word %s does not reduce modulo the system" % (w,))
-    return w.sign * scalar

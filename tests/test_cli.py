@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from htype import basis_builder, cli, golden
+from htype import basis_builder, cli, golden, lie_algebra, words
 from htype.basis_builder import configured_signatures
 from htype.cli import main
 from htype.lie_algebra import (MissingCell, StructureTable, VerifyReport,
@@ -288,6 +288,22 @@ def test_relations_confirms_stored_words(capsys):
     assert "J1J3J6 v = v" in out
     assert "FAILED" not in out
     assert out.count("confirmed") >= 6
+
+
+def test_relations_builds_the_span_twice(monkeypatch, capsys):
+    """htype relations 7 0 builds the span of the stored system once in
+    the table writer and once for its six relations, not once for each."""
+    calls, inner = [], words.span_products
+
+    def span(sig, system):
+        calls.append(sig)
+        return inner(sig, system)
+    for module in (words, lie_algebra, cli):
+        monkeypatch.setattr(module, "span_products", span, raising=False)
+    code, out, _ = run(capsys, "relations", "7", "0")
+    assert code == 0
+    assert out.count("v = v  word reduction +1  matrix action confirmed") == 6
+    assert calls == [Signature(7, 0)] * 2
 
 
 def test_relations_without_config(capsys):

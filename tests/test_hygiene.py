@@ -47,14 +47,16 @@ def unreferenced_definitions(sources):
     """Qualified names of the functions, classes and methods defined in
     sources, a dict module name -> source, that no name or attribute
     outside their own body refers to; dunder methods and names in a
-    module's __all__ are left out."""
+    module's __all__ are left out.  A name defined in a class body is
+    reached only as an attribute, so only an attribute refers to it: a
+    local variable of the same name does not."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     refs = [(node.id if isinstance(node, ast.Name) else node.attr, node)
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
     found = []
 
-    def visit(body, prefix, exported):
+    def visit(body, prefix, exported, kinds):
         for node in body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef)):
@@ -62,12 +64,14 @@ def unreferenced_definitions(sources):
             name = node.name
             inside = {id(n) for n in ast.walk(node)}
             if not (name in exported or name.startswith("__") and name.endswith("__")
-                    or any(ref == name and id(n) not in inside for ref, n in refs)):
+                    or any(ref == name and isinstance(n, kinds) and id(n) not in inside
+                           for ref, n in refs)):
                 found.append(prefix + name)
-            visit(node.body, prefix + name + ".", ())
+            visit(node.body, prefix + name + ".", (),
+                  ast.Attribute if isinstance(node, ast.ClassDef) else (ast.Name, ast.Attribute))
 
     for module, tree in trees.items():
-        visit(tree.body, module + ".", exported_names(tree))
+        visit(tree.body, module + ".", exported_names(tree), (ast.Name, ast.Attribute))
     return sorted(found)
 
 
@@ -99,6 +103,9 @@ def test_the_check_finds_unreferenced_definitions():
         "m.Box.method", "m.helper.inner", "m.recursive"]
     other = "from m import recursive\nrecursive(3)\n"
     assert unreferenced_definitions({"m": source, "n": other}) == [
+        "m.Box.method", "m.helper.inner"]
+    local = "def tally(rows):\n    method = len(rows)\n    return method\ntally([])\n"
+    assert unreferenced_definitions({"m": source, "n": other, "o": local}) == [
         "m.Box.method", "m.helper.inner"]
 
 

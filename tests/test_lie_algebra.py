@@ -86,8 +86,8 @@ def test_generate_n20_hand_table():
 
 def test_structure_table_accessors():
     t = generate_table(Signature(2, 0))
-    assert t.entry(1, 3) == (1, 1)
-    assert t.entry(1, 2) is None
+    assert t.cells.get((1, 3)) == (1, 1)
+    assert t.cells.get((1, 2)) is None
 
 
 def test_tables_are_antisymmetric():

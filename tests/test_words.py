@@ -6,6 +6,8 @@ import pytest
 
 from conftest import (mask_letters, norm_sign, random_canonical_word,
                       random_signature, slow_word_mul)
+from htype.basis_builder import configured_signatures, reference_config
+from htype.clifford_rep import find_involution_system
 from htype.words import (
     Involution,
     Signature,
@@ -14,7 +16,6 @@ from htype.words import (
     format_word,
     letter_mask,
     mul_sign,
-    reduce_mod_system,
     sign_form_transposed,
     span_products,
 )
@@ -214,42 +215,72 @@ def test_check_involution_system_rejects_bad():
                   Involution(Word(1, (4, 5, 6)), 1)))
 
 
+def slow_span(sig, system):
+    """{mask P: scalar} for every subset product of the system, each
+    multiplied out in system order by the slow word product: prod v =
+    scalar v for prod = prod.sign * J_P."""
+    products = [(Word(1, ()), 1)]
+    for w, sgn in system:
+        products += [(slow_word_mul(sig, prod, w), scalar * sgn) for prod, scalar in products]
+    return {letter_mask(prod.letters): prod.sign * scalar for prod, scalar in products}
+
+
 def test_span_products_and_reduce():
+    """A word reduces modulo a system to its sign times the span's
+    scalar at its mask, and only a member mask reduces.  The span is held
+    against the slow word product on random systems, on the 34 stored
+    systems and on each with every eigensign flipped, and on the searched
+    system of each of the 80 grid signatures."""
     sig = Signature(6, 0)
     system = (Involution(Word(1, (1, 2, 3, 4)), 1),
               Involution(Word(1, (1, 2, 5, 6)), 1))
     table = span_products(sig, system)
     assert len(table) == 4
     assert letter_mask((3, 4, 5, 6)) in table
-    assert reduce_mod_system(sig, system, Word(1, (1, 2, 3, 4))) == 1
-    assert reduce_mod_system(sig, system, Word(-1, (1, 2, 3, 4))) == -1
-    with pytest.raises(ValueError):
-        reduce_mod_system(sig, system, Word(1, (1, 2)))
+    assert table[letter_mask((1, 2, 3, 4))] == 1
+    assert -table[letter_mask((1, 2, 3, 4))] == -1  # the word -J1J2J3J4
+    assert letter_mask((1, 2)) not in table
     dependent = (Involution(Word(1, (1, 2, 3, 4)), 1), Involution(Word(-1, (1, 2, 3, 4)), -1))
     with pytest.raises(ValueError, match="^involution letter sets are not independent$"):
         span_products(sig, dependent)
     rng = random.Random(59)
+    cases = []
     for _ in range(50):
         sig = Signature(rng.randint(4, 8), 8)
-        system = [Involution(Word(rng.choice((1, -1)), letters), rng.choice((1, -1)))
-                  for letters in ((1, 2, 3), (1, 4, 5), (6, 7, 8), (9, 10, 11, 12))]
+        cases.append((sig, [Involution(Word(rng.choice((1, -1)), letters), rng.choice((1, -1)))
+                            for letters in ((1, 2, 3), (1, 4, 5), (6, 7, 8), (9, 10, 11, 12))]))
+    for key in configured_signatures():
+        system = reference_config(Signature(*key)).involutions
+        flipped = [Involution(w, -sgn) for w, sgn in system]
+        cases += [(Signature(*key), system), (Signature(*key), flipped)]
+    cases += [(Signature(r, s), find_involution_system(Signature(r, s)))
+              for r in range(9) for s in range(9) if r + s]
+    assert len(cases) == 50 + 2 * 34 + 80
+    for sig, system in cases:
         table = span_products(sig, system)
-        assert len(table) == 16
-        for size in range(len(system) + 1):
-            for subset in itertools.combinations(system, size):
-                prod, scalar = Word(1, ()), 1
-                for w, sgn in subset:
-                    prod = slow_word_mul(sig, prod, w)
-                    scalar *= sgn
-                # prod v = scalar v, with prod = prod.sign * J_P
-                assert table[letter_mask(prod.letters)] == prod.sign * scalar
+        assert len(table) == 2 ** len(system)
+        assert table == slow_span(sig, system), (sig, system)
 
 
 def test_reduce_respects_eigensigns():
     sig = Signature(6, 0)
     system = (Involution(Word(1, (1, 2, 3, 4)), -1),
               Involution(Word(1, (1, 2, 5, 6)), 1))
-    assert reduce_mod_system(sig, system, Word(1, (1, 2, 3, 4))) == -1
+    table = span_products(sig, system)
+    assert table[letter_mask((1, 2, 3, 4))] == -1
     product = slow_word_mul(sig, Word(1, (1, 2, 3, 4)), Word(1, (1, 2, 5, 6)))
-    scalar = reduce_mod_system(sig, system, product)
+    scalar = product.sign * table[letter_mask(product.letters)]
     assert scalar == -1
+
+
+def test_span_products_tests_each_word_for_letters_out_of_range():
+    """A lone word with letter 0 or n + 1 raises, naming the least letter
+    outside 1..n of the first word, in order, that has one."""
+    sig = Signature(3, 0)
+    cases = [([(1, 2, 4)], 4), ([(0, 1, 2)], 0), ([(0, 2, 4)], 0),
+             ([(1, 2), (2, 3, 4)], 4), ([(1, 4), (0, 2)], 4)]
+    for letter_sets, letter in cases:
+        system = [Involution(Word(1, letters), 1) for letters in letter_sets]
+        with pytest.raises(ValueError) as exc:
+            span_products(sig, system)
+        assert str(exc.value) == "letter %d out of range for Signature(r=3, s=0)" % letter
