@@ -23,7 +23,6 @@ s mod 4, since Cl(4,4) = R(16).
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import isqrt
 
 from . import exactlin
@@ -104,17 +103,31 @@ def _candidates(sig):
     bitset stands for masks[i].
 
     A candidate is a 3- or 4-letter set with an even number of letters
-    above r.  In tuple order each 3-set t comes first, then each t + (y,)
-    with y > t[2].  So t is kept when its count above r is even, and its
-    extensions are those whose y leaves the count even: y <= r when t is
-    kept, y > r when it is not.  The list is emitted in that order, and
-    no 4-letter set outside it is built.
+    above r.  Tuple order is lexicographic order on the increasing letter
+    tuples (Knuth, TAOCP 4A, sec. 7.2.1.3), a 3-set coming just before
+    its extensions.  So the candidates whose two least letters are a < b
+    form one contiguous run, and the runs come in lexicographic order of
+    (a, b): each run is {a, b} + t for t in tails[b][p], the tails above
+    b in tuple order whose count above r has the parity p of {a, b}'s.
+    A tail is (c,) or (c, y) with b < c < y, and tails[b] is block(c)
+    for c = b + 1, followed by tails[c].  The parity rule fixes each
+    block: (c,) is kept when its count above r is p, and then its
+    extensions are (c, y) for y in c+1..r, which leave the count as it
+    is; otherwise they are (c, y) for y in max(c, r)+1..n.  So every
+    tail list is built from the next one by one concatenation per
+    parity, and the list of candidates by one extend per pair (a, b)
+    with b < n: n - 2 and C(n - 1, 2) loop turns, 13 and 91 at (8,7),
+    against 917 candidates.  Each tail list has a flag string, b"1" for
+    a 1-letter tail and b"0" for a 2-letter one, and the strings joined
+    in the same order are odd in base 2, read backwards.
 
     The candidates are masks, not letter tuples: a search tries only a
     few of them (11 of 917 at (8,7)), and a tuple per candidate, kept
     until the search returns, is enough container objects to set off a
     garbage collection in every search at the top of the grid.  The
-    bitsets are read off all the masks at once, by transposing them.
+    tail lists are about 2n containers whatever the candidate count, and
+    they go when the call returns.
+    The bitsets are read off all the masks at once, by transposing them.
     Each mask becomes width = (n >> 3) + 1 bytes, enough for masks below
     2^(n+1), in little-endian order by the explicit argument, so byte
     x >> 3 of a mask holds its bit x whatever the host's byte order.
@@ -122,20 +135,30 @@ def _candidates(sig):
     mask in order; translate maps each byte to b"1" when its bit x & 7
     is set and to b"0" otherwise, and the string reversed, so that
     candidate 0 comes last, is containing[x] in base 2 (empty, read as
-    0, when n < 3 leaves no candidate).  odd is read the same way off
-    bit 0 of each mask's letter count, 3 or 4.
+    0, when n < 3 leaves no candidate).
     """
     n, r = sig.n, sig.r
-    masks = []
-    for a, b, c in combinations(range(1, n + 1), 3):
-        m = 1 << a | 1 << b | 1 << c
-        if (m >> r + 1).bit_count() & 1:
-            ys = range(max(c, r) + 1, n + 1)
+    bit = [1 << x for x in range(n + 1)]
+    # tails[b][p], flags[b][p]: the tails above b whose count above r has
+    # parity p, with their flag string.
+    tails = [None] * n + [([], [])]
+    flags = [None] * n + [(b"", b"")]
+    for c in range(n, 2, -1):
+        kept = [bit[c]]
+        kept += map(bit[c].__or__, bit[c + 1:r + 1])
+        other = list(map(bit[c].__or__, bit[max(c, r) + 1:]))
+        one, zero = b"1" + b"0" * (len(kept) - 1), b"0" * len(other)
+        (t0, t1), (f0, f1) = tails[c], flags[c]
+        if c > r:
+            tails[c - 1], flags[c - 1] = (other + t0, kept + t1), (zero + f0, one + f1)
         else:
-            masks.append(m)
-            ys = range(c + 1, r + 1)
-        for y in ys:
-            masks.append(m | 1 << y)
+            tails[c - 1], flags[c - 1] = (kept + t0, other + t1), (one + f0, zero + f1)
+    masks, odd = [], []
+    for a in range(1, n - 1):
+        for b in range(a + 1, n):
+            p = (a > r) ^ (b > r)
+            masks += map((bit[a] | bit[b]).__or__, tails[b][p])
+            odd.append(flags[b][p])
     count, width = len(masks), (n >> 3) + 1
     packed = b"".join(map(int.to_bytes, masks, [width] * count, ["little"] * count))
     containing = [0]
@@ -143,8 +166,7 @@ def _candidates(sig):
         half = 1 << (x & 7)
         bit_set = (b"0" * half + b"1" * half) * (128 >> (x & 7))
         containing.append(int(packed[x >> 3::width].translate(bit_set)[::-1] or b"0", 2))
-    odd = int(bytes(map(int.bit_count, masks)).translate(b"01" * 128)[::-1] or b"0", 2)
-    return masks, containing, odd
+    return masks, containing, int(b"".join(odd)[::-1] or b"0", 2)
 
 
 def find_involution_system(sig, k=None):

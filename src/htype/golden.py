@@ -43,13 +43,27 @@ def golden_signatures():
                   for name in os.listdir(_DATA_DIR) if name.endswith(".json"))
 
 
+def _shape_error(groups):
+    """The loader's error for the first row of groups, (name, rows,
+    width) triples, that is not a list of width entries.  It is built
+    only once a row has failed to flatten or to unpack, so a good file
+    makes no pass over its cells for it."""
+    for name, rows, width in groups:
+        for row in rows:
+            if type(row) is not list or len(row) != width:
+                return ValueError("table data has %s %r, not a list of %d ints"
+                                  % (name, row, width))
+
+
 def table_from_data(data):
     """Validate a raw table dict and build the StructureTable.
 
-    Rejects missing keys, bad checksums, a sig, dim or cell entry that
-    is not an int (1.0 and True included), duplicate cells and every
-    break of the cell rules of lie_algebra.cell_errata, so a damaged
-    file never loads quietly.
+    Rejects missing keys, bad checksums, a cell that is not a list of
+    four ints, a sig or missing cell that is not a list of two, a table
+    number, dim or entry that is not an int (1.0 and True included),
+    duplicate cells and every break of the cell rules of
+    lie_algebra.cell_errata, so a damaged file never loads quietly.
+    Every rejection is a ValueError in the loader's own words.
     """
     required = {"table", "sig", "dim", "cells", "sha256"}
     missing_keys = required - set(data)
@@ -61,21 +75,34 @@ def table_from_data(data):
     ).hexdigest()
     if digest != data["sha256"]:
         raise ValueError("table data fails its checksum")
-    entries = {"sig": data["sig"], "dim": [data["dim"]],
-               "cell": list(chain.from_iterable(data["cells"])),
-               "missing cell": list(chain.from_iterable(data.get("missing", [])))}
+    sig, rows, holes = data["sig"], data["cells"], data.get("missing", [])
+    for key, value in (("cells", rows), ("missing", holes)):
+        if type(value) is not list:
+            raise ValueError("table data has %s %r, not a list" % (key, value))
+    groups = (("sig", [sig], 2), ("cell", rows, 4), ("missing cell", holes, 2))
+    try:
+        entries = {"table": [data["table"]], "sig": list(sig), "dim": [data["dim"]],
+                   "cell": list(chain.from_iterable(rows)),
+                   "missing cell": list(chain.from_iterable(holes))}
+    except TypeError:
+        raise _shape_error(groups) from None
     for name, values in entries.items():
         if not set(map(type, values)) <= {int}:
             bad = next(x for x in values if type(x) is not int)
             raise ValueError("table data has %s entry %r, not an int"
                              % (name, bad))
-    cells = {}
-    for a, b, k, sign in data["cells"]:
-        if (a, b) in cells:
-            raise ValueError("duplicate cell (%d, %d)" % (a, b))
-        cells[(a, b)] = (k, sign)
-    r, s = data["sig"]
-    holes = frozenset((a, b) for a, b in data.get("missing", []))
+    try:
+        r, s = sig
+        cells = {(a, b): (k, sign) for a, b, k, sign in rows}
+        holes = frozenset((a, b) for a, b in holes)
+    except ValueError:
+        raise _shape_error(groups) from None
+    if len(cells) < len(rows):
+        seen = set()
+        for a, b, _k, _sign in rows:
+            if (a, b) in seen:
+                raise ValueError("duplicate cell (%d, %d)" % (a, b))
+            seen.add((a, b))
     label = "reference table %d" % data["table"]
     table = StructureTable(Signature(r, s), data["dim"], cells, holes, label)
     errata = cell_errata(table)

@@ -213,13 +213,19 @@ def _table_from_masks(sig, system, basis, label=""):
     above_r = sig.r + 1
     # Each sign as a parity, 1 where it is -1: tau_a, and by the key c_b,
     # tau_b nu_b, nu_b from the letters of M_b above r.
-    where, a_side = {}, []
+    # A letter outside 1..n cannot break this loop, as c is the coset key
+    # of m and so m ^ c is a sum of rows, a key of span; the letters of
+    # all the words are tested at once after it.
+    where, a_side, union = {}, [], 0
     for a, (m, c, sign) in enumerate(zip(masks, keys, signs), 1):
-        check_letters(sig, m)
+        union |= m
         p = m ^ c  # tau_a = sigma_a mul_sign(c_a, P_a) span[P_a]
         t = (sign_form(sig, c) & p).bit_count() & 1 ^ (sign < 0) ^ (span[p] < 0)
         where[c] = (a, t ^ (m >> above_r).bit_count() & 1)
         a_side.append((a, c, t))
+    if union & (-(2 << sig.n) | 1):  # some word holds bit 0 or one above n
+        for m in masks:
+            check_letters(sig, m)
     cells = {}
     for k in range(1, sig.n + 1):
         bit = 1 << k

@@ -385,6 +385,17 @@ def test_importing_the_cli_leaves_out_resources_and_csv():
     assert out == "[]\n"
 
 
+def test_importing_the_cli_leaves_out_struct_and_array():
+    """A fresh interpreter that imports htype.cli loads neither struct nor
+    array: the search packs its candidates with int.to_bytes, as either
+    module would cost every command more import time than it saves."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import htype.cli; "
+            "print(sorted({'struct', 'array'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -318,12 +318,14 @@ def test_a_search_runs_no_garbage_collection():
 def test_commuting_bitsets_agree_with_words_commute():
     """The candidates' masks and the per-letter bitsets on the whole grid
     and past it, at (12,5), (3,17) and (20,0), where letters reach 16 and
-    more and each mask packs into three bytes; on (4,4), the anticommute
-    set the search builds from containing and odd, for every pair of
-    candidates."""
+    more and each mask packs into three bytes, and at the edges of the
+    tail lists: (0,20), where every letter lies above r, and (1,19) and
+    (19,1), where one letter sits alone on its side of r; on (4,4), the
+    anticommute set the search builds from containing and odd, for every
+    pair of candidates."""
     keys = [(r, s) for r in range(9) for s in range(9) if r + s]
     assert len(keys) == 80
-    for key in keys + [(12, 5), (3, 17), (20, 0)]:
+    for key in keys + [(12, 5), (3, 17), (20, 0), (0, 20), (1, 19), (19, 1)]:
         sig = Signature(*key)
         cands = search_oracle._candidate_sets(sig)
         masks, containing, odd = _candidates(sig)

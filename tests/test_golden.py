@@ -171,6 +171,51 @@ def test_loader_rejects_non_integer_entries():
             table_from_data(resign(data))
 
 
+MALFORMED = [
+    ("cells", [1, 2], "table data has cell 1, not a list of 4 ints"),
+    ("cells", [[1, 2, 1]], "table data has cell [1, 2, 1], not a list of 4 ints"),
+    ("cells", [[1, 2, 1, 1], [2, 1, 1]],
+     "table data has cell [2, 1, 1], not a list of 4 ints"),
+    ("cells", 5, "table data has cells 5, not a list"),
+    ("sig", 5, "table data has sig 5, not a list of 2 ints"),
+    ("sig", [1], "table data has sig [1], not a list of 2 ints"),
+    ("missing", [7], "table data has missing cell 7, not a list of 2 ints"),
+    ("missing", [[1, 2, 3]], "table data has missing cell [1, 2, 3], not a list of 2 ints"),
+    ("missing", 7, "table data has missing 7, not a list"),
+    ("table", "x", "table data has table entry 'x', not an int"),
+    ("table", True, "table data has table entry True, not an int"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", MALFORMED,
+                         ids=["cell_not_a_list", "cell_of_3", "second_cell_of_3",
+                              "cells_not_a_list", "sig_not_a_list", "sig_of_1",
+                              "missing_cell_not_a_list", "missing_cell_of_3",
+                              "missing_not_a_list", "table_a_str", "table_a_bool"])
+def test_loader_names_malformed_data_with_a_valid_checksum(key, value, message):
+    """A re-checksummed n10.json with an entry of the wrong shape, or a
+    table number that is not an int, is refused with ValueError in the
+    loader's own words.  Each raised TypeError or Python's unpacking
+    error, or loaded, before."""
+    data = raw_data(1, 0)
+    data[key] = value
+    with pytest.raises(ValueError) as exc:
+        table_from_data(resign(data))
+    assert str(exc.value) == message
+
+
+def test_shipped_tables_load_as_their_files_read():
+    """Every shipped file loads to exactly the cells, holes, signature,
+    dimension and label it holds."""
+    for key in golden_signatures():
+        data = raw_data(*key)
+        table = table_from_data(data)
+        assert table.cells == {(a, b): (k, s) for a, b, k, s in data["cells"]}
+        assert table.missing == frozenset(map(tuple, data.get("missing", [])))
+        assert (table.sig, table.dim) == (Signature(*data["sig"]), data["dim"])
+        assert table.label == "reference table %d" % data["table"]
+
+
 def test_loader_rejects_what_cell_errata_names():
     for key in ((1, 0), (2, 2), (5, 1)):
         base = raw_data(*key)

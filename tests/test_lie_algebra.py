@@ -749,6 +749,30 @@ def test_the_writer_names_the_first_letter_out_of_range():
             assert str(exc.value) == message, (bad, letter)
 
 
+def test_the_writer_tests_each_word_only_when_a_letter_is_out_of_range(monkeypatch):
+    """The writer tests the letters of all its words at once: a table of
+    good words, stored or derived, makes no per-word letter test, and a
+    bad letter sends every word up to the first bad one through it."""
+    calls, inner = [], lie_algebra.check_letters
+
+    def check(sig, mask):
+        calls.append(mask)
+        inner(sig, mask)
+    monkeypatch.setattr(lie_algebra, "check_letters", check)
+    for key in configured_signatures():
+        generate_table(Signature(*key))
+    for key in ((6, 6), (8, 7), (0, 8)):
+        derive_table(Signature(*key))
+    assert calls == []
+    sig = Signature(6, 0)
+    config = reference_config(sig)
+    bad = list(config.basis_words)
+    bad[2] = Word(1, bad[2].letters + (7,))
+    with pytest.raises(ValueError, match="^letter 7 out of range"):
+        _table_from_masks(sig, config.involutions, _word_masks(config.involutions, bad))
+    assert len(calls) == 3
+
+
 def test_the_writer_raises_its_errors_in_order():
     """The coset count comes first, then a missed or repeated coset, then
     a letter out of range, in both writers."""
