@@ -117,9 +117,7 @@ def _candidates(sig):
     tail list is built from the next one by one concatenation per
     parity, and the list of candidates by one extend per pair (a, b)
     with b < n: n - 2 and C(n - 1, 2) loop turns, 13 and 91 at (8,7),
-    against 917 candidates.  Each tail list has a flag string, b"1" for
-    a 1-letter tail and b"0" for a 2-letter one, and the strings joined
-    in the same order are odd in base 2, read backwards.
+    against 917 candidates.
 
     The candidates are masks, not letter tuples: a search tries only a
     few of them (11 of 917 at (8,7)), and a tuple per candidate, kept
@@ -135,38 +133,33 @@ def _candidates(sig):
     mask in order; translate maps each byte to b"1" when its bit x & 7
     is set and to b"0" otherwise, and the string reversed, so that
     candidate 0 comes last, is containing[x] in base 2 (empty, read as
-    0, when n < 3 leaves no candidate).
+    0, when n < 3 leaves no candidate).  And odd is the XOR of
+    containing[1..n]: a candidate holds 3 or 4 letters, so it holds 3
+    exactly when an odd number of the letter bitsets hold it.
     """
     n, r = sig.n, sig.r
     bit = [1 << x for x in range(n + 1)]
-    # tails[b][p], flags[b][p]: the tails above b whose count above r has
-    # parity p, with their flag string.
+    # tails[b][p]: the tails above b whose count above r has parity p.
     tails = [None] * n + [([], [])]
-    flags = [None] * n + [(b"", b"")]
     for c in range(n, 2, -1):
         kept = [bit[c]]
         kept += map(bit[c].__or__, bit[c + 1:r + 1])
         other = list(map(bit[c].__or__, bit[max(c, r) + 1:]))
-        one, zero = b"1" + b"0" * (len(kept) - 1), b"0" * len(other)
-        (t0, t1), (f0, f1) = tails[c], flags[c]
-        if c > r:
-            tails[c - 1], flags[c - 1] = (other + t0, kept + t1), (zero + f0, one + f1)
-        else:
-            tails[c - 1], flags[c - 1] = (kept + t0, other + t1), (one + f0, zero + f1)
-    masks, odd = [], []
+        t0, t1 = tails[c]
+        tails[c - 1] = (other + t0, kept + t1) if c > r else (kept + t0, other + t1)
+    masks = []
     for a in range(1, n - 1):
         for b in range(a + 1, n):
-            p = (a > r) ^ (b > r)
-            masks += map((bit[a] | bit[b]).__or__, tails[b][p])
-            odd.append(flags[b][p])
+            masks += map((bit[a] | bit[b]).__or__, tails[b][(a > r) ^ (b > r)])
     count, width = len(masks), (n >> 3) + 1
     packed = b"".join(map(int.to_bytes, masks, [width] * count, ["little"] * count))
-    containing = [0]
+    containing, odd = [0], 0
     for x in range(1, n + 1):
         half = 1 << (x & 7)
         bit_set = (b"0" * half + b"1" * half) * (128 >> (x & 7))
         containing.append(int(packed[x >> 3::width].translate(bit_set)[::-1] or b"0", 2))
-    return masks, containing, int(b"".join(odd)[::-1] or b"0", 2)
+        odd ^= containing[x]
+    return masks, containing, odd
 
 
 def find_involution_system(sig, k=None):

@@ -22,6 +22,7 @@ import os
 from itertools import chain
 
 from .basis_builder import ALIASES, reference_config
+from .clifford_rep import minimal_admissible_dimension
 from .lie_algebra import (
     StructureTable,
     _table_from_masks,
@@ -58,13 +59,18 @@ def _shape_error(groups):
 def table_from_data(data):
     """Validate a raw table dict and build the StructureTable.
 
-    Rejects missing keys, bad checksums, a cell that is not a list of
-    four ints, a sig or missing cell that is not a list of two, a table
-    number, dim or entry that is not an int (1.0 and True included),
-    duplicate cells and every break of the cell rules of
-    lie_algebra.cell_errata, so a damaged file never loads quietly.
+    Rejects data that is not a dict, missing keys, bad checksums, a cell
+    that is not a list of four ints, a sig or missing cell that is not a
+    list of two, a table number, dim or entry that is not an int (1.0
+    and True included), a sig off the grid 0 <= r, s <= 8, a dim other
+    than the signature's minimal admissible dimension, duplicate cells
+    and every break of the cell rules of lie_algebra.cell_errata, so a
+    damaged file never loads quietly.  The grid and dim bounds keep
+    verify_htype's work, sized by n and dim, to that of a shipped table.
     Every rejection is a ValueError in the loader's own words.
     """
+    if not isinstance(data, dict):
+        raise ValueError("table data has type %s, not dict" % type(data).__name__)
     required = {"table", "sig", "dim", "cells", "sha256"}
     missing_keys = required - set(data)
     if missing_keys:
@@ -103,8 +109,14 @@ def table_from_data(data):
             if (a, b) in seen:
                 raise ValueError("duplicate cell (%d, %d)" % (a, b))
             seen.add((a, b))
+    if not (0 <= r <= 8 and 0 <= s <= 8):
+        raise ValueError("table data has sig %r, off the grid 0 <= r, s <= 8" % (sig,))
+    dim = minimal_admissible_dimension(r, s)
+    if data["dim"] != dim:
+        raise ValueError("table data has dim %d, not %d, the minimal admissible "
+                         "dimension of (%d,%d)" % (data["dim"], dim, r, s))
     label = "reference table %d" % data["table"]
-    table = StructureTable(Signature(r, s), data["dim"], cells, holes, label)
+    table = StructureTable(Signature(r, s), dim, cells, holes, label)
     errata = cell_errata(table)
     if errata:
         raise ValueError(errata[0])

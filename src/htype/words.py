@@ -98,14 +98,11 @@ def sign_form(sig, a):
 def sign_form_transposed(sig, b):
     """The transpose g of sign_form, with |sign_form(A) & b| = |A & g| for
     every mask A: bit y is set when an odd number of the letters of mask
-    b lie below y, xor when y is in b & {1..r}.  b holds letters 1..n."""
-    form = b & ((2 << sig.r) - 2)
-    top = 2 << sig.r + sig.s
-    while b > 0:
-        low = b & -b
-        b ^= low
-        form ^= top - (low << 1)
-    return form
+    b lie below y, xor when y is in b & {1..r}.  b holds letters 1..n.
+    So g is sign_form(b) ^ b, xor every bit 0..n when |b| is odd, as the
+    letters of b below y and above y number |b| - [y in b]."""
+    form = sign_form(sig, b) ^ b
+    return form ^ ((2 << sig.r + sig.s) - 1) if b.bit_count() & 1 else form
 
 
 def format_word(w):

@@ -1,0 +1,143 @@
+"""Seeded structural fuzzing of the golden loader.
+
+Each case takes one of the shipped table files and replaces one to three
+of its JSON nodes, the root included, with None, a bool, a float, a
+string, a list, a dict or +-10^30, and then reseals the checksum.  Half
+of the nodes are drawn from the header (the root, its values and the
+entries of sig), as the header sizes everything the loader and
+verify_htype build; the rest uniformly from all nodes.
+
+The contract: golden.table_from_data raises ValueError, or it loads a
+table that lie_algebra.verify_htype judges without raising.  Each case
+runs under signal.alarm, and the loop under a lowered soft RLIMIT_AS,
+restored afterwards, so a case that hangs or grows without bound fails
+its own check instead of stalling or exhausting the host.
+
+The cases are a fixed sequence from SEED, so any count repeats the
+first cases of every larger one.  Tier-1 checks LOADER_CASES of them;
+to check ten times as many, run from the repository root
+
+    PYTHONPATH=src:tests python -c 'import fuzz; fuzz.check_loader(10 * fuzz.LOADER_CASES)'
+"""
+
+import json
+import random
+import resource
+import signal
+
+from conftest import raw_data, resign
+from htype.golden import golden_signatures, table_from_data
+from htype.lie_algebra import verify_htype
+
+SEED = 1604
+LOADER_CASES = 6000
+CASE_SECONDS = 2
+# Address space the loop may add to the process's own, in bytes.
+HEADROOM = 1 << 30
+HUGE = 10 ** 30
+
+# One maker per kind of replacement; each call builds a fresh value, so
+# a later edit inside a replaced list or dict changes no other case.
+REPLACEMENTS = (
+    lambda rng: None,
+    lambda rng: rng.random() < 0.5,
+    lambda rng: rng.choice((0.0, 1.0, 2.5, -1.0)),
+    lambda rng: rng.choice(("", "1", "sig")),
+    lambda rng: [[], [1], [1, 0], [[1, 2, 1, 1]]][rng.randrange(4)],
+    lambda rng: [{}, {"sig": [1, 0]}][rng.randrange(2)],
+    lambda rng: rng.choice((HUGE, -HUGE)),
+)
+
+
+class CaseTimeout(BaseException):
+    """Raised by the alarm; no handler in the package catches it."""
+
+
+def _on_alarm(signum, frame):
+    raise CaseTimeout("no verdict within %d s" % CASE_SECONDS)
+
+
+def _paths(node, path=()):
+    """The path of node and of every node below it, keys and indices."""
+    yield path
+    if type(node) is dict:
+        items = node.items()
+    elif type(node) is list:
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _replace(data, path, value):
+    """data with the node at path replaced by value (value itself for
+    the root)."""
+    if not path:
+        return value
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def cases(count):
+    """count (file name, edits, data) triples: data is the resealed
+    mutation, edits the list of (path, replacement) made in order."""
+    rng = random.Random(SEED)
+    texts = {"n%d%d.json" % key: json.dumps(raw_data(*key)) for key in golden_signatures()}
+    names = sorted(texts)
+    for _ in range(count):
+        name = rng.choice(names)
+        data = json.loads(texts[name])
+        edits = []
+        for _ in range(rng.randint(1, 3)):
+            paths = list(_paths(data))
+            header = [p for p in paths if len(p) <= 1 or p[0] == "sig"]
+            path = rng.choice(header if rng.random() < 0.5 else paths)
+            value = rng.choice(REPLACEMENTS)(rng)
+            edits.append((path, repr(value)))
+            data = _replace(data, path, value)
+        if type(data) is dict:
+            resign(data)
+        yield name, edits, data
+
+
+def _judge(data):
+    try:
+        table = table_from_data(data)
+    except ValueError:
+        return
+    verify_htype(table)
+
+
+def _address_space():
+    """The process's address space in bytes, from /proc/self/statm."""
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[0]) * resource.getpagesize()
+
+
+def check_loader(count):
+    """Check the contract on the first count cases; raise
+    AssertionError naming the first case that breaks it."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = _address_space() + HEADROOM
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    handler = signal.signal(signal.SIGALRM, _on_alarm)
+    try:
+        if soft == resource.RLIM_INFINITY or soft > cap:
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+        for index, (name, edits, data) in enumerate(cases(count)):
+            signal.alarm(CASE_SECONDS)
+            try:
+                _judge(data)
+            except (Exception, CaseTimeout) as exc:
+                raise AssertionError("case %d of seed %d, %s with %s: %s: %s"
+                                     % (index, SEED, name, edits, type(exc).__name__, exc)) from exc
+            finally:
+                signal.alarm(0)
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        signal.signal(signal.SIGALRM, handler)

@@ -204,6 +204,66 @@ def test_loader_names_malformed_data_with_a_valid_checksum(key, value, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("data, message", [
+    (None, "table data has type NoneType, not dict"),
+    (5, "table data has type int, not dict"),
+    (True, "table data has type bool, not dict"),
+    (["table", "sig", "dim", "cells", "sha256"], "table data has type list, not dict"),
+    ("tablesigdimcellssha256", "table data has type str, not dict"),
+], ids=["none", "int", "bool", "list_of_the_keys", "str"])
+def test_loader_names_data_that_is_not_a_dict(data, message):
+    """None, 5 and True raised TypeError, a list of the five key names
+    AttributeError, and a string "table data lacks [...]"."""
+    with pytest.raises(ValueError) as exc:
+        table_from_data(data)
+    assert str(exc.value) == message
+
+
+def test_loader_rejects_a_huge_dim():
+    """A re-checksummed n10.json with dim 10^30 loaded, and verify_htype
+    then raised OverflowError sizing its maps by the dim."""
+    data = raw_data(1, 0)
+    data["dim"] = 10 ** 30
+    with pytest.raises(ValueError) as exc:
+        table_from_data(resign(data))
+    assert str(exc.value) == ("table data has dim %d, not 2, the minimal admissible "
+                              "dimension of (1,0)" % 10 ** 30)
+
+
+def test_loader_rejects_a_signature_off_the_grid():
+    """A re-checksummed n10.json with sig [10^30, 0] loaded, and
+    verify_htype then never returned, building one map per central
+    element.  A negative r is off the grid too, and is named the same
+    way rather than by Signature."""
+    for sig in ([10 ** 30, 0], [1, 10 ** 30], [9, 0], [-1, 2]):
+        data = raw_data(1, 0)
+        data["sig"] = sig
+        with pytest.raises(ValueError) as exc:
+            table_from_data(resign(data))
+        assert str(exc.value) == "table data has sig %r, off the grid 0 <= r, s <= 8" % (sig,)
+
+
+def test_loader_rejects_twice_the_minimal_dim():
+    """n10.json with dim 4 and its own cells would pass cell_errata,
+    which bounds cells by the dim but cannot see that the module is too
+    large for its signature."""
+    data = raw_data(1, 0)
+    data["dim"] = 4
+    with pytest.raises(ValueError) as exc:
+        table_from_data(resign(data))
+    assert str(exc.value) == ("table data has dim 4, not 2, the minimal admissible "
+                              "dimension of (1,0)")
+
+
+def test_resealed_mutations_of_the_shipped_files_keep_the_loader_contract():
+    """fuzz.LOADER_CASES seeded mutations of the 31 files, each resealed:
+    every one raises ValueError or loads a table that verify_htype judges
+    without raising (see tests/fuzz.py).  fuzz is imported here, as it
+    needs the POSIX resource module and /proc."""
+    import fuzz
+    fuzz.check_loader(fuzz.LOADER_CASES)
+
+
 def test_shipped_tables_load_as_their_files_read():
     """Every shipped file loads to exactly the cells, holes, signature,
     dimension and label it holds."""
