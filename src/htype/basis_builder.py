@@ -10,9 +10,9 @@ words to hit each coset of letter masks modulo the span of the system
 once, which also makes every pairing <W_a v, W_b v> with a != b vanish.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .words import Involution, Word
+from .words import Involution, Record, Word
 
 
 def _w(sign, *letters):
@@ -23,11 +23,9 @@ def _p(*letters):
     return Involution(Word(1, letters), 1)
 
 
-@dataclass(frozen=True)
-class ReferenceConfig:
-    involutions: tuple = ()
-    basis_words: tuple = ()
-    relations: tuple = ()
+class ReferenceConfig(Record, namedtuple("ReferenceConfig", "involutions basis_words relations",
+                                         defaults=((), (), ()))):
+    __slots__ = ()
 
 
 _CONFIGS = {

@@ -22,11 +22,11 @@ admissible module doubles the irreducible one only on (r - s) mod 8 and
 s mod 4, since Cl(4,4) = R(16).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from . import exactlin
-from .words import Involution, Signature, Word
+from .words import Involution, Record, Word
 
 
 class ConstructionError(Exception):
@@ -43,11 +43,8 @@ _ALGEBRA_DIM = {"R": 1, "R2": 2, "C": 2, "H": 4, "H2": 8}
 _DOUBLED = ("0110", "0100", "0000", "0101", "0000", "0001", "0011", "0111")
 
 
-@dataclass(frozen=True)
-class CliffordType:
-    kind: str
-    size: int
-    doubled: bool
+class CliffordType(Record, namedtuple("CliffordType", "kind size doubled")):
+    __slots__ = ()
 
     @property
     def label(self):
@@ -301,8 +298,7 @@ def find_involution_system(sig, k=None):
     raise ConstructionError("no involution system of size %d for %s" % (k, sig))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Record, namedtuple("GeneratorSet", "sig dim ops form_v")):
     """Generators J_1 ... J_n on a module with a diagonal +-1 form.
 
     sig is the signature (r, s), dim the module dimension, ops[i - 1]
@@ -312,10 +308,7 @@ class GeneratorSet:
     to signs[p] e_perm[p].
     """
 
-    sig: Signature
-    dim: int
-    ops: tuple
-    form_v: tuple
+    __slots__ = ()
 
     def apply_word(self, w):
         """The word w in these generators, as the lists (perm, signs):

@@ -16,7 +16,6 @@ whose module is two copies of the (7, 0) module with opposite central
 action.
 """
 
-import hashlib
 import json
 import os
 from itertools import chain
@@ -75,6 +74,7 @@ def table_from_data(data):
     missing_keys = required - set(data)
     if missing_keys:
         raise ValueError("table data lacks %s" % sorted(missing_keys))
+    import hashlib  # here, not at the top: gen and dims load no table, so never need it
     payload = {k: v for k, v in data.items() if k != "sha256"}
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()

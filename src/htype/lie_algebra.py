@@ -107,15 +107,14 @@ compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from operator import itemgetter
 
 from . import exactlin
 from .basis_builder import reference_config
 from .clifford_rep import (ConstructionError, find_involution_system,
                            minimal_admissible_dimension)
-from .words import (Signature, check_letters, letter_mask, sign_form, sign_form_transposed,
+from .words import (Record, check_letters, letter_mask, sign_form, sign_form_transposed,
                     span_products)
 
 EXACT = "exact"
@@ -123,31 +122,21 @@ SIGN_EQUIVALENT = "sign-equivalent"
 UNMATCHED = "unmatched"
 
 
-@dataclass(frozen=True)
-class StructureTable:
-    sig: Signature
-    dim: int
-    cells: dict
-    missing: frozenset = frozenset()
-    label: str = ""
+class StructureTable(Record, namedtuple("StructureTable", "sig dim cells missing label",
+                                        defaults=(frozenset(), ""))):
+    __slots__ = ()
 
     def sorted_cells(self):
         return [(a, b, k, s) for (a, b), (k, s) in sorted(self.cells.items())]
 
 
-@dataclass(frozen=True)
-class MissingCell:
-    cell: tuple
-    suggestion: object
+class MissingCell(Record, namedtuple("MissingCell", "cell suggestion")):
+    __slots__ = ()
 
 
-@dataclass
-class VerifyReport:
-    sig: Signature
-    label: str
-    errata: list
-    eta: tuple
-    missing: list = field(default_factory=list)
+class VerifyReport(Record, namedtuple("VerifyReport", "sig label errata eta missing",
+                                      defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -612,11 +601,9 @@ def verify_htype(table):
     return VerifyReport(sig, table.label, errata, eta, missing)
 
 
-@dataclass(frozen=True)
-class TableComparison:
-    status: str
-    sigma: tuple = None
-    diffs: tuple = ()
+class TableComparison(Record, namedtuple("TableComparison", "status sigma diffs",
+                                         defaults=(None, ()))):
+    __slots__ = ()
 
 
 def compare_tables(left, right):

@@ -18,20 +18,54 @@ vector): the scalar each subset product takes on that vector, its sign
 read off the transpose sign_form_transposed of the sign rule.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
+class Record:
+    """Mixin for a namedtuple record: equal only to a record of its own
+    type, never to a plain tuple, and hashed as its tuple of fields."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+
 class Signature:
-    """Bilinear form type (r, s): r positive directions, then s negative."""
+    """Bilinear form type (r, s): r positive directions, then s negative.
+    Immutable, and not a tuple, so "%s" % sig formats it whole."""
 
-    r: int
-    s: int
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0 or self.r + self.s < 1:
+    def __init__(self, r, s):
+        if r < 0 or s < 0 or r + s < 1:
             raise ValueError("signature needs r, s >= 0 and r + s >= 1")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("Signature field %r is read-only" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.r, self.s) == (other.r, other.s)
+
+    def __hash__(self):
+        return hash((self.r, self.s))
+
+    def __repr__(self):
+        return "Signature(r=%r, s=%r)" % (self.r, self.s)
+
+    def __reduce__(self):
+        return Signature, (self.r, self.s)
+
+    def _replace(self, **changes):
+        return Signature(changes.pop("r", self.r), changes.pop("s", self.s), **changes)
 
     @property
     def n(self):
@@ -46,9 +80,8 @@ class Signature:
         return "(%d,%d)" % (self.r, self.s)
 
 
-class Word(NamedTuple):
-    sign: int
-    letters: tuple
+class Word(namedtuple("Word", "sign letters")):
+    __slots__ = ()
 
     def __str__(self):
         return format_word(self)
@@ -112,11 +145,10 @@ def format_word(w):
     return body if w.sign == 1 else "-" + body
 
 
-class Involution(NamedTuple):
+class Involution(namedtuple("Involution", "word eigensign")):
     """An involution word together with the sign it takes on the vector."""
 
-    word: Word
-    eigensign: int
+    __slots__ = ()
 
 
 def check_involution_system(sig, system):

@@ -27,7 +27,6 @@ Everything stays in integer arithmetic; no floats ever appear.
 """
 
 import math
-from dataclasses import replace
 from itertools import combinations, product
 
 from htype.clifford_rep import (ConstructionError, GeneratorSet,
@@ -79,7 +78,7 @@ def negated_op(m):
 
 def negated(gens):
     """The same module with every generator replaced by its negative."""
-    return replace(gens, ops=tuple(negated_op(op) for op in gens.ops))
+    return gens._replace(ops=tuple(negated_op(op) for op in gens.ops))
 
 
 def mat_add(a, b):

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -202,7 +201,7 @@ def _damaged_n07(edit):
     table = golden.build_n07()
     cells = dict(table.cells)
     edit(cells)
-    return replace(table, cells=cells)
+    return table._replace(cells=cells)
 
 
 def _flip_first_cell(cells):
@@ -264,7 +263,7 @@ def test_match_unmatched_lists_the_differing_cells(monkeypatch, capsys):
     cells[(1, 2)] = (1, -1)
     del cells[(2, 6)]
     cells[(2, 3)] = (6, -1)
-    damaged = replace(reference, cells=cells)
+    damaged = reference._replace(cells=cells)
     monkeypatch.setattr(golden, "golden_table", lambda r, s: damaged)
     code, out, err = run(capsys, "match", "5", "1")
     assert code == 3
@@ -322,7 +321,7 @@ def test_relations_reports_a_rejected_config_in_one_line(monkeypatch, capsys):
     """A stored (6,0) config with its first basis word repeated in place
     of the last misses a coset: one line on stderr, exit 3."""
     config = basis_builder.reference_config(Signature(6, 0))
-    repeated = replace(config, basis_words=(Word(1, ()),) + config.basis_words[:-1])
+    repeated = config._replace(basis_words=(Word(1, ()),) + config.basis_words[:-1])
     monkeypatch.setitem(basis_builder._CONFIGS, (6, 0), repeated)
     code, out, err = run(capsys, "relations", "6", "0")
     assert code == 3
@@ -340,7 +339,7 @@ def test_relations_reports_a_failing_table_in_one_line(monkeypatch, capsys):
     for key in ((1, 2), (2, 1)):
         k, s = cells[key]
         cells[key] = (k, -s)
-    monkeypatch.setattr(cli, "generate_table", lambda sig: replace(table, cells=cells))
+    monkeypatch.setattr(cli, "generate_table", lambda sig: table._replace(cells=cells))
     code, out, err = run(capsys, "relations", "3", "0")
     assert code == 3
     assert out == ""
@@ -394,6 +393,23 @@ def test_importing_the_cli_leaves_out_struct_and_array():
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_importing_the_cli_leaves_out_dataclasses_typing_and_hashlib():
+    """A fresh interpreter that imports htype.cli loads none of
+    dataclasses, inspect, typing or hashlib, which cost every command
+    over 15 ms of import.  gen and dims still leave hashlib out; verify
+    loads it, for the checksums of the embedded tables."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import htype.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'hashlib'} & set(sys.modules)))\n"
+            "import contextlib, io\n"
+            "for argv in (['gen', '4', '4'], ['dims'], ['verify']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = htype.cli.main(argv)\n"
+            "    print(argv[0], code, 'hashlib' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, SRC],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\ngen 0 False\ndims 0 False\nverify 0 True\n"
 
 
 def test_version_flag(capsys):

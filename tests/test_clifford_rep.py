@@ -1,6 +1,5 @@
 import gc
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -472,7 +471,7 @@ def test_act_word_stops_where_a_map_does_not_act():
     t = derive_table(Signature(2, 0))
     assert t.cells[(1, 2)] == (1, 1)
     cells = {key: val for key, val in t.cells.items() if key not in ((1, 2), (2, 1))}
-    partial = replace(t, cells=cells, missing=frozenset({(1, 2), (2, 1)}))
+    partial = t._replace(cells=cells, missing=frozenset({(1, 2), (2, 1)}))
     eta = verify_htype(partial).eta
     gens = GeneratorSet(partial.sig, partial.dim, reconstruct_J(partial, eta), eta)
     assert gens.act_word(Word(-1, (1,)), (0, 1)) is None

@@ -31,7 +31,6 @@ damage.
 """
 
 import random
-from dataclasses import replace
 
 from dense_oracle import (clifford_failures, identity, mat_mul, mat_neg,
                           mat_scale, metric_adjoint, reconstruct_J,
@@ -110,50 +109,50 @@ def _damaged(table, rng):
 
     cells = dict(table.cells)
     cells[(a, b)] = (k, -s)
-    out.append(("cell flip", replace(table, cells=cells)))
+    out.append(("cell flip", table._replace(cells=cells)))
     if mirror:
         cells = dict(cells)
         cells[(b, a)] = (k, s)
-        out.append(("pair flip", replace(table, cells=cells)))
+        out.append(("pair flip", table._replace(cells=cells)))
 
     if mirror:
         cells = dict(table.cells)
         cells[(a, b)], cells[(b, a)] = (k, 2 * s), (k, -2 * s)
-        out.append(("non-unit pair", replace(table, cells=cells)))
+        out.append(("non-unit pair", table._replace(cells=cells)))
 
     cells = dict(table.cells)
     cells[(a, b)] = (rng.choice([x for x in range(n + 2) if x != k]), s)
-    out.append(("changed k", replace(table, cells=cells)))
+    out.append(("changed k", table._replace(cells=cells)))
     if n >= 2 and mirror:
         other = rng.choice([x for x in range(1, n + 1) if x != k])
         cells = dict(table.cells)
         cells[(a, b)], cells[(b, a)] = (other, s), (other, -s)
-        out.append(("changed k of a pair", replace(table, cells=cells)))
+        out.append(("changed k of a pair", table._replace(cells=cells)))
 
     cells = dict(table.cells)
     del cells[(a, b)]
     cells[(a, rng.choice([x for x in range(1, dim + 2) if x != b]))] = (k, s)
-    out.append(("moved cell", replace(table, cells=cells)))
+    out.append(("moved cell", table._replace(cells=cells)))
 
     cells = dict(table.cells)
     del cells[(a, b)]
     cells.pop((b, a), None)
-    out.append(("deleted pair", replace(table, cells=cells)))
+    out.append(("deleted pair", table._replace(cells=cells)))
 
     cells = dict(table.cells)
     del cells[(a, b)]
-    out.append(("missing cell", replace(
-        table, cells=cells, missing=table.missing | {(a, b)})))
+    out.append(("missing cell", table._replace(
+        cells=cells, missing=table.missing | {(a, b)})))
     if zero:
         hole = rng.choice(zero)
         out.append(("missing zero cell",
-                    replace(table, missing=table.missing | {hole})))
+                    table._replace(missing=table.missing | {hole})))
 
     out.append(("mirror signature",
-                replace(table, sig=Signature(table.sig.s, table.sig.r))))
-    out.append(("dim + 1", replace(table, dim=dim + 1)))
-    out.append(("dim 0", replace(table, dim=0)))
-    out.append(("dim -1", replace(table, dim=-1)))
+                table._replace(sig=Signature(table.sig.s, table.sig.r))))
+    out.append(("dim + 1", table._replace(dim=dim + 1)))
+    out.append(("dim 0", table._replace(dim=0)))
+    out.append(("dim -1", table._replace(dim=-1)))
     return out
 
 
@@ -234,11 +233,11 @@ def _pair_damage(table, rng):
                 cells.pop(cell, None)
             else:
                 cells[cell] = value
-        out.append((kind, replace(table, cells=cells)))
+        out.append((kind, table._replace(cells=cells)))
     for row in (0, dim + 1):
         cells = dict(table.cells)
         cells[(row, b)] = cells.pop((a, b))
-        out.append(("cell moved to row %d" % row, replace(table, cells=cells)))
+        out.append(("cell moved to row %d" % row, table._replace(cells=cells)))
     return out
 
 
@@ -249,7 +248,7 @@ def _flip_pairs(table, pairs):
         for cell in ((a, b), (b, a)):
             k, s = cells[cell]
             cells[cell] = (k, -s)
-    return replace(table, cells=cells)
+    return table._replace(cells=cells)
 
 
 def _two_pair_flips(table, rng):
@@ -279,7 +278,7 @@ def stale_pairs_table():
     table = golden_table(2, 0)
     stale = {(1, 2): (1, 1), (2, 1): (1, -1), (3, 4): (1, 1), (4, 3): (1, -1)}
     assert not stale.keys() & table.cells.keys()
-    return replace(table, cells={**stale, **table.cells})
+    return table._replace(cells={**stale, **table.cells})
 
 
 def float_index_tables():
@@ -404,12 +403,12 @@ def comparison_cases(seed=8):
     cases = []
     for name, table in _referee_bases():
         sigma = [rng.choice((1, -1)) for _ in range(table.dim)]
-        signed = replace(table, cells={(a, b): (k, s * sigma[a - 1] * sigma[b - 1])
+        signed = table._replace(cells={(a, b): (k, s * sigma[a - 1] * sigma[b - 1])
                                        for (a, b), (k, s) in table.cells.items()})
         # Holes at every cell of v_1 cut it off, so sigma_1 leaves the
         # others free and their smallest vertex starts at +1.
         cut = {cell for cell in signed.cells if 1 in cell}
-        isolated = replace(signed, cells={c: v for c, v in signed.cells.items()
+        isolated = signed._replace(cells={c: v for c, v in signed.cells.items()
                                           if c not in cut}, missing=signed.missing | cut)
         cases += [(name, table, table), (name + ", signed", table, signed),
                   (name + ", signed, reversed", signed, table),
