@@ -11,12 +11,24 @@ every map fixes.  So m[x ^ 1] is m[x] ^ 1, or end along with m[x];
 composition is a gather, A B = itemgetter(*B)(A), and negation gathers
 by the sign swap x -> x ^ 1.  So two maps that agree at the even
 points and end agree everywhere, and the checks of lie_algebra compare
-only those N + 1 entries, gathered and compared in C.  This module
-holds that format, fixed (the swap and a gather by it) and act.
+only those N + 1 entries, gathered and compared in C.
+
+A total map on at most 256 signed points has a second spelling: the
+byte string of its first 2N entries, padded with zeros to a 256-byte
+table.  Composition is then one bytes.translate, A B =
+B_bytes.translate(A_table), and -A = BYTE_SWAP.translate(A_table), with
+BYTE_SWAP the byte table x -> x ^ 1.  The strings compare all 2N points
+at once, which by the rule above is the same as comparing the N + 1
+entries.  256 is the limit, as a byte holds 0..255, and only a total
+map takes this spelling: the string drops the end entry that a partial
+map needs, and at 2N = 256 end is no byte.  This module holds both
+spellings: fixed (the swap and a gather by it), BYTE_SWAP and act.
 """
 
 from functools import lru_cache
 from operator import itemgetter
+
+BYTE_SWAP = bytes(x ^ 1 for x in range(256))
 
 
 @lru_cache(maxsize=64)

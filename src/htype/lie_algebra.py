@@ -97,11 +97,15 @@ So once _walk_eta has found an eta, _clifford_errata reads every module
 axiom off the R_k and builds no J_k: the norm signature; for each map
 with R_k^2 != -Id, of which the shape check leaves none, whether J_k
 is partial or not skew, and where its square fails; and the n(n-1)/2
-pair relations, one gather on each side of a pair.  Both squares and
-products are compared on the N even points and end alone: every map
-here, partial or not, and so every product of maps and its negation,
-has m[x ^ 1] = m[x] ^ 1, or end along with m[x] (see exactlin), so two
-of them that agree at x agree at x ^ 1.
+pair relations, one composition on each side of a pair.  Squares, and
+products where some map fails its square, are gathers compared on the
+N even points and end alone: every map here, partial or not, and so
+every product of maps and its negation, has m[x ^ 1] = m[x] ^ 1, or end
+along with m[x] (see exactlin), so two of them that agree at x agree at
+x ^ 1.  When every square holds, every map is total, and on 2N <= 256
+points the products are byte strings, one bytes.translate each,
+compared on all 2N points; as m[x ^ 1] = m[x] ^ 1 at every point of a
+total map, that is the same comparison.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -444,7 +448,9 @@ def _clifford_errata(sig, maps, eps, eta, bad):
     is partial or else not skew; then for each i <= j, the points where
     the square of R_i fails, named through its two cells where R_i is
     total, and whether R_i R_j = -eps_i eps_j R_j R_i.  As in a table,
-    R_k is named z_k and point a - 1 is named v_a."""
+    R_k is named z_k and point a - 1 is named v_a.  The products are
+    gathers, or byte strings when bad is empty and 2N <= 256, the byte
+    spelling of exactlin; the two give the same errata."""
     dim, pos = len(eta), eta.count(1)
     want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
     out = [] if (pos, dim - pos) == want else [
@@ -465,14 +471,22 @@ def _clifford_errata(sig, maps, eps, eta, bad):
             squares[k] = ["z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
                           % (k + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1)
                           for a, b in hops]
-    negate = exactlin.fixed(end)[1]
-    gathers = [itemgetter(*m[::2]) for m in maps]  # on the even points and end
-    negated = [negate(m) for m in maps]
-    for i, (m, e) in enumerate(zip(maps, eps)):
+    if bad or end > 256:  # a map, maybe partial, fails its square, or 2N > 256
+        negate = exactlin.fixed(end)[1]
+        tables = maps
+        gathers = [itemgetter(*m[::2]) for m in maps]  # on the even points and end
+    else:  # every map total on at most 256 points: the byte spelling
+        srcs = [bytes(m[:end]) for m in maps]
+        pad = bytes(256 - end)
+        tables = [src + pad for src in srcs]
+        gathers = [src.translate for src in srcs]
+        negate = exactlin.BYTE_SWAP.translate
+    negated = [negate(t) for t in tables]
+    for i, (t, e) in enumerate(zip(tables, eps)):
         out += squares.get(i, ())
         for j in range(i + 1, len(maps)):
             # R_i R_j gathers R_i by R_j; the other side gathers +-R_j by R_i.
-            if gathers[j](m) != gathers[i](negated[j] if eps[j] == e else maps[j]):
+            if gathers[j](t) != gathers[i](negated[j] if eps[j] == e else tables[j]):
                 out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
     return out
 
@@ -482,11 +496,16 @@ def cell_errata(table):
     index are ints (1.0, equal to 1, indexes no list), it lies inside the
     table, off the diagonal, and holds a known z_k with coefficient +-1;
     each missing cell lies inside the table and is not stored; once all
-    hold, each cell is antisymmetric unless its mirror cell is missing."""
+    hold, each cell is antisymmetric unless its mirror cell is missing.
+    One pass reads all of them: the cells that break antisymmetry are
+    noted on the way and named only when no other rule fails."""
     n = table.sig.n
     n_vec = table.dim
+    cells = table.cells
+    missing = table.missing
     found = []  # (cell, erratum); a stable sort by cell keeps each cell's order
-    for cell, (k, s) in table.cells.items():
+    unmirrored = []
+    for cell, (k, s) in cells.items():
         a, b = cell
         if not (isinstance(a, int) and isinstance(b, int) and isinstance(k, int)):
             found.append((cell, "cell (v%s, v%s) has a key or z index that is "
@@ -502,18 +521,17 @@ def cell_errata(table):
                 (cell, "cell (v%d, v%d) uses unknown central z%d" % (a, b, k)))
         if s not in (1, -1):
             found.append((cell, "cell (v%d, v%d) has non-unit coefficient" % cell))
-    for cell in table.missing:
+        elif cells.get((b, a)) != (k, -s) and (b, a) not in missing:
+            unmirrored.append(cell)
+    for cell in missing:
         a, b = cell
         if not (1 <= a <= n_vec and 1 <= b <= n_vec):
             found.append((cell, "missing cell (v%d, v%d) outside the table" % cell))
-        elif cell in table.cells:
+        elif cell in cells:
             found.append((cell, "cell (v%d, v%d) is both stored and missing" % cell))
     if not found:
-        for cell, (k, s) in table.cells.items():
-            a, b = cell
-            if (b, a) not in table.missing and table.cells.get((b, a)) != (k, -s):
-                erratum = "cells (v%d, v%d) and (v%d, v%d) break antisymmetry"
-                found.append((cell, erratum % (a, b, b, a)))
+        erratum = "cells (v%d, v%d) and (v%d, v%d) break antisymmetry"
+        found = [((a, b), erratum % (a, b, b, a)) for a, b in unmirrored]
     found.sort(key=lambda entry: entry[0])
     return [erratum for _cell, erratum in found]
 

@@ -35,6 +35,22 @@ class Record:
         return not self == other
 
 
+class _TupleEqual:
+    """Mixin for Word and Involution: equal to a plain tuple of their
+    values, as the typing.NamedTuples they were, but never to a Record.
+    On word == record Python asks the word first, as no Record type is
+    a subtype of Word; NotImplemented hands both orders to Record."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return NotImplemented if isinstance(other, Record) else tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return NotImplemented if isinstance(other, Record) else tuple.__ne__(self, other)
+
+
 class Signature:
     """Bilinear form type (r, s): r positive directions, then s negative.
     Immutable, and not a tuple, so "%s" % sig formats it whole."""
@@ -80,7 +96,7 @@ class Signature:
         return "(%d,%d)" % (self.r, self.s)
 
 
-class Word(namedtuple("Word", "sign letters")):
+class Word(_TupleEqual, namedtuple("Word", "sign letters")):
     __slots__ = ()
 
     def __str__(self):
@@ -145,7 +161,7 @@ def format_word(w):
     return body if w.sign == 1 else "-" + body
 
 
-class Involution(namedtuple("Involution", "word eigensign")):
+class Involution(_TupleEqual, namedtuple("Involution", "word eigensign")):
     """An involution word together with the sign it takes on the vector."""
 
     __slots__ = ()

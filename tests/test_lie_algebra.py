@@ -289,7 +289,7 @@ def test_verify_htype_agrees_with_the_brute_force_referee(monkeypatch):
                     (False, True): 136, (False, False): 874}
 
 
-def test_verify_htype_reports_what_the_cell_walk_reports():
+def test_verify_htype_reports_what_the_cell_walk_reports(monkeypatch):
     """The whole report, verdict, errata, norm signs and missing cells,
     equals that of verify_oracle.slow_report, which walks the cells,
     propagates the norm signs over adjacency lists and rebuilds the
@@ -302,10 +302,36 @@ def test_verify_htype_reports_what_the_cell_walk_reports():
     missing zero cell leaves its maps total, and three cycle tables.
     The flips keep the shape, so they reach the pair relations on the
     raw maps; missing cells leave some maps partial, and two cycles
-    leave a total map that is not skew."""
+    leave a total map that is not skew.
+
+    The pair relations take the byte form (see exactlin) exactly when
+    every map squares to -Id, and so is total, on 2N <= 256 points, and
+    the gather form otherwise.  Pinned by name: the flipped (6, 6)
+    tables, at 2N = 256, and (5, 3), below it, take the byte form, and
+    the flipped (8, 8) tables, at 2N = 512, the gather form."""
+    translated = Counter()
+
+    class CountedSwap(bytes):
+        def translate(self, table):
+            translated["calls"] += 1
+            return bytes.translate(self, table)
+
+    def recorded(sig, maps, eps, eta, bad):
+        before = translated["calls"]
+        out = pair_check(sig, maps, eps, eta, bad)
+        points = 2 * len(eta)
+        squares = all(m[m[x]] == x ^ 1 for m in maps for x in range(points))
+        forms.append((name, "bytes" if translated["calls"] > before else "gathers",
+                      squares, points))
+        return out
+
+    pair_check = lie_algebra._clifford_errata
+    swap = CountedSwap(lie_algebra.exactlin.BYTE_SWAP)
+    monkeypatch.setattr(lie_algebra.exactlin, "BYTE_SWAP", swap)
+    monkeypatch.setattr(lie_algebra, "_clifford_errata", recorded)
     cases = report_cases()
     assert len(cases) == 2618
-    verdicts, kinds = Counter(), Counter()
+    verdicts, kinds, forms = Counter(), Counter(), []
     for name, table in cases:
         report = verify_htype(table)
         assert (report.ok, report.errata, report.eta, report.missing) == \
@@ -316,6 +342,19 @@ def test_verify_htype_reports_what_the_cell_walk_reports():
     assert verdicts == {True: 326, False: 2292}
     assert kinds["is not skew for the solved norms"] == 2
     assert kinds["does not act by a signed permutation"] > 0
+    for name, form, squares, points in forms:
+        assert form == ("bytes" if squares and points <= 256 else "gathers"), name
+    assert Counter(form for _name, form, _squares, _points in forms) == \
+        {"bytes": 808, "gathers": 105}
+    flipped = {name: form for name, *form in forms if name.startswith(
+        ("grid 5 3, two pairs", "grid 6 6, two pairs", "grid 8 8, two pairs"))}
+    assert flipped == {
+        "grid 5 3, two pairs of one z flipped": ["bytes", True, 64],
+        "grid 5 3, two pairs of two z's flipped": ["bytes", True, 64],
+        "grid 6 6, two pairs of one z flipped": ["bytes", True, 256],
+        "grid 6 6, two pairs of two z's flipped": ["bytes", True, 256],
+        "grid 8 8, two pairs of one z flipped": ["gathers", True, 512],
+        "grid 8 8, two pairs of two z's flipped": ["gathers", True, 512]}
 
 
 @pytest.mark.parametrize("r, s", [(2, 0), (1, 1), (0, 2)])

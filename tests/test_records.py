@@ -83,6 +83,15 @@ def test_records_of_different_types_are_unequal():
     assert StructureTable(SIG, 2, {}) != VerifyReport(SIG, 2, {}, frozenset(), "")
 
 
+@pytest.mark.parametrize("plain", [Word(1, (1,)), Involution(WORD, 1)], ids=["Word", "Involution"])
+def test_tuple_equal_records_are_unequal_to_records_both_ways(plain):
+    record = MissingCell(*plain)
+    assert tuple(record) == tuple(plain)
+    assert not plain == record and not record == plain
+    assert plain != record and record != plain
+    assert plain == tuple(plain) == plain and not plain != tuple(plain)
+
+
 def test_signature_keeps_its_checks_and_formats_whole():
     for r, s in ((-1, 0), (0, -1), (0, 0)):
         with pytest.raises(ValueError, match=r"signature needs r, s >= 0 and r \+ s >= 1"):
