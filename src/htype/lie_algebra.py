@@ -53,8 +53,13 @@ c_a xor key_k, and the parity of g_k & c_a.
 cell_errata is the one check of the cell rules, shared with the golden
 loader.  verify_htype reads the cells once, into raw signed-point maps
 R_k over the 2N signed points (see exactlin): R_k v_a = s v_b for each
-cell (a, b) = (k, s), and end where no cell gives the image.  The maps
-then answer three questions.
+cell (a, b) = (k, s), and end where no cell gives the image.  Index
+tables read each cell, with no range test of its own: a list of the even
+points by a or b, a list of the maps by k and a dict of the sign bit by
+s, each refusing, by an exception that _signed_maps turns into None, an
+index that is 0, past the end or not an int, and a sign other than +-1.
+Only a negative index needs a test, as it would wrap onto a real slot.
+The maps then answer three questions.
 
 Shape.  Take a table with no missing cell and n N cells, each with a
 and b in 1..N, k in 1..n and s = +-1.  It meets every rule that
@@ -68,8 +73,9 @@ holds z_k once too.  Conversely those rules make each R_k a signed
 permutation that pairs v_a with v_b and negates on the way back, so
 R_k^2 = -Id.  A table that fails the check, or has a missing cell, is
 walked by _walk_errata to name its defects.  The maps are read once,
-before the check: a table that passes the walk has every cell an int in
-range, so it has its maps, and one that fails it never needs them.
+before the check: a table that passes the walk has every cell's indices
+ints in range and its sign equal to +-1, as the index tables ask, so it
+has its maps, and one that fails it never needs them.
 
 Norm signs.  Each cell forces eta_b = eps_k eta_a, as J_k scales square
 norms by eps_k.  A breadth-first walk over the maps, b = R_k[2a] >> 1,
@@ -370,20 +376,33 @@ def _signed_maps(table):
     over the 2N signed points (see exactlin) with R_k v_a = s v_b for
     each cell (a, b) = (k, s), and end = 2N where no cell gives the
     image.  None when a cell has a or b outside 1..N, k outside 1..n or
-    s other than +-1.  A key or z index such as 1.0, equal to an int
-    without being one, raises TypeError, as it indexes a list or meets
-    the bitwise xor.
+    s other than +-1, or an index that is not an int, such as 1.0.
+
+    List indexing does the tests: evens[a] = 2a - 2 and by_k[k] = R_k
+    hold None at index 0, so 0 meets a TypeError, as a float or a str
+    does, and an index past the end an IndexError.  The sign bit is
+    {1: 0, -1: 1}[s], which matches s by hash and ==, as cell_errata's
+    s in (1, -1) does, so 1.0, Fraction(1) and 1+0j read as 1 and any
+    other s is a KeyError.  A negative index would wrap onto a real slot, so one test
+    of a | b | k stops it.  The maps are allocated first, so a huge dim
+    fails at once.
     """
-    n, n_vec = table.sig.n, table.dim
-    end = 2 * n_vec
-    maps = [[end] * (end + 1) for _ in range(n)]
+    end = 2 * table.dim
+    maps = [[end] * (end + 1) for _ in range(table.sig.n)]
+    evens = [None, *range(0, end, 2)]
+    by_k = [None, *maps]
+    sign_bit = {1: 0, -1: 1}
     for (a, b), (k, s) in table.cells.items():
-        if not (0 < a <= n_vec and 0 < b <= n_vec and 0 < k <= n and s in (1, -1)):
+        try:
+            if (a | b | k) < 0:
+                return None
+            x = evens[b] + sign_bit[s]
+            m = by_k[k]
+            y = evens[a]
+            m[y] = x
+            m[y + 1] = x ^ 1
+        except (TypeError, IndexError, KeyError):
             return None
-        x = 2 * b - 2 + (s < 0)
-        m = maps[k - 1]
-        m[2 * a - 2] = x
-        m[2 * a - 1] = x ^ 1
     return [tuple(m) for m in maps]
 
 
@@ -491,14 +510,30 @@ def _clifford_errata(sig, maps, eps, eta, bad):
     return out
 
 
+def _sorted_by_cell(entries, cell=None):
+    """entries sorted stably by cell, the entries themselves or cell(entry),
+    as tuples compare.  Where two cells hold indices that do not compare,
+    such as an int and a None, each index is ranked instead: ints and
+    floats first, in numeric order, then anything else by type name and
+    repr, so no int meets a None or a str."""
+    try:
+        return sorted(entries, key=cell)
+    except TypeError:
+        cell = cell or (lambda entry: entry)
+        return sorted(entries, key=lambda entry: [
+            (0, x, "") if isinstance(x, (int, float)) else (1, type(x).__name__, repr(x))
+            for x in cell(entry)])
+
+
 def cell_errata(table):
     """Errata of the cell rules, in cell order: each cell's key and z
     index are ints (1.0, equal to 1, indexes no list), it lies inside the
     table, off the diagonal, and holds a known z_k with coefficient +-1;
-    each missing cell lies inside the table and is not stored; once all
-    hold, each cell is antisymmetric unless its mirror cell is missing.
-    One pass reads all of them: the cells that break antisymmetry are
-    noted on the way and named only when no other rule fails."""
+    each missing cell has indices that compare with an int, lies inside
+    the table and is not stored; once all hold, each cell is
+    antisymmetric unless its mirror cell is missing.  One pass reads all
+    of them: the cells that break antisymmetry are noted on the way and
+    named only when no other rule fails."""
     n = table.sig.n
     n_vec = table.dim
     cells = table.cells
@@ -525,15 +560,20 @@ def cell_errata(table):
             unmirrored.append(cell)
     for cell in missing:
         a, b = cell
-        if not (1 <= a <= n_vec and 1 <= b <= n_vec):
+        try:
+            inside = 1 <= a <= n_vec and 1 <= b <= n_vec
+        except TypeError:  # an index, such as None, that no int compares with
+            found.append((cell, "missing cell (v%s, v%s) has an index that is "
+                                "not an int" % cell))
+            continue
+        if not inside:
             found.append((cell, "missing cell (v%d, v%d) outside the table" % cell))
         elif cell in cells:
             found.append((cell, "cell (v%d, v%d) is both stored and missing" % cell))
     if not found:
         erratum = "cells (v%d, v%d) and (v%d, v%d) break antisymmetry"
         found = [((a, b), erratum % (a, b, b, a)) for a, b in unmirrored]
-    found.sort(key=lambda entry: entry[0])
-    return [erratum for _cell, erratum in found]
+    return [erratum for _cell, erratum in _sorted_by_cell(found, itemgetter(0))]
 
 
 def _walk_errata(table):
@@ -571,7 +611,7 @@ def _walk_errata(table):
 def _missing_reports(table):
     out = []
     cells = table.cells
-    for (a, b) in sorted(table.missing):
+    for (a, b) in _sorted_by_cell(table.missing):
         partner = cells.get((b, a))
         if partner is not None:
             sugg = (partner[0], -partner[1])
@@ -598,10 +638,7 @@ def verify_htype(table):
     if table.dim < 1:
         errata = ["table dimension %d is not positive" % table.dim]
         return VerifyReport(sig, table.label, errata, None, missing)
-    try:
-        maps = _signed_maps(table)
-    except TypeError:
-        maps = None
+    maps = _signed_maps(table)
     bad = None if maps is None else _failed_squares(maps, table.dim)
     if maps is None or bad or table.missing or len(table.cells) != sig.n * table.dim:
         # Only a table that breaks a rule or has a missing cell is walked;
@@ -654,7 +691,7 @@ def compare_tables(left, right):
         return TableComparison(status, sigma)
     # The last test meets only a cell held, equally, on both sides.
     diffs = [(key, left.cells.get(key), right.cells.get(key))
-             for key in sorted(keys) if left.cells.get(key) != right.cells.get(key)
+             for key in _sorted_by_cell(keys) if left.cells.get(key) != right.cells.get(key)
              or key[0] not in adj or key[1] not in adj
              or left.cells[key][0] not in central]
     return TableComparison(UNMATCHED, None, tuple(diffs))

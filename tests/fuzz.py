@@ -1,36 +1,51 @@
-"""Seeded structural fuzzing of the golden loader.
+"""Seeded structural fuzzing of the golden loader and of verify_htype.
 
-Each case takes one of the shipped table files and replaces one to three
-of its JSON nodes, the root included, with None, a bool, a float, a
-string, a list, a dict or +-10^30, and then reseals the checksum.  Half
-of the nodes are drawn from the header (the root, its values and the
-entries of sig), as the header sizes everything the loader and
-verify_htype build; the rest uniformly from all nodes.
+The loader target: each case takes one of the shipped table files and
+replaces one to three of its JSON nodes, the root included, with None, a
+bool, a float, a string, a list, a dict or +-10^30, and then reseals the
+checksum.  Half of the nodes are drawn from the header (the root, its
+values and the entries of sig), as the header sizes everything the
+loader and verify_htype build; the rest uniformly from all nodes.  The
+contract: golden.table_from_data raises ValueError, or it loads a table
+that lie_algebra.verify_htype judges without raising.
 
-The contract: golden.table_from_data raises ValueError, or it loads a
-table that lie_algebra.verify_htype judges without raising.  Each case
-runs under signal.alarm, and the loop under a lowered soft RLIMIT_AS,
-restored afterwards, so a case that hangs or grows without bound fails
-its own check instead of stalling or exhausting the host.
+The verify target: each case takes a table of dim <= 8 from
+verify_oracle.base_tables and replaces one to three of one cell's a, b,
+k and s with 0, -1, N + 1, n + 1, an index that a list one longer than
+N or n would wrap onto the slot of a, b or k (a - (N + 1), b - (N + 1),
+k - (n + 1)), +-10^30, a bool, 1.0, 2.5, 2, "1", None, Fraction(1) or
++-1+0j.
+The contract: verify_htype gives the report of verify_oracle.slow_report,
+the cell-walking referee.  The signature, the dim and the shape of each
+cell, a key of two entries and a value of two, are left alone.
+
+Each case runs under signal.alarm, and the loop under a lowered soft
+RLIMIT_AS, restored afterwards, so a case that hangs or grows without
+bound fails its own check instead of stalling or exhausting the host.
 
 The cases are a fixed sequence from SEED, so any count repeats the
-first cases of every larger one.  Tier-1 checks LOADER_CASES of them;
-to check ten times as many, run from the repository root
+first cases of every larger one.  Tier-1 checks LOADER_CASES and
+VERIFY_CASES of them; to check ten times as many, run from the
+repository root
 
     PYTHONPATH=src:tests python -c 'import fuzz; fuzz.check_loader(10 * fuzz.LOADER_CASES)'
+    PYTHONPATH=src:tests python -c 'import fuzz; fuzz.check_verify(10 * fuzz.VERIFY_CASES)'
 """
 
 import json
 import random
 import resource
 import signal
+from fractions import Fraction
 
 from conftest import raw_data, resign
 from htype.golden import golden_signatures, table_from_data
 from htype.lie_algebra import verify_htype
+from verify_oracle import base_tables, slow_report
 
 SEED = 1604
 LOADER_CASES = 6000
+VERIFY_CASES = 4000
 CASE_SECONDS = 2
 # Address space the loop may add to the process's own, in bytes.
 HEADROOM = 1 << 30
@@ -112,15 +127,46 @@ def _judge(data):
     verify_htype(table)
 
 
+def verify_cases(count):
+    """count (table name, edits, table) triples: edits the list of
+    (entry, replacement) made in one cell, the entry named a, b, k or s."""
+    rng = random.Random(SEED)
+    bases = [(name, table) for name, table in base_tables() if table.dim <= 8]
+    for _ in range(count):
+        name, table = rng.choice(bases)
+        n_vec, n = table.dim, table.sig.n
+        (a, b), (k, s) = rng.choice(sorted(table.cells.items()))
+        values = (0, -1, n_vec + 1, n + 1, a - n_vec - 1, b - n_vec - 1, k - n - 1,
+                  HUGE, -HUGE, True, False, 1.0, 2.5, 2, "1", None, Fraction(1),
+                  1 + 0j, -1 + 0j)
+        entries = [a, b, k, s]
+        edits = []
+        for index in rng.sample(range(4), rng.randint(1, 3)):
+            entries[index] = rng.choice(values)
+            edits.append(("abks"[index], entries[index]))
+        cells = dict(table.cells)
+        del cells[(a, b)]
+        cells[tuple(entries[:2])] = tuple(entries[2:])
+        yield name, edits, table._replace(cells=cells)
+
+
+def _same_report(table):
+    report = verify_htype(table)
+    mine, theirs = (report.ok, report.errata, report.eta, report.missing), slow_report(table)
+    if mine != theirs:
+        raise AssertionError("verify_htype gives %r, slow_report %r" % (mine, theirs))
+
+
 def _address_space():
     """The process's address space in bytes, from /proc/self/statm."""
     with open("/proc/self/statm") as handle:
         return int(handle.read().split()[0]) * resource.getpagesize()
 
 
-def check_loader(count):
-    """Check the contract on the first count cases; raise
-    AssertionError naming the first case that breaks it."""
+def _check(cases, judge):
+    """judge(payload) for each (name, edits, payload) of cases, each
+    under the alarm and all under the address-space cap; raise
+    AssertionError naming the first case whose judge raises."""
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     cap = _address_space() + HEADROOM
     if hard != resource.RLIM_INFINITY:
@@ -129,10 +175,10 @@ def check_loader(count):
     try:
         if soft == resource.RLIM_INFINITY or soft > cap:
             resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-        for index, (name, edits, data) in enumerate(cases(count)):
+        for index, (name, edits, payload) in enumerate(cases):
             signal.alarm(CASE_SECONDS)
             try:
-                _judge(data)
+                judge(payload)
             except (Exception, CaseTimeout) as exc:
                 raise AssertionError("case %d of seed %d, %s with %s: %s: %s"
                                      % (index, SEED, name, edits, type(exc).__name__, exc)) from exc
@@ -141,3 +187,15 @@ def check_loader(count):
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         signal.signal(signal.SIGALRM, handler)
+
+
+def check_loader(count):
+    """Check the loader contract on the first count cases; raise
+    AssertionError naming the first case that breaks it."""
+    _check(cases(count), _judge)
+
+
+def check_verify(count):
+    """Check the verify contract on the first count verify cases; raise
+    AssertionError naming the first case that breaks it."""
+    _check(verify_cases(count), _same_report)

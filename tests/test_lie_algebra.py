@@ -29,6 +29,7 @@ from htype.lie_algebra import (
     EXACT,
     SIGN_EQUIVALENT,
     UNMATCHED,
+    MissingCell,
     StructureTable,
     _coset_key,
     _coset_words,
@@ -256,14 +257,80 @@ def test_verify_names_a_cell_whose_index_is_not_an_int():
         assert report.errata == errata
 
 
+def test_a_complex_unit_coefficient_reads_as_its_int():
+    """A coefficient of +-1+0j equals +-1 and hashes as it does, so the
+    cell rules and the maps both read it as the int, and the report is
+    that of the table with int coefficients, where the maps used to
+    raise on (1+0j) < 0 after the cell walk had passed."""
+    sig = Signature(1, 0)
+    for unit in (1, -1):
+        as_int = StructureTable(sig, 2, {(1, 2): (1, unit), (2, 1): (1, -unit)})
+        for cells in ({(1, 2): (1, unit + 0j), (2, 1): (1, -unit)},
+                      {(1, 2): (1, unit + 0j), (2, 1): (1, -unit - 0j)}):
+            assert verify_htype(as_int._replace(cells=cells)) == verify_htype(as_int)
+    assert verify_htype(as_int).ok
+
+
+def test_cells_of_unlike_types_sort_without_raising():
+    """Cells whose indices do not compare, an int with a None, used to
+    raise TypeError from the sort of cell_errata, of _missing_reports
+    and of compare_tables.  Each is now ranked so that no int meets a
+    None: ints first, anything else after."""
+    table = golden_table(3, 0)
+    odd = table._replace(cells={**table.cells, (1, -1): (1, 1), (None, 3): (1, 1)})
+    assert verify_htype(odd).errata == [
+        "cell (v1, v-1) outside the table",
+        "cell (vNone, v3) has a key or z index that is not an int"]
+    holed = table._replace(missing=frozenset({(None, 2), (1, 2)}))
+    report = verify_htype(holed)
+    assert report.errata == ["cell (v1, v2) is both stored and missing",
+                             "missing cell (vNone, v2) has an index that is not an int"]
+    assert report.missing == [MissingCell((1, 2), (1, 1)), MissingCell((None, 2), 0)]
+    assert tuple(compare_tables(odd, table)) == (
+        UNMATCHED, None, (((1, -1), (1, 1), None), ((None, 3), (1, 1), None)))
+
+
+def test_a_negative_index_does_not_wrap_onto_a_real_slot():
+    """The maps read a, b and k through lists one longer than N or n, so
+    a - (N + 1), b - (N + 1) and k - (n + 1) would each land on the
+    slot of a, b or k; one sign test turns them away, and 0 reads a None
+    slot.  On golden (4, 4) with one cell so re-keyed, the report equals
+    the cell walk's, which names the cell."""
+    table = golden_table(4, 4)
+    n_vec, n = table.dim, table.sig.n
+    (a, b), (k, s) = next(iter(table.cells.items()))
+    for key, value in (((a - n_vec - 1, b), (k, s)), ((a, b - n_vec - 1), (k, s)),
+                       ((a, b), (k - n - 1, s)), ((0, b), (k, s)), ((a, 0), (k, s)),
+                       ((a, b), (0, s))):
+        cells = dict(table.cells)
+        del cells[(a, b)]
+        cells[key] = value
+        damaged = table._replace(cells=cells)
+        report = verify_htype(damaged)
+        assert not report.ok
+        assert (report.ok, report.errata, report.eta, report.missing) == \
+            slow_report(damaged), (key, value)
+
+
+def test_cell_entry_mutations_keep_the_verify_contract():
+    """fuzz.VERIFY_CASES seeded tables of dim <= 8 with one to three of
+    a cell's a, b, k or s replaced, by an index out of range, one that
+    would wrap, a huge int, a bool, a float, a str, None or a
+    Fraction: verify_htype gives slow_report's report for each (see
+    tests/fuzz.py)."""
+    import fuzz
+    fuzz.check_verify(fuzz.VERIFY_CASES)
+
+
 def test_verify_htype_agrees_with_the_brute_force_referee(monkeypatch):
     """verify_htype's verdict against verify_oracle.is_htype on 1,164
     tables: the 44 configured and golden tables of dim <= 8, each with
     two rounds of seeded damage, and the (0, 7) blocks as (7, 0) and
-    (0, 7).  The shape check over the signed-point maps, seen as
-    verify_htype making no call of the cell walk, holds exactly when the
-    walk over the cells finds nothing, on every table with a positive
-    dim and no missing cell."""
+    (0, 7), each under a name of its own.  The shape check over the
+    signed-point maps, seen as
+    verify_htype making no call of the cell walk, holds exactly when
+    the walk over the cells finds nothing, on every table with a
+    positive dim and no missing cell."""
     walks = []
 
     def walk(table):
@@ -272,6 +339,7 @@ def test_verify_htype_agrees_with_the_brute_force_referee(monkeypatch):
     monkeypatch.setattr(lie_algebra, "_walk_errata", walk)
     cases = referee_cases()
     assert len(cases) == 1164
+    assert len({name for name, _table in cases}) == 1164
     seen = Counter()
     for name, table in cases:
         walks.clear()
@@ -299,8 +367,8 @@ def test_verify_htype_reports_what_the_cell_walk_reports(monkeypatch):
     index, a table whose early cells later ones override, 280 sign flips
     of two pairs of cells in one z_k or in two (each of the 145 tables
     gets each kind that fits it), six one-pair flips of (5, 1), whose
-    missing zero cell leaves its maps total, and three cycle tables.
-    The flips keep the shape, so they reach the pair relations on the
+    missing zero cell leaves its maps total, and three cycle tables,
+    each under a name of its own.  The flips keep the shape, so they reach the pair relations on the
     raw maps; missing cells leave some maps partial, and two cycles
     leave a total map that is not skew.
 
@@ -331,6 +399,7 @@ def test_verify_htype_reports_what_the_cell_walk_reports(monkeypatch):
     monkeypatch.setattr(lie_algebra, "_clifford_errata", recorded)
     cases = report_cases()
     assert len(cases) == 2618
+    assert len({name for name, _table in cases}) == 2618
     verdicts, kinds, forms = Counter(), Counter(), []
     for name, table in cases:
         report = verify_htype(table)

@@ -171,13 +171,14 @@ def _referee_bases():
 
 
 def referee_cases(seed=83):
-    """(name, table) for every case the referee judges."""
+    """(name, table) for every case the referee judges, each name its
+    own: a damaged copy is named by its base, its round and its kind."""
     rng = random.Random(seed)
     cases = []
     for name, table in _referee_bases():
         cases.append((name, table))
-        for _round in range(2):
-            cases += [("%s, %s" % (name, kind), t)
+        for round_ in (1, 2):
+            cases += [("%s, round %d, %s" % (name, round_, kind), t)
                       for kind, t in _damaged(table, rng)]
     for i, block in enumerate(split_blocks(build_n07(), Signature(7, 0)), start=1):
         for sig in (Signature(7, 0), Signature(0, 7)):
@@ -339,9 +340,11 @@ def walk_passing_tables(seed, count):
 
 
 def report_cases(seed=18):
-    """(name, table) for every case slow_report is held against."""
+    """(name, table) for every case slow_report is held against, each
+    name its own: the referee cases come first, named "referee, " and
+    their own name, as their bases are among the base tables."""
     rng = random.Random(seed)
-    cases = list(referee_cases())
+    cases = [("referee, " + name, table) for name, table in referee_cases()]
     for name, table in base_tables():
         cases.append((name, table))
         cases += [("%s, %s" % (name, kind), t) for kind, t in _pair_damage(table, rng)]
