@@ -3,7 +3,7 @@
 In the bases used here every generator J_k maps each basis vector to
 plus or minus another basis vector.  A signed point (p, s) stands for
 the vector s e_p, so every frame vector is one signed point.  An
-operator is stored as a map over the 2N signed points: a tuple of
+operator is stored as a map over the 2N signed points: a sequence of
 length 2N + 1 whose index 2p + (s < 0) holds the index of the image of
 s e_p.  An operator rebuilt from a table with an empty cell is partial:
 where it does not act, the map holds end = 2N, the last index, which
@@ -21,8 +21,13 @@ BYTE_SWAP the byte table x -> x ^ 1.  The strings compare all 2N points
 at once, which by the rule above is the same as comparing the N + 1
 entries.  256 is the limit, as a byte holds 0..255, and only a total
 map takes this spelling: the string drops the end entry that a partial
-map needs, and at 2N = 256 end is no byte.  This module holds both
-spellings: fixed (the swap and a gather by it), BYTE_SWAP and act.
+map needs, and at 2N = 256 end is no byte.  lie_algebra's reader
+writes this spelling itself, a bytearray of the 2N entries, for every
+table with n N cells on at most 256 points, and proves each map total
+by its square before any other use.  So act, which reads the
+last entry as end, takes only the first spelling, as lie_algebra's
+reconstruct_J gives it.  This module holds both spellings: fixed (the
+swap and a gather by it), BYTE_SWAP and act.
 """
 
 from functools import lru_cache

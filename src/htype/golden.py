@@ -18,6 +18,7 @@ action.
 
 import json
 import os
+from functools import lru_cache
 from itertools import chain
 
 from .basis_builder import ALIASES, reference_config
@@ -55,6 +56,22 @@ def _shape_error(groups):
                                   % (name, row, width))
 
 
+@lru_cache(maxsize=None)
+def _sha256():
+    """sha256 from the lean module that hashlib falls back on, as random
+    takes sha512: _sha2 from Python 3.12, _sha256 before.  hashlib, which
+    loads OpenSSL, only where neither exists; the digest is the same.
+    Called, not imported at the top: gen and dims load no table."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def table_from_data(data):
     """Validate a raw table dict and build the StructureTable.
 
@@ -74,9 +91,8 @@ def table_from_data(data):
     missing_keys = required - set(data)
     if missing_keys:
         raise ValueError("table data lacks %s" % sorted(missing_keys))
-    import hashlib  # here, not at the top: gen and dims load no table, so never need it
     payload = {k: v for k, v in data.items() if k != "sha256"}
-    digest = hashlib.sha256(
+    digest = _sha256()(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     if digest != data["sha256"]:

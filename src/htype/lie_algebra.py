@@ -53,35 +53,45 @@ c_a xor key_k, and the parity of g_k & c_a.
 cell_errata is the one check of the cell rules, shared with the golden
 loader.  verify_htype reads the cells once, into raw signed-point maps
 R_k over the 2N signed points (see exactlin): R_k v_a = s v_b for each
-cell (a, b) = (k, s), and end where no cell gives the image.  Index
-tables read each cell, with no range test of its own: a list of the even
-points by a or b, a list of the maps by k and a dict of the sign bit by
-s, each refusing, by an exception that _signed_maps turns into None, an
-index that is 0, past the end or not an int, and a sign other than +-1.
-Only a negative index needs a test, as it would wrap onto a real slot.
-The maps then answer three questions.
+cell (a, b) = (k, s).  Index tables read each cell, with no range test
+of its own: a list of the even points by a or b, a list of the maps by
+k and a dict of the sign bit by s, each refusing, by an exception that
+_signed_maps turns into None, an index that is 0, past the end or not an
+int, and a sign other than +-1.  Only a negative index needs a test, as
+it would wrap onto a real slot.  A full table, n N cells on 2N <= 256
+points, as every shipped, emitted and ladder table is, is read straight
+into the byte spelling of exactlin, zero where no cell writes; any
+other table into lists with end where no cell gives the image.  The
+maps then answer three questions.
 
-Shape.  Take a table with no missing cell and n N cells, each with a
-and b in 1..N, k in 1..n and s = +-1.  It meets every rule that
-_walk_errata walks cell by cell exactly when R_k^2 = -Id for every k.
-Let R_k^2 = -Id.  As end is fixed and -Id moves every point, no image
-is end, so the n N cells fill the n N pairs (a, k) once each: row a
-holds each z_k once.  R_k v_a = s v_b and R_k v_b = -s v_a say that
-cell (b, a) is (k, -s), which is antisymmetry and rules out a = b, as
-s s = 1.  So a -> b is an involution of 1..N for each k, and column b
-holds z_k once too.  Conversely those rules make each R_k a signed
+Shape.  Take a table with n N cells, each with a and b in 1..N, k in
+1..n and s = +-1.  If R_k^2 = -Id for every k, it meets every rule
+that _walk_errata walks cell by cell but those of its missing cells, and
+without a missing cell the converse holds too.  Let R_k^2 = -Id.  Then
+R_k is total: in lists, as end is fixed and -Id moves every point, no
+image is end; in bytes, by the proof in _failed_squares.  So the n N
+cells fill the n N pairs (a, k) once each: row a holds each z_k once.
+R_k v_a = s v_b and R_k v_b = -s v_a say that cell (b, a) is (k, -s),
+which is antisymmetry and rules out a = b, as s s = 1.  So a -> b is an
+involution of 1..N for each k, and column b holds z_k once too.
+Conversely those rules, with no missing cell, make each R_k a signed
 permutation that pairs v_a with v_b and negates on the way back, so
-R_k^2 = -Id.  A table that fails the check, or has a missing cell, is
-walked by _walk_errata to name its defects.  The maps are read once,
-before the check: a table that passes the walk has every cell's indices
-ints in range and its sign equal to +-1, as the index tables ask, so it
-has its maps, and one that fails it never needs them.
+R_k^2 = -Id.  A table that fails the check, or holds other than n N
+cells, is walked by _walk_errata to name its defects; one that passes
+reads only the rules of its missing cells (_missing_errata), so golden
+(5, 1), whose one missing cell is a zero pair, is not walked.  A byte
+map that fails its square is read again as a list, whose end names
+where it is partial.  The maps are read once before the check, or twice
+on that path: a table that passes the walk has every cell a pair of
+pairs, its indices ints in range and its sign equal to +-1, as the index
+tables ask, so it has its maps, and one that fails it never needs them.
 
 Norm signs.  Each cell forces eta_b = eps_k eta_a, as J_k scales square
-norms by eps_k.  A breadth-first walk over the maps, b = R_k[2a] >> 1,
-sets eta with no adjacency lists.  Only when it meets a conflict does
-the adjacency walk of _solve_eta run, to name each conflicting cell in
-cell order.
+norms by eps_k.  When s = 0 every eps_k is +1, so eta is all +1 and no
+walk is made.  Otherwise a breadth-first walk over the maps, b =
+R_k[2a] >> 1, sets eta with no adjacency lists.  Only when it meets a
+conflict does the adjacency walk of _solve_eta run, to name each
+conflicting cell in cell order.
 
 Generators.  J_k = eps_k D_eta R_k sends v_a to eps_k s eta_b v_b.  For
 the form diag(eta), <J_k v_a, v_b> = eps_k s = <z_k, [v_a, v_b]>, so
@@ -109,9 +119,9 @@ N even points and end alone: every map here, partial or not, and so
 every product of maps and its negation, has m[x ^ 1] = m[x] ^ 1, or end
 along with m[x] (see exactlin), so two of them that agree at x agree at
 x ^ 1.  When every square holds, every map is total, and on 2N <= 256
-points the products are byte strings, one bytes.translate each,
-compared on all 2N points; as m[x ^ 1] = m[x] ^ 1 at every point of a
-total map, that is the same comparison.
+points the maps are already byte strings and the products are too,
+one bytes.translate each, compared on all 2N points; as m[x ^ 1] =
+m[x] ^ 1 at every point of a total map, that is the same comparison.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -137,7 +147,8 @@ class StructureTable(Record, namedtuple("StructureTable", "sig dim cells missing
     __slots__ = ()
 
     def sorted_cells(self):
-        return [(a, b, k, s) for (a, b), (k, s) in sorted(self.cells.items())]
+        return [(a, b, k, s)
+                for (a, b), (k, s) in _sorted_by_cell(self.cells.items(), itemgetter(0))]
 
 
 class MissingCell(Record, namedtuple("MissingCell", "cell suggestion")):
@@ -371,29 +382,37 @@ def _solve_eta(table):
     return tuple(eta[1:]), errata
 
 
-def _signed_maps(table):
-    """The raw maps R_k, k = 1..n, read off the cells in one pass: tuples
-    over the 2N signed points (see exactlin) with R_k v_a = s v_b for
-    each cell (a, b) = (k, s), and end = 2N where no cell gives the
-    image.  None when a cell has a or b outside 1..N, k outside 1..n or
-    s other than +-1, or an index that is not an int, such as 1.0.
+def _signed_maps(table, lists=False):
+    """The raw maps R_k, k = 1..n, read off the cells in one pass over
+    the 2N signed points (see exactlin), with R_k v_a = s v_b for each
+    cell (a, b) = (k, s).  A full table, n N cells on 2N <= 256 points,
+    is read into the byte spelling, unless lists is true: a zero-filled
+    bytearray of length 2N per map, which _failed_squares proves total.
+    Any other table is read into lists of length 2N + 1, with end = 2N
+    where no cell gives the image.  None when a key or a value is not a
+    pair, or a cell has a or b outside 1..N, k outside 1..n or s other
+    than +-1, or an index that is not an int, such as 1.0.
 
     List indexing does the tests: evens[a] = 2a - 2 and by_k[k] = R_k
     hold None at index 0, so 0 meets a TypeError, as a float or a str
     does, and an index past the end an IndexError.  The sign bit is
     {1: 0, -1: 1}[s], which matches s by hash and ==, as cell_errata's
     s in (1, -1) does, so 1.0, Fraction(1) and 1+0j read as 1 and any
-    other s is a KeyError.  A negative index would wrap onto a real slot, so one test
-    of a | b | k stops it.  The maps are allocated first, so a huge dim
-    fails at once.
+    other s is a KeyError.  A negative index would wrap onto a real slot,
+    so one test of a | b | k stops it.  The maps are allocated first, so
+    a huge dim fails at once.
     """
-    end = 2 * table.dim
-    maps = [[end] * (end + 1) for _ in range(table.sig.n)]
+    n_vec, n = table.dim, table.sig.n
+    end = 2 * n_vec
+    if lists or len(table.cells) != n * n_vec or end > 256:
+        maps = [[end] * (end + 1) for _ in range(n)]
+    else:
+        maps = [bytearray(end) for _ in range(n)]
     evens = [None, *range(0, end, 2)]
     by_k = [None, *maps]
     sign_bit = {1: 0, -1: 1}
-    for (a, b), (k, s) in table.cells.items():
-        try:
+    try:
+        for (a, b), (k, s) in table.cells.items():
             if (a | b | k) < 0:
                 return None
             x = evens[b] + sign_bit[s]
@@ -401,15 +420,30 @@ def _signed_maps(table):
             y = evens[a]
             m[y] = x
             m[y + 1] = x ^ 1
-        except (TypeError, IndexError, KeyError):
-            return None
-    return [tuple(m) for m in maps]
+    except (TypeError, ValueError, IndexError, KeyError):
+        return None
+    return maps
 
 
 def _failed_squares(maps, n_vec):
-    """The indices k - 1 of the maps with R_k^2 != -Id, compared on the
-    even points and end (see exactlin)."""
-    swap = exactlin.fixed(2 * n_vec)[0][::2]
+    """The indices k - 1 of the maps with R_k^2 != -Id: lists compared
+    on the even points and end (see exactlin), byte strings on all 2N
+    points, one bytes.translate each.
+
+    A byte map that passes is total.  A pair of slots 2a, 2a + 1 that no
+    cell wrote holds 0 twice, so R^2 sends both points to R(0), which
+    cannot be both 2a + 1 and 2a.  A table read into bytes has n N
+    cells, each writing one pair of slots of one map, so once the n N
+    pairs are all written, none was written twice.  A byte map fails
+    exactly when its list form does: the two agree wherever the list map
+    is total, and a list map that is not total fails, as it fixes end.
+    """
+    end = 2 * n_vec
+    if maps and type(maps[0]) is bytearray:
+        pad = bytes(256 - end)
+        swap = exactlin.BYTE_SWAP[:end]
+        return [k for k, m in enumerate(maps) if m.translate(m + pad) != swap]
+    swap = exactlin.fixed(end)[0][::2]
     return [k for k, m in enumerate(maps) if itemgetter(*m[::2])(m) != swap]
 
 
@@ -422,8 +456,11 @@ def _walk_eta(maps, eps, n_vec):
     the adjacency walk of _solve_eta reaches, over the same edges in
     another order, and every value is forced along a path from the
     start.  So it meets a conflict exactly when that walk does, and
-    otherwise sets the same eta.
+    otherwise sets the same eta.  When s = 0 every demand is eta_b =
+    eta_a, so eta is all +1 and no walk is made.
     """
+    if -1 not in eps:
+        return (1,) * n_vec
     up = list(zip(maps, eps))
     down = [(m, -e) for m, e in up]
     eta = [0] * n_vec + [2]
@@ -455,7 +492,7 @@ def reconstruct_J(table, eta):
     plus = [x ^ (eta[x >> 1] < 0) for x in range(end)] + [end]
     minus = [x ^ 1 for x in plus[:-1]] + [end]
     return [itemgetter(*m)(plus if e > 0 else minus)
-            for m, e in zip(_signed_maps(table), _eps_by_k(table.sig)[1:])]
+            for m, e in zip(_signed_maps(table, lists=True), _eps_by_k(table.sig)[1:])]
 
 
 def _clifford_errata(sig, maps, eps, eta, bad):
@@ -468,8 +505,9 @@ def _clifford_errata(sig, maps, eps, eta, bad):
     the square of R_i fails, named through its two cells where R_i is
     total, and whether R_i R_j = -eps_i eps_j R_j R_i.  As in a table,
     R_k is named z_k and point a - 1 is named v_a.  The products are
-    gathers, or byte strings when bad is empty and 2N <= 256, the byte
-    spelling of exactlin; the two give the same errata."""
+    gathers, or byte strings when bad is empty and 2N <= 256, where
+    _signed_maps has read the maps as bytes; the two give the same
+    errata."""
     dim, pos = len(eta), eta.count(1)
     want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
     out = [] if (pos, dim - pos) == want else [
@@ -495,10 +533,9 @@ def _clifford_errata(sig, maps, eps, eta, bad):
         tables = maps
         gathers = [itemgetter(*m[::2]) for m in maps]  # on the even points and end
     else:  # every map total on at most 256 points: the byte spelling
-        srcs = [bytes(m[:end]) for m in maps]
         pad = bytes(256 - end)
-        tables = [src + pad for src in srcs]
-        gathers = [src.translate for src in srcs]
+        tables = [m + pad for m in maps]
+        gathers = [m.translate for m in maps]
         negate = exactlin.BYTE_SWAP.translate
     negated = [negate(t) for t in tables]
     for i, (t, e) in enumerate(zip(tables, eps)):
@@ -515,22 +552,32 @@ def _sorted_by_cell(entries, cell=None):
     as tuples compare.  Where two cells hold indices that do not compare,
     such as an int and a None, each index is ranked instead: ints and
     floats first, in numeric order, then anything else by type name and
-    repr, so no int meets a None or a str."""
+    repr, so no int meets a None or a str.  A cell that is not a tuple
+    is ranked as a tuple of one index."""
     try:
         return sorted(entries, key=cell)
     except TypeError:
         cell = cell or (lambda entry: entry)
         return sorted(entries, key=lambda entry: [
             (0, x, "") if isinstance(x, (int, float)) else (1, type(x).__name__, repr(x))
-            for x in cell(entry)])
+            for x in _as_tuple(cell(entry))])
+
+
+def _as_tuple(cell):
+    return cell if isinstance(cell, tuple) else (cell,)
+
+
+def _in_cell_order(found):
+    """The errata of found, (cell, erratum) pairs, sorted stably by cell."""
+    return [erratum for _cell, erratum in _sorted_by_cell(found, itemgetter(0))]
 
 
 def cell_errata(table):
-    """Errata of the cell rules, in cell order: each cell's key and z
-    index are ints (1.0, equal to 1, indexes no list), it lies inside the
-    table, off the diagonal, and holds a known z_k with coefficient +-1;
-    each missing cell has indices that compare with an int, lies inside
-    the table and is not stored; once all hold, each cell is
+    """Errata of the cell rules, in cell order: each cell's key is a
+    pair (a, b) holding a pair (k, s), its key and z index are ints
+    (1.0, equal to 1, indexes no list), it lies inside the table, off the
+    diagonal, and holds a known z_k with coefficient +-1; each missing
+    cell meets the rules of _missing_errata; once all hold, each cell is
     antisymmetric unless its mirror cell is missing.  One pass reads all
     of them: the cells that break antisymmetry are noted on the way and
     named only when no other rule fails."""
@@ -540,14 +587,20 @@ def cell_errata(table):
     missing = table.missing
     found = []  # (cell, erratum); a stable sort by cell keeps each cell's order
     unmirrored = []
-    for cell, (k, s) in cells.items():
-        a, b = cell
+    for cell, value in cells.items():
+        try:
+            a, b = cell
+            k, s = value
+        except (TypeError, ValueError):
+            found.append((cell, "cell %r holds %r, not a pair (a, b) holding a pair (k, s)"
+                          % (cell, value)))
+            continue
         if not (isinstance(a, int) and isinstance(b, int) and isinstance(k, int)):
             found.append((cell, "cell (v%s, v%s) has a key or z index that is "
-                                "not an int" % cell))
+                                "not an int" % (a, b)))
             continue
         if not (1 <= a <= n_vec and 1 <= b <= n_vec):
-            found.append((cell, "cell (v%d, v%d) outside the table" % cell))
+            found.append((cell, "cell (v%d, v%d) outside the table" % (a, b)))
             continue
         if a == b:
             found.append((cell, "nonzero diagonal at v%d" % a))
@@ -555,25 +608,39 @@ def cell_errata(table):
             found.append(
                 (cell, "cell (v%d, v%d) uses unknown central z%d" % (a, b, k)))
         if s not in (1, -1):
-            found.append((cell, "cell (v%d, v%d) has non-unit coefficient" % cell))
+            found.append((cell, "cell (v%d, v%d) has non-unit coefficient" % (a, b)))
         elif cells.get((b, a)) != (k, -s) and (b, a) not in missing:
-            unmirrored.append(cell)
-    for cell in missing:
-        a, b = cell
+            unmirrored.append((a, b))
+    found += _missing_errata(table)
+    if not found:
+        erratum = "cells (v%d, v%d) and (v%d, v%d) break antisymmetry"
+        found = [((a, b), erratum % (a, b, b, a)) for a, b in unmirrored]
+    return _in_cell_order(found)
+
+
+def _missing_errata(table):
+    """(cell, erratum) for each missing cell that breaks a rule of its
+    own: it is a pair (a, b) whose indices compare with an int, it lies
+    inside the table and it is not stored."""
+    n_vec = table.dim
+    found = []
+    for cell in table.missing:
+        try:
+            a, b = cell
+        except (TypeError, ValueError):
+            found.append((cell, "missing cell %r is not a pair (a, b)" % (cell,)))
+            continue
         try:
             inside = 1 <= a <= n_vec and 1 <= b <= n_vec
         except TypeError:  # an index, such as None, that no int compares with
             found.append((cell, "missing cell (v%s, v%s) has an index that is "
-                                "not an int" % cell))
+                                "not an int" % (a, b)))
             continue
         if not inside:
-            found.append((cell, "missing cell (v%d, v%d) outside the table" % cell))
-        elif cell in cells:
-            found.append((cell, "cell (v%d, v%d) is both stored and missing" % cell))
-    if not found:
-        erratum = "cells (v%d, v%d) and (v%d, v%d) break antisymmetry"
-        found = [((a, b), erratum % (a, b, b, a)) for a, b in unmirrored]
-    return [erratum for _cell, erratum in _sorted_by_cell(found, itemgetter(0))]
+            found.append((cell, "missing cell (v%d, v%d) outside the table" % (a, b)))
+        elif cell in table.cells:
+            found.append((cell, "cell (v%d, v%d) is both stored and missing" % (a, b)))
+    return found
 
 
 def _walk_errata(table):
@@ -611,20 +678,33 @@ def _walk_errata(table):
 def _missing_reports(table):
     out = []
     cells = table.cells
-    for (a, b) in _sorted_by_cell(table.missing):
+    for cell in _sorted_by_cell(table.missing):
+        try:
+            a, b = cell
+        except (TypeError, ValueError):  # not a pair: nothing to suggest
+            out.append(MissingCell(cell, None))
+            continue
         partner = cells.get((b, a))
         if partner is not None:
             sugg = (partner[0], -partner[1])
         elif (b, a) in table.missing:
-            row_ks = {v[0] for key, v in cells.items() if key[0] == a}
-            col_ks = {v[0] for key, v in cells.items() if key[1] == b}
+            row_ks, col_ks = set(), set()
+            for key, value in cells.items():
+                try:
+                    (x, y), (k, _s) = key, value
+                except (TypeError, ValueError):  # a cell of another shape holds no z_k
+                    continue
+                if x == a:
+                    row_ks.add(k)
+                if y == b:
+                    col_ks.add(k)
             full = set(range(1, table.sig.n + 1))
             sugg = 0 if (row_ks == full and col_ks == full) else None
         else:
             # The mirror cell is recorded as zero, so antisymmetry pins
             # this one to zero too.
             sugg = 0
-        out.append(MissingCell((a, b), sugg))
+        out.append(MissingCell(cell, sugg))
     return out
 
 
@@ -640,12 +720,19 @@ def verify_htype(table):
         return VerifyReport(sig, table.label, errata, None, missing)
     maps = _signed_maps(table)
     bad = None if maps is None else _failed_squares(maps, table.dim)
-    if maps is None or bad or table.missing or len(table.cells) != sig.n * table.dim:
-        # Only a table that breaks a rule or has a missing cell is walked;
-        # one that passes it has its maps (see the module docstring).
+    if bad and type(maps[0]) is bytearray:
+        # Lists, with end where no cell writes, name where a map is partial.
+        maps = _signed_maps(table, lists=True)
+    if maps is None or bad or len(table.cells) != sig.n * table.dim:
+        # Only a table that fails the shape check is walked; one that
+        # passes the walk has its maps (see the module docstring).
         errata = _walk_errata(table)
-        if errata:
-            return VerifyReport(sig, table.label, errata, None, missing)
+    elif table.missing:  # every rule of the walk holds but maybe a missing cell's
+        errata = _in_cell_order(_missing_errata(table))
+    else:
+        errata = []
+    if errata:
+        return VerifyReport(sig, table.label, errata, None, missing)
     eps = _eps_by_k(sig)[1:]
     eta = _walk_eta(maps, eps, table.dim)
     if eta is None:
@@ -668,7 +755,8 @@ def compare_tables(left, right):
     missing on either side are left out.  Unmatched tables get no sigma
     but their diffs: ((a, b), left value, right value), None for zero,
     per differing cell, sorted; a cell outside 1..dim, or holding z_k
-    for k outside 1..n, always differs.
+    for k outside 1..n, or whose key or value is not a pair, always
+    differs.
     """
     skip = left.missing | right.missing
     keys = [key for key in left.cells.keys() | right.cells.keys()
@@ -676,22 +764,43 @@ def compare_tables(left, right):
     matched = left.dim == right.dim and left.sig.n == right.sig.n
     central = range(1, left.sig.n + 1)
     adj = {a: [] for a in range(1, left.dim + 1)}
-    for a, b in keys if matched else ():
-        mine, theirs = left.cells.get((a, b)), right.cells.get((a, b))
-        if mine is None or theirs is None or mine[0] != theirs[0] \
-                or mine[0] not in central or a not in adj or b not in adj:
+    for key in keys if matched else ():
+        try:
+            (a, b), (k, s), (k_right, s_right) = key, left.cells.get(key), right.cells.get(key)
+        except (TypeError, ValueError):  # a side without the cell, or not a pair
             matched = False
             break
-        adj[a].append((b, mine[1] * theirs[1], (a, b)))
-        adj[b].append((a, mine[1] * theirs[1], (b, a)))
+        if k != k_right or k not in central or a not in adj or b not in adj:
+            matched = False
+            break
+        adj[a].append((b, s * s_right, (a, b)))
+        adj[b].append((a, s * s_right, (b, a)))
     sigma = [None] * (left.dim + 1)
     if matched and next(_propagate_signs(sigma, adj), None) is None:
         sigma = tuple(sigma[1:])
         status = EXACT if all(x == 1 for x in sigma) else SIGN_EQUIVALENT
         return TableComparison(status, sigma)
-    # The last test meets only a cell held, equally, on both sides.
-    diffs = [(key, left.cells.get(key), right.cells.get(key))
-             for key in _sorted_by_cell(keys) if left.cells.get(key) != right.cells.get(key)
-             or key[0] not in adj or key[1] not in adj
-             or left.cells[key][0] not in central]
+    diffs = []
+    for key in _sorted_by_cell(keys):
+        values = left.cells.get(key), right.cells.get(key)
+        if values[0] != values[1] or _stray(key, values, adj, central):
+            diffs.append((key, *values))
     return TableComparison(UNMATCHED, None, tuple(diffs))
+
+
+def _stray(key, values, inside, central):
+    """True when a cell always differs: its key is not a pair (a, b) of
+    indices in inside, or one of its values, None for zero aside, is
+    not a pair (k, s) with k in central."""
+    try:
+        a, b = key
+        if a not in inside or b not in inside:
+            return True
+        for value in values:
+            if value is not None:
+                k, _s = value
+                if k not in central:
+                    return True
+    except (TypeError, ValueError):
+        return True
+    return False

@@ -1,4 +1,5 @@
-"""Seeded structural fuzzing of the golden loader and of verify_htype.
+"""Seeded structural fuzzing of the golden loader, of verify_htype and
+of compare_tables.
 
 The loader target: each case takes one of the shipped table files and
 replaces one to three of its JSON nodes, the root included, with None, a
@@ -19,6 +20,16 @@ The contract: verify_htype gives the report of verify_oracle.slow_report,
 the cell-walking referee.  The signature, the dim and the shape of each
 cell, a key of two entries and a value of two, are left alone.
 
+The shape target: each case takes a table of dim <= 8 from
+verify_oracle.base_tables and makes one to three edits, each one of:
+a cell's key replaced by (a, b, k), (a,), (), "ab", a or None; a
+cell's value replaced by k, (k,), (k, s, 0), (), None or "ks"; or a
+missing cell added that is (b, a, 0), (0,), "", 0 or "xy".  No key
+is a missing cell added, so compare_tables skips no edited cell.
+The contract: verify_htype gives slow_report's report, which is not
+ok, and compare_tables of the table and its base, both ways, and of
+the table with itself returns, unmatched where a cell was edited.
+
 Each case runs under signal.alarm, and the loop under a lowered soft
 RLIMIT_AS, restored afterwards, so a case that hangs or grows without
 bound fails its own check instead of stalling or exhausting the host.
@@ -30,6 +41,7 @@ repository root
 
     PYTHONPATH=src:tests python -c 'import fuzz; fuzz.check_loader(10 * fuzz.LOADER_CASES)'
     PYTHONPATH=src:tests python -c 'import fuzz; fuzz.check_verify(10 * fuzz.VERIFY_CASES)'
+    PYTHONPATH=src:tests python -c 'import fuzz; fuzz.check_shape(10 * fuzz.SHAPE_CASES)'
 """
 
 import json
@@ -40,12 +52,13 @@ from fractions import Fraction
 
 from conftest import raw_data, resign
 from htype.golden import golden_signatures, table_from_data
-from htype.lie_algebra import verify_htype
+from htype.lie_algebra import UNMATCHED, compare_tables, verify_htype
 from verify_oracle import base_tables, slow_report
 
 SEED = 1604
 LOADER_CASES = 6000
 VERIFY_CASES = 4000
+SHAPE_CASES = 2000
 CASE_SECONDS = 2
 # Address space the loop may add to the process's own, in bytes.
 HEADROOM = 1 << 30
@@ -157,6 +170,45 @@ def _same_report(table):
         raise AssertionError("verify_htype gives %r, slow_report %r" % (mine, theirs))
 
 
+def shape_cases(count):
+    """count (table name, edits, (base, table, edited)) triples: edits
+    the list of (kind, cell, replacement) made in order, and edited true
+    when a cell's key or value was replaced."""
+    rng = random.Random(SEED)
+    bases = [(name, table, sorted(table.cells.items()))
+             for name, table in base_tables() if table.dim <= 8]
+    for _ in range(count):
+        name, base, items = rng.choice(bases)
+        cells, missing = dict(base.cells), set(base.missing)
+        edits = []
+        for (a, b), (k, s) in rng.sample(items, min(len(items), rng.randint(1, 3))):
+            kind = rng.choice(("key", "value", "missing"))
+            if kind == "key":
+                new = rng.choice(((a, b, k), (a,), (), "ab", a, None))
+                cells[new] = cells.pop((a, b))
+            elif kind == "value":
+                new = rng.choice((k, (k,), (k, s, 0), (), None, "ks"))
+                cells[(a, b)] = new
+            else:
+                new = rng.choice(((b, a, 0), (0,), "", 0, "xy"))
+                missing.add(new)
+            edits.append((kind, (a, b), new))
+        table = base._replace(cells=cells, missing=frozenset(missing))
+        edited = any(kind != "missing" for kind, _cell, _new in edits)
+        yield name, edits, (base, table, edited)
+
+
+def _shape_contract(payload):
+    base, table, edited = payload
+    _same_report(table)
+    if verify_htype(table).ok:
+        raise AssertionError("verify_htype passes a table of another shape")
+    for left, right in ((base, table), (table, base), (table, table)):
+        status = compare_tables(left, right).status
+        if edited and status != UNMATCHED:
+            raise AssertionError("compare_tables calls an edited cell %s" % status)
+
+
 def _address_space():
     """The process's address space in bytes, from /proc/self/statm."""
     with open("/proc/self/statm") as handle:
@@ -199,3 +251,9 @@ def check_verify(count):
     """Check the verify contract on the first count verify cases; raise
     AssertionError naming the first case that breaks it."""
     _check(verify_cases(count), _same_report)
+
+
+def check_shape(count):
+    """Check the shape contract on the first count shape cases; raise
+    AssertionError naming the first case that breaks it."""
+    _check(shape_cases(count), _shape_contract)

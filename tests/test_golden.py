@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -112,6 +113,30 @@ def test_checksum_rejects_tampering():
     data["cells"][0][3] *= -1
     with pytest.raises(ValueError, match="checksum"):
         table_from_data(data)
+
+
+def test_the_checksum_falls_back_on_hashlib(monkeypatch):
+    """Where neither lean sha256 module, _sha2 nor _sha256, imports, the
+    loader takes hashlib's sha256, and every embedded table loads as
+    before; with either, it takes that module's, which gives the same
+    digest."""
+    from htype import golden
+    lean = golden._sha256()
+    assert lean.__module__ in ("_sha2", "_sha256")
+    assert lean(b"htype").hexdigest() == hashlib.sha256(b"htype").hexdigest()
+    before = {key: golden_table(*key) for key in golden_signatures()}
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+    golden._sha256.cache_clear()
+    try:
+        assert golden._sha256() is hashlib.sha256
+        assert {key: golden_table(*key) for key in golden_signatures()} == before
+        data = raw_data(2, 2)
+        data["cells"][0][3] *= -1
+        with pytest.raises(ValueError, match="checksum"):
+            table_from_data(data)
+    finally:
+        golden._sha256.cache_clear()
 
 
 def test_antisymmetry_rejects_resigned_tampering():
