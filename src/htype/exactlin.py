@@ -23,11 +23,12 @@ entries.  256 is the limit, as a byte holds 0..255, and only a total
 map takes this spelling: the string drops the end entry that a partial
 map needs, and at 2N = 256 end is no byte.  lie_algebra's reader
 writes this spelling itself, a bytearray of the 2N entries, for every
-table with n N cells on at most 256 points, and proves each map total
-by its square before any other use.  So act, which reads the
-last entry as end, takes only the first spelling, as lie_algebra's
-reconstruct_J gives it.  This module holds both spellings: fixed (the
-swap and a gather by it), BYTE_SWAP and act.
+table with n N cells on at most 256 points; its maps are used past
+their square check only when they are total (see
+lie_algebra._failed_squares).  act, which reads the last entry as end,
+takes only the first spelling, as lie_algebra's reconstruct_J gives
+it.  This module holds both spellings: fixed (the swap and a gather by
+it), BYTE_SWAP and act.
 """
 
 from functools import lru_cache

@@ -52,46 +52,28 @@ c_a xor key_k, and the parity of g_k & c_a.
 
 cell_errata is the one check of the cell rules, shared with the golden
 loader.  verify_htype reads the cells once, into raw signed-point maps
-R_k over the 2N signed points (see exactlin): R_k v_a = s v_b for each
-cell (a, b) = (k, s).  Index tables read each cell, with no range test
-of its own: a list of the even points by a or b, a list of the maps by
-k and a dict of the sign bit by s, each refusing, by an exception that
-_signed_maps turns into None, an index that is 0, past the end or not an
-int, and a sign other than +-1.  Only a negative index needs a test, as
-it would wrap onto a real slot.  A full table, n N cells on 2N <= 256
-points, as every shipped, emitted and ladder table is, is read straight
-into the byte spelling of exactlin, zero where no cell writes; any
-other table into lists with end where no cell gives the image.  The
-maps then answer three questions.
+R_k over the 2N signed points (see exactlin and _signed_maps): R_k v_a =
+s v_b for each cell (a, b) = (k, s).  The maps then answer three
+questions.
 
 Shape.  Take a table with n N cells, each with a and b in 1..N, k in
 1..n and s = +-1.  If R_k^2 = -Id for every k, it meets every rule
 that _walk_errata walks cell by cell but those of its missing cells, and
 without a missing cell the converse holds too.  Let R_k^2 = -Id.  Then
-R_k is total: in lists, as end is fixed and -Id moves every point, no
-image is end; in bytes, by the proof in _failed_squares.  So the n N
-cells fill the n N pairs (a, k) once each: row a holds each z_k once.
-R_k v_a = s v_b and R_k v_b = -s v_a say that cell (b, a) is (k, -s),
-which is antisymmetry and rules out a = b, as s s = 1.  So a -> b is an
-involution of 1..N for each k, and column b holds z_k once too.
-Conversely those rules, with no missing cell, make each R_k a signed
-permutation that pairs v_a with v_b and negates on the way back, so
-R_k^2 = -Id.  A table that fails the check, or holds other than n N
-cells, is walked by _walk_errata to name its defects; one that passes
-reads only the rules of its missing cells (_missing_errata), so golden
-(5, 1), whose one missing cell is a zero pair, is not walked.  A byte
-map that fails its square is read again as a list, whose end names
-where it is partial.  The maps are read once before the check, or twice
-on that path: a table that passes the walk has every cell a pair of
-pairs, its indices ints in range and its sign equal to +-1, as the index
-tables ask, so it has its maps, and one that fails it never needs them.
+R_k is total (see _failed_squares), so the n N cells fill the n N pairs
+(a, k) once each: row a holds each z_k once.  R_k v_a = s v_b and
+R_k v_b = -s v_a say that cell (b, a) is (k, -s), which is antisymmetry
+and rules out a = b, as s s = 1.  So a -> b is an involution of 1..N
+for each k, and column b holds z_k once too.  Conversely those rules,
+with no missing cell, make each R_k a signed permutation that pairs v_a
+with v_b and negates on the way back, so R_k^2 = -Id.  A table that
+fails the check, or holds other than n N cells, is walked by
+_walk_errata to name its defects; one that passes reads only the rules
+of its missing cells (_missing_errata), so golden (5, 1), whose one
+missing cell is a zero pair, is not walked.
 
 Norm signs.  Each cell forces eta_b = eps_k eta_a, as J_k scales square
-norms by eps_k.  When s = 0 every eps_k is +1, so eta is all +1 and no
-walk is made.  Otherwise a breadth-first walk over the maps, b =
-R_k[2a] >> 1, sets eta with no adjacency lists.  Only when it meets a
-conflict does the adjacency walk of _solve_eta run, to name each
-conflicting cell in cell order.
+norms by eps_k: _walk_eta sets eta, and _solve_eta names the conflicts.
 
 Generators.  J_k = eps_k D_eta R_k sends v_a to eps_k s eta_b v_b.  For
 the form diag(eta), <J_k v_a, v_b> = eps_k s = <z_k, [v_a, v_b]>, so
@@ -109,19 +91,8 @@ R_j = eps_j R_i R_j, so
 
     J_i J_j + J_j J_i = 0   exactly when   R_i R_j = -eps_i eps_j R_j R_i.
 
-So once _walk_eta has found an eta, _clifford_errata reads every module
-axiom off the R_k and builds no J_k: the norm signature; for each map
-with R_k^2 != -Id, of which the shape check leaves none, whether J_k
-is partial or not skew, and where its square fails; and the n(n-1)/2
-pair relations, one composition on each side of a pair.  Squares, and
-products where some map fails its square, are gathers compared on the
-N even points and end alone: every map here, partial or not, and so
-every product of maps and its negation, has m[x ^ 1] = m[x] ^ 1, or end
-along with m[x] (see exactlin), so two of them that agree at x agree at
-x ^ 1.  When every square holds, every map is total, and on 2N <= 256
-points the maps are already byte strings and the products are too,
-one bytes.translate each, compared on all 2N points; as m[x ^ 1] =
-m[x] ^ 1 at every point of a total map, that is the same comparison.
+So once an eta is found, _clifford_errata reads every module axiom off
+the R_k and builds no J_k.
 
 compare_tables is the one comparison of two tables: exact, equal after
 a diagonal sign change of the basis, or unmatched with the cells that differ.
@@ -382,16 +353,17 @@ def _solve_eta(table):
     return tuple(eta[1:]), errata
 
 
-def _signed_maps(table, lists=False):
+def _signed_maps(table):
     """The raw maps R_k, k = 1..n, read off the cells in one pass over
     the 2N signed points (see exactlin), with R_k v_a = s v_b for each
     cell (a, b) = (k, s).  A full table, n N cells on 2N <= 256 points,
-    is read into the byte spelling, unless lists is true: a zero-filled
-    bytearray of length 2N per map, which _failed_squares proves total.
-    Any other table is read into lists of length 2N + 1, with end = 2N
-    where no cell gives the image.  None when a key or a value is not a
-    pair, or a cell has a or b outside 1..N, k outside 1..n or s other
-    than +-1, or an index that is not an int, such as 1.0.
+    is read into the byte spelling: a zero-filled bytearray of length 2N
+    per map, total once the table passes the cell walk (see
+    _failed_squares).  Any other table is read into lists of length
+    2N + 1, with end = 2N where no cell gives the image.  None when a key
+    or a value is not a pair, or a cell has a or b outside 1..N, k
+    outside 1..n or s other than +-1, or an index that is not an int,
+    such as 1.0.
 
     List indexing does the tests: evens[a] = 2a - 2 and by_k[k] = R_k
     hold None at index 0, so 0 meets a TypeError, as a float or a str
@@ -404,7 +376,7 @@ def _signed_maps(table, lists=False):
     """
     n_vec, n = table.dim, table.sig.n
     end = 2 * n_vec
-    if lists or len(table.cells) != n * n_vec or end > 256:
+    if len(table.cells) != n * n_vec or end > 256:
         maps = [[end] * (end + 1) for _ in range(n)]
     else:
         maps = [bytearray(end) for _ in range(n)]
@@ -425,10 +397,27 @@ def _signed_maps(table, lists=False):
     return maps
 
 
-def _failed_squares(maps, n_vec):
-    """The indices k - 1 of the maps with R_k^2 != -Id: lists compared
-    on the even points and end (see exactlin), byte strings on all 2N
-    points, one bytes.translate each.
+def _spelling(maps, end):
+    """(tables, gathers, minus_id, negate) for the maps of _signed_maps
+    on end = 2N points, in the spelling the reader chose (see exactlin):
+    R_i R_j is gathers[j](tables[i]), -R_j is negate(tables[j]), and
+    minus_id is -Id on the points a gather reads.  A byte map gathers by
+    one bytes.translate on all 2N points, a list map by an itemgetter on
+    the even points and end.  That is the same comparison: every map
+    here, total or not, and so every product of maps and its negation,
+    has m[x ^ 1] = m[x] ^ 1, or end along with m[x], so two of them that
+    agree at x agree at x ^ 1."""
+    if type(maps[0]) is bytearray:
+        pad = bytes(256 - end)
+        return ([m + pad for m in maps], [m.translate for m in maps],
+                exactlin.BYTE_SWAP[:end], exactlin.BYTE_SWAP.translate)
+    swap, negate = exactlin.fixed(end)
+    return maps, [itemgetter(*m[::2]) for m in maps], swap[::2], negate
+
+
+def _failed_squares(spelling):
+    """The indices k - 1 of the maps with R_k^2 != -Id, each square one
+    gather of the spelling (see _spelling).
 
     A byte map that passes is total.  A pair of slots 2a, 2a + 1 that no
     cell wrote holds 0 twice, so R^2 sends both points to R(0), which
@@ -437,14 +426,15 @@ def _failed_squares(maps, n_vec):
     pairs are all written, none was written twice.  A byte map fails
     exactly when its list form does: the two agree wherever the list map
     is total, and a list map that is not total fails, as it fixes end.
+
+    A table whose byte map fails is walked, and its maps are used only
+    if it passes the walk.  Then each z_k sits at most once in each row,
+    so its n N cells write every pair of slots of every map exactly
+    once: its byte maps are total, and equal its list maps with end
+    dropped.  So verify_htype reads every table once.
     """
-    end = 2 * n_vec
-    if maps and type(maps[0]) is bytearray:
-        pad = bytes(256 - end)
-        swap = exactlin.BYTE_SWAP[:end]
-        return [k for k, m in enumerate(maps) if m.translate(m + pad) != swap]
-    swap = exactlin.fixed(end)[0][::2]
-    return [k for k, m in enumerate(maps) if itemgetter(*m[::2])(m) != swap]
+    tables, gathers, minus_id, _negate = spelling
+    return [k for k, (t, gather) in enumerate(zip(tables, gathers)) if gather(t) != minus_id]
 
 
 def _walk_eta(maps, eps, n_vec):
@@ -481,45 +471,45 @@ def _walk_eta(maps, eps, n_vec):
 
 
 def reconstruct_J(table, eta):
-    """Generators implied by a table whose cells are in range, and the
+    """Generators implied by a table that passes the cell walk, and its
     norm signs eta: J_k v_a = eps_k c eta_b v_b for each cell
-    (a, b) = (k, c), as signed-point maps (see exactlin); where an empty
-    cell leaves J_k undefined, the map holds end = 2N.  J_k = eps_k
-    D_eta R_k for D_eta = diag(eta) is the gather of D_eta, or of -D_eta
-    where eps_k = -1, by R_k.
+    (a, b) = (k, c), as signed-point maps of length 2N + 1 (see
+    exactlin); where an empty cell leaves J_k undefined, the map holds
+    end = 2N, which every map holds last.  J_k = eps_k D_eta R_k for
+    D_eta = diag(eta) is the gather of D_eta, or of -D_eta where
+    eps_k = -1, by R_k and end.
     """
     end = 2 * len(eta)
     plus = [x ^ (eta[x >> 1] < 0) for x in range(end)] + [end]
     minus = [x ^ 1 for x in plus[:-1]] + [end]
-    return [itemgetter(*m)(plus if e > 0 else minus)
-            for m, e in zip(_signed_maps(table, lists=True), _eps_by_k(table.sig)[1:])]
+    return [itemgetter(*m[:end], end)(plus if e > 0 else minus)
+            for m, e in zip(_signed_maps(table), _eps_by_k(table.sig)[1:])]
 
 
-def _clifford_errata(sig, maps, eps, eta, bad):
+def _clifford_errata(sig, spelling, eps, eta, bad):
     """Errata of the module axioms for J_k = eps_k D_eta R_k, read off
-    the maps R_k of a table that passed the cell walk and an eta that
-    agrees with every cell (see the module docstring).  In order: the
-    norm signature, as diag(eta) is definite when s = 0 and neutral
-    otherwise; for each k in bad, the maps with R_k^2 != -Id, that J_k
-    is partial or else not skew; then for each i <= j, the points where
-    the square of R_i fails, named through its two cells where R_i is
-    total, and whether R_i R_j = -eps_i eps_j R_j R_i.  As in a table,
-    R_k is named z_k and point a - 1 is named v_a.  The products are
-    gathers, or byte strings when bad is empty and 2N <= 256, where
-    _signed_maps has read the maps as bytes; the two give the same
-    errata."""
+    the maps R_k of a table that passed the cell walk, in the spelling
+    of _spelling, and an eta that agrees with every cell (see the module
+    docstring).  In order: the norm signature, as diag(eta) is definite
+    when s = 0 and neutral otherwise; for each k in bad, the maps with
+    R_k^2 != -Id, that J_k is partial or else not skew; then for each
+    i <= j, the points where the square of R_i fails, named through its
+    two cells where R_i is total, and whether R_i R_j = -eps_i eps_j
+    R_j R_i.  As in a table, R_k is named z_k and point a - 1 is named
+    v_a."""
     dim, pos = len(eta), eta.count(1)
     want = (dim, 0) if sig.s == 0 else (dim // 2, dim // 2)
     out = [] if (pos, dim - pos) == want else [
         "solved norms have signature (%d, %d), expected (%d, %d)"
         % (pos, dim - pos, want[0], want[1])]
     end = 2 * dim
+    tables, gathers, _minus_id, negate = spelling
     squares = {}
     for k in bad:
-        m = maps[k]
+        m = tables[k]
         twice = itemgetter(*m)(m)
         points = [x >> 1 for x in range(0, end, 2) if twice[x] != x ^ 1]
-        if m.count(end) > 1:
+        if max(m[:end]) == end:  # end is an image: R_k is partial
             out.append("z%d does not act by a signed permutation" % (k + 1))
             squares[k] = ["z%d square fails at v%d" % (k + 1, a + 1) for a in points]
         else:
@@ -528,19 +518,10 @@ def _clifford_errata(sig, maps, eps, eta, bad):
             squares[k] = ["z%d square fails through cells (v%d, v%d) and (v%d, v%d)"
                           % (k + 1, a + 1, b + 1, b + 1, (m[2 * b] >> 1) + 1)
                           for a, b in hops]
-    if bad or end > 256:  # a map, maybe partial, fails its square, or 2N > 256
-        negate = exactlin.fixed(end)[1]
-        tables = maps
-        gathers = [itemgetter(*m[::2]) for m in maps]  # on the even points and end
-    else:  # every map total on at most 256 points: the byte spelling
-        pad = bytes(256 - end)
-        tables = [m + pad for m in maps]
-        gathers = [m.translate for m in maps]
-        negate = exactlin.BYTE_SWAP.translate
     negated = [negate(t) for t in tables]
     for i, (t, e) in enumerate(zip(tables, eps)):
         out += squares.get(i, ())
-        for j in range(i + 1, len(maps)):
+        for j in range(i + 1, len(tables)):
             # R_i R_j gathers R_i by R_j; the other side gathers +-R_j by R_i.
             if gathers[j](t) != gathers[i](negated[j] if eps[j] == e else tables[j]):
                 out.append("z%d and z%d do not anticommute" % (i + 1, j + 1))
@@ -686,7 +667,11 @@ def _missing_reports(table):
             continue
         partner = cells.get((b, a))
         if partner is not None:
-            sugg = (partner[0], -partner[1])
+            try:
+                k, s = partner
+                sugg = (k, -s)
+            except (TypeError, ValueError):  # a mirror that does not unpack or negate
+                sugg = None
         elif (b, a) in table.missing:
             row_ks, col_ks = set(), set()
             for key, value in cells.items():
@@ -719,13 +704,12 @@ def verify_htype(table):
         errata = ["table dimension %d is not positive" % table.dim]
         return VerifyReport(sig, table.label, errata, None, missing)
     maps = _signed_maps(table)
-    bad = None if maps is None else _failed_squares(maps, table.dim)
-    if bad and type(maps[0]) is bytearray:
-        # Lists, with end where no cell writes, name where a map is partial.
-        maps = _signed_maps(table, lists=True)
+    if maps is not None:
+        spelling = _spelling(maps, 2 * table.dim)
+        bad = _failed_squares(spelling)
     if maps is None or bad or len(table.cells) != sig.n * table.dim:
-        # Only a table that fails the shape check is walked; one that
-        # passes the walk has its maps (see the module docstring).
+        # Only a table that fails the shape check is walked; if it passes
+        # the walk, its byte maps are total (see _failed_squares).
         errata = _walk_errata(table)
     elif table.missing:  # every rule of the walk holds but maybe a missing cell's
         errata = _in_cell_order(_missing_errata(table))
@@ -739,7 +723,7 @@ def verify_htype(table):
         # The adjacency walk names every conflicting cell, in its order.
         eta, errata = _solve_eta(table)
     else:
-        errata = _clifford_errata(sig, maps, eps, eta, bad)
+        errata = _clifford_errata(sig, spelling, eps, eta, bad)
     return VerifyReport(sig, table.label, errata, eta, missing)
 
 
@@ -754,53 +738,51 @@ def compare_tables(left, right):
     sigma_b; sigma_1 = +1, as a global flip changes nothing.  Cells
     missing on either side are left out.  Unmatched tables get no sigma
     but their diffs: ((a, b), left value, right value), None for zero,
-    per differing cell, sorted; a cell outside 1..dim, or holding z_k
-    for k outside 1..n, or whose key or value is not a pair, always
-    differs.
+    per differing cell, sorted; a stray cell (see _stray) always
+    differs, and the tables it lies in are unmatched.
     """
     skip = left.missing | right.missing
     keys = [key for key in left.cells.keys() | right.cells.keys()
             if key not in skip]
-    matched = left.dim == right.dim and left.sig.n == right.sig.n
+    ints = isinstance(left.dim, int) and isinstance(right.dim, int)
+    matched = ints and left.dim == right.dim and left.sig.n == right.sig.n
     central = range(1, left.sig.n + 1)
-    adj = {a: [] for a in range(1, left.dim + 1)}
+    # No cell lies inside a dim that is not an int.
+    adj = {a: [] for a in range(1, left.dim + 1)} if ints else {}
     for key in keys if matched else ():
         try:
             (a, b), (k, s), (k_right, s_right) = key, left.cells.get(key), right.cells.get(key)
         except (TypeError, ValueError):  # a side without the cell, or not a pair
             matched = False
             break
-        if k != k_right or k not in central or a not in adj or b not in adj:
+        if k != k_right or k not in central or a not in adj or b not in adj \
+                or s not in (1, -1) or s_right not in (1, -1):
             matched = False
             break
-        adj[a].append((b, s * s_right, (a, b)))
-        adj[b].append((a, s * s_right, (b, a)))
-    sigma = [None] * (left.dim + 1)
+        # The edges name their cell by its key alone: a conflict is only counted.
+        rel = s * s_right
+        adj[a].append((b, rel, key))
+        adj[b].append((a, rel, key))
+    sigma = [None] * (len(adj) + 1)
     if matched and next(_propagate_signs(sigma, adj), None) is None:
         sigma = tuple(sigma[1:])
         status = EXACT if all(x == 1 for x in sigma) else SIGN_EQUIVALENT
         return TableComparison(status, sigma)
-    diffs = []
-    for key in _sorted_by_cell(keys):
-        values = left.cells.get(key), right.cells.get(key)
-        if values[0] != values[1] or _stray(key, values, adj, central):
-            diffs.append((key, *values))
-    return TableComparison(UNMATCHED, None, tuple(diffs))
+    entries = [(key, left.cells.get(key), right.cells.get(key)) for key in _sorted_by_cell(keys)]
+    return TableComparison(UNMATCHED, None, tuple(
+        entry for entry in entries if entry[1] != entry[2] or _stray(entry, adj, central)))
 
 
-def _stray(key, values, inside, central):
-    """True when a cell always differs: its key is not a pair (a, b) of
-    indices in inside, or one of its values, None for zero aside, is
-    not a pair (k, s) with k in central."""
+def _stray(entry, inside, central):
+    """True when a cell, (key, left value, right value), always differs:
+    its key is not a pair (a, b) of indices in inside, the indices
+    1..dim of an int dim on both sides (none otherwise), or one of its
+    values, None for zero aside, is not a pair (k, s) with k in central
+    and s = +-1."""
     try:
-        a, b = key
-        if a not in inside or b not in inside:
-            return True
-        for value in values:
-            if value is not None:
-                k, _s = value
-                if k not in central:
-                    return True
+        (a, b), *values = entry
+        return a not in inside or b not in inside or any(
+            k not in central or s not in (1, -1)
+            for k, s in (value for value in values if value is not None))
     except (TypeError, ValueError):
         return True
-    return False

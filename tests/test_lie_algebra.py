@@ -217,6 +217,22 @@ def test_missing_cell_with_present_partner_gets_a_suggestion():
     assert any("signed permutation" in e for e in report.errata)
 
 
+def test_a_missing_cell_whose_mirror_is_malformed_gets_no_suggestion():
+    """Missing cell (2, 1) beside a stored mirror (1, 2) that does not
+    unpack into (k, s), or whose s does not negate, is suggested None
+    instead of raising from the negation; the failing report is
+    slow_report's."""
+    table = generate_table(Signature(1, 0))
+    assert table.dim == 2
+    for mirror in ("ks", 5, (1,), (1, "x")):
+        holed = table._replace(cells={(1, 2): mirror}, missing=frozenset({(2, 1)}))
+        report = verify_htype(holed)
+        assert [(m.cell, m.suggestion) for m in report.missing] == [((2, 1), None)], mirror
+        assert not report.ok
+        assert (report.ok, report.errata, report.eta, report.missing) == \
+            slow_report(holed), mirror
+
+
 def test_missing_pair_has_no_determined_value():
     t = generate_table(Signature(2, 0))
     cells = dict(t.cells)
@@ -363,8 +379,8 @@ def _readers_seen(monkeypatch):
     seen = []
     reader = lie_algebra._signed_maps
 
-    def read(table, lists=False):
-        maps = reader(table, lists)
+    def read(table):
+        maps = reader(table)
         seen.append("none" if maps is None
                     else "bytes" if type(maps[0]) is bytearray else "lists")
         return maps
@@ -387,15 +403,14 @@ def test_verify_htype_reports_what_the_cell_walk_reports(monkeypatch):
     raw maps; missing cells leave some maps partial, and two cycles
     leave a total map that is not skew.
 
-    The pair relations take the byte form (see exactlin) exactly when
-    every map squares to -Id, and so is total, on 2N <= 256 points, and
-    the gather form otherwise.  Pinned by name: the flipped (6, 6)
-    tables, at 2N = 256, and (5, 3), below it, take the byte form, and
-    the flipped (8, 8) tables, at 2N = 512, the gather form.
-
     The reader writes bytes exactly for a full table, n N cells on
-    2N <= 256 points, and re-reads it as lists when a byte map fails its
-    square; any other table it reads as lists once, or finds no maps in."""
+    2N <= 256 points, and reads any other table as lists, or finds no
+    maps in it; it reads each table once.  The pair relations take the
+    form the reader wrote: bytes (see exactlin), also for the two cycle
+    tables whose total maps fail their squares, and gathers for lists.
+    Pinned by name: the flipped (6, 6) tables, at 2N = 256, and (5, 3),
+    below it, take the byte form, and the flipped (8, 8) tables, at
+    2N = 512, the gather form."""
     translated = Counter()
     readers, seen = {}, _readers_seen(monkeypatch)
 
@@ -404,11 +419,11 @@ def test_verify_htype_reports_what_the_cell_walk_reports(monkeypatch):
             translated["calls"] += 1
             return bytes.translate(self, table)
 
-    def recorded(sig, maps, eps, eta, bad):
+    def recorded(sig, spelling, eps, eta, bad):
         before = translated["calls"]
-        out = pair_check(sig, maps, eps, eta, bad)
+        out = pair_check(sig, spelling, eps, eta, bad)
         points = 2 * len(eta)
-        squares = all(m[m[x]] == x ^ 1 for m in maps for x in range(points))
+        squares = all(m[m[x]] == x ^ 1 for m in spelling[0] for x in range(points))
         forms.append((name, "bytes" if translated["calls"] > before else "gathers",
                       squares, points))
         return out
@@ -434,17 +449,19 @@ def test_verify_htype_reports_what_the_cell_walk_reports(monkeypatch):
     assert kinds["is not skew for the solved norms"] == 2
     assert kinds["does not act by a signed permutation"] > 0
     for name, form, squares, points in forms:
-        assert form == ("bytes" if squares and points <= 256 else "gathers"), name
-        assert readers[name][-1] == ("bytes" if form == "bytes" else "lists"), name
+        assert readers[name] == (("bytes",) if form == "bytes" else ("lists",)), name
     for name, table in cases:
         full = (table.dim >= 1 and table.sig.n >= 1 and 2 * table.dim <= 256
                 and len(table.cells) == table.sig.n * table.dim)
         assert readers[name][:1] in (("bytes",) if full else ("lists",), ("none",), ()), name
     # The 177 cases that read nothing have a dim that is not a positive int.
-    assert Counter(readers.values()) == {("bytes",): 850, ("bytes", "lists"): 536,
-                                         ("lists",): 468, ("none",): 587, (): 177}
+    assert Counter(readers.values()) == {("bytes",): 1386, ("lists",): 468,
+                                         ("none",): 587, (): 177}
     assert Counter(form for _name, form, _squares, _points in forms) == \
-        {"bytes": 808, "gathers": 105}
+        {"bytes": 810, "gathers": 103}
+    assert sorted(name for name, form, squares, _points in forms
+                  if form == "bytes" and not squares) == ["3-cycle under (1, 0)",
+                                                          "4-cycle under (0, 1)"]
     flipped = {name: form for name, *form in forms if name.startswith(
         ("grid 5 3, two pairs", "grid 6 6, two pairs", "grid 8 8, two pairs"))}
     assert flipped == {
@@ -552,13 +569,13 @@ def test_tables_with_holes_report_what_the_cell_walk_reports():
             "signs conflict"} <= kinds
 
 
-def test_a_byte_map_that_fails_its_square_is_read_again_as_lists(monkeypatch):
+def test_a_byte_map_that_fails_its_square_is_read_once_and_walked(monkeypatch):
     """A witness for the totality proof of _failed_squares: golden (2, 0)
     with the z index of cell (1, b) changed alone holds n N cells, so it
     is read as bytes, but row v1 holds the new z twice, one pair of
     slots written twice, and the old z never, a pair left 0.  The byte
-    square fails there, the table is read again as lists and walked,
-    and the report is slow_report's."""
+    square fails there, and the table is walked without a second read:
+    its report is slow_report's."""
     seen = _readers_seen(monkeypatch)
     table = golden_table(2, 0)
     (a, b), (k, s) = min(table.cells.items())
@@ -566,7 +583,7 @@ def test_a_byte_map_that_fails_its_square_is_read_again_as_lists(monkeypatch):
     damaged = table._replace(cells=cells)
     assert len(cells) == damaged.sig.n * damaged.dim
     report = verify_htype(damaged)
-    assert seen == ["bytes", "lists"]
+    assert seen == ["bytes"]
     assert (report.ok, report.errata, report.eta, report.missing) == slow_report(damaged)
     assert "z%d appears twice in row v%d" % (3 - k, a) in report.errata
     assert "row v%d never reaches z%d" % (a, k) in report.errata
@@ -866,6 +883,23 @@ def test_compare_tables_flags_cells_outside_the_table():
         assert cmp.diffs == tuple((key, left.cells[key], right.cells[key])
                                   for key in ((1, 2), (2, 1)))
         assert _checked_comparison(left, right) == UNMATCHED
+
+
+def test_compare_tables_lists_every_stray_cell_of_a_malformed_table():
+    """A dim that is not an int, a coefficient "x" and a pair of +-2
+    coefficients each leave the table unmatched against itself, with
+    every stray cell listed, where they raised TypeError or gave no
+    diffs; brute_compare agrees."""
+    table = golden_table(1, 0)
+    assert table.cells == {(1, 2): (1, 1), (2, 1): (1, -1)}
+    for odd, stray in ((table._replace(dim=2.0), [(1, 2), (2, 1)]),
+                       (table._replace(cells={**table.cells, (1, 2): (1, "x")}), [(1, 2)]),
+                       (table._replace(cells={(1, 2): (1, 2), (2, 1): (1, -2)}),
+                        [(1, 2), (2, 1)])):
+        cmp = compare_tables(odd, odd)
+        assert cmp.status == UNMATCHED
+        assert cmp.diffs == tuple((key, odd.cells[key], odd.cells[key]) for key in stray)
+        assert (cmp.status, cmp.sigma, cmp.diffs) == brute_compare(odd, odd)
 
 
 def test_generate_table_verifies_for_mixed_signatures():

@@ -369,21 +369,26 @@ def report_cases(seed=18):
 def brute_compare(left, right):
     """(status, sigma, diffs) that compare_tables(left, right) must
     return.  Cells that are holes on either side are left out.  When the
-    dims and the n agree and no cell lies outside 1..dim or holds z_k
-    for k outside 1..n, each sigma with sigma_1 = +1 is tried, the
+    dims are ints, the dims and the n agree and no cell lies outside
+    1..dim or holds z_k for k outside 1..n or a coefficient other than
+    +-1, each sigma with sigma_1 = +1 is tried, the
     all-plus one first and then in decreasing lexicographic order, and
     the first that takes every left cell to the right one wins.  Where
     sigma is not unique, the first has +1 on the smallest vertex of each
     set of vertices the cells link, as flipping such a set alone keeps it
     valid.  Else the tables are unmatched, and the diffs are the cells
-    that differ or lie outside, sorted."""
+    that differ or break one of those rules, every cell when a dim is
+    not an int, sorted."""
     keys = sorted((left.cells.keys() | right.cells.keys()) - left.missing - right.missing)
-    inside, central = range(1, left.dim + 1), range(1, left.sig.n + 1)
+    ints = isinstance(left.dim, int) and isinstance(right.dim, int)
+    inside = range(1, left.dim + 1) if ints else ()
+    central = range(1, left.sig.n + 1)
     values = [(key, left.cells.get(key), right.cells.get(key)) for key in keys]
     stray = [key[0] not in inside or key[1] not in inside
-             or any(v is not None and v[0] not in central for v in pair)
+             or any(v is not None and (v[0] not in central or v[1] not in (1, -1))
+                    for v in pair)
              for key, *pair in values]
-    if left.dim == right.dim and left.sig.n == right.sig.n and not any(stray):
+    if ints and left.dim == right.dim and left.sig.n == right.sig.n and not any(stray):
         dim = left.dim
         for bits in range(2 ** (dim - 1)):
             sigma = (1,) + tuple(-1 if bits >> (dim - 2 - i) & 1 else 1
